@@ -1,8 +1,8 @@
 // Command benchcheck is the benchmark regression guard: it runs the
-// tier-1 hot-path benchmarks (batch prediction and the KS/W1 scoring
-// kernels), compares the best-of-N ns/op against the committed
-// BENCH_baseline.json, and exits nonzero when any guarded benchmark
-// slowed down beyond the threshold.
+// tier-1 hot-path benchmarks (batch prediction, the KS/W1 scoring
+// kernels and the KDE mode count), compares the best-of-N ns/op
+// against the committed BENCH_baseline.json, and exits nonzero when
+// any guarded benchmark slowed down beyond the threshold.
 //
 // Usage:
 //
@@ -31,13 +31,13 @@ import (
 )
 
 // targets lists the guarded benchmarks. Keep this in sync with the
-// "Benchmark regression guard" section of README.md.
+// `make benchcheck` paragraph of README.md.
 var targets = []struct {
 	pkg   string // package path passed to go test
 	bench string // -bench regexp
 }{
 	{"./internal/ml", "^(BenchmarkPredictBatch|BenchmarkPredictBatchForest|BenchmarkPredictBatchXGB|BenchmarkPredictBatchTraced|BenchmarkKNNFitPredict)$"},
-	{"./internal/stats", "^(BenchmarkKSStatistic1000|BenchmarkWasserstein1)$"},
+	{"./internal/stats", "^(BenchmarkKSStatistic1000|BenchmarkWasserstein1|BenchmarkKDECountModes)$"},
 }
 
 // Baseline is the committed measurement set.

@@ -68,7 +68,7 @@ type Predictor struct {
 
 	datasets  sync.Map // datasetKey -> *dataCell
 	models    sync.Map // modelKey -> *modelCell
-	stale     sync.Map // modelKey -> *fittedModel (pre-Refresh models)
+	stale     sync.Map // modelKey -> *fittedModel (pre-Refresh models, until refitted)
 	fallbacks sync.Map // modelKey -> *modelCell (kNN fallback models)
 	breakers  sync.Map // datasetKey -> *breaker
 
@@ -211,7 +211,8 @@ func (p *Predictor) QuarantineReports() map[string]measure.SystemQuarantine {
 // request re-validates the data and refits, keeping the dropped models
 // as stale fallbacks: while a refit is failing or its breaker is open,
 // requests are answered by the pre-Refresh model flagged Degraded
-// instead of erroring.
+// instead of erroring. A key's stale model is released as soon as a
+// fresh fit for it succeeds.
 func (p *Predictor) Refresh() {
 	p.models.Range(func(key, value any) bool {
 		c := value.(*modelCell)
@@ -519,6 +520,7 @@ func (p *Predictor) modelStrict(ctx context.Context, k modelKey) (*fittedModel, 
 	}
 	br.success()
 	c.fitted = fm
+	p.stale.Delete(k)
 	p.misses.Add(1)
 	return fm, false, nil
 }

@@ -176,6 +176,7 @@ func (p *Predictor) refitOne(ctx context.Context, k modelKey) error {
 	}
 	br.success()
 	c.fitted = fm
+	p.stale.Delete(k)
 	p.misses.Add(1)
 	return nil
 }

@@ -192,3 +192,34 @@ func TestRefitSystemFailureLeavesStaleServing(t *testing.T) {
 		t.Error("stale fallback must reproduce the pre-refit prediction")
 	}
 }
+
+func TestRefitSystemReleasesStaleModels(t *testing.T) {
+	db := testCampaign(t)
+	p := NewPredictor(db)
+	cfg := predictorConfig()
+	sd := db.Systems[0]
+	sys := sd.SystemName
+	for _, b := range sd.Benchmarks[:2] {
+		if _, err := p.PredictUC1(context.Background(), sys, b.Workload.ID(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other := sd.Benchmarks[2]
+	if err := p.SetBenchmarkRuns(sys, other.Workload.ID(), widenRuns(other.Runs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RefitSystem(context.Background(), sys); err != nil {
+		t.Fatal(err)
+	}
+	// Every refit key now holds its fresh model once, not a stale copy
+	// beside it.
+	p.stale.Range(func(key, _ any) bool {
+		t.Errorf("stale model kept after a successful refit of %+v", key)
+		return true
+	})
+	n := 0
+	p.models.Range(func(any, any) bool { n++; return true })
+	if n != 2 {
+		t.Errorf("%d resident models after the refit, want 2", n)
+	}
+}

@@ -125,7 +125,9 @@ type Hooks struct {
 	// instead and need no tracer here.
 	Tracer *obs.Tracer
 	// Baseline supplies a cell's training-time runs on first ingest
-	// (>= 2 runs). Required.
+	// (>= 2 runs). Required. The cell keeps the returned slice without
+	// copying it, so the hook must hand out runs nobody mutates, such
+	// as a copy-on-write database snapshot's.
 	Baseline func(Key) ([]perfsim.Run, error)
 	// Refit performs the background refit. Nil disables the refit
 	// loop: cells still detect and report drift but never self-heal.
@@ -238,7 +240,7 @@ func (m *Manager) cell(key Key) (*cell, error) {
 	_, _ = h.Write([]byte(key.String()))
 	c = &cell{
 		key:      key,
-		base:     perfsim.CloneRuns(base),
+		base:     base,
 		baseSecs: perfsim.Seconds(base),
 		ring:     make([]perfsim.Run, m.cfg.WindowSize),
 		jrng:     randx.NewPair(m.cfg.Seed^h.Sum64(), m.cfg.Seed+0x9E3779B97F4A7C15*h.Sum64()),

@@ -148,6 +148,10 @@ loop:
 	VMOVUPD Z18, K1, Z7
 	VMOVUPD Z7, 448(R10)
 
+	// Clear the upper vector state. Without it, the SSE code the Go
+	// compiler emits for scalar float math runs at a large penalty on
+	// this thread afterwards.
+	VZEROUPPER
 	RET
 
 // func x86HasAVX512F() bool

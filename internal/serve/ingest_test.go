@@ -16,6 +16,7 @@ import (
 	"repro/internal/drift"
 	"repro/internal/faults"
 	"repro/internal/measure"
+	"repro/internal/perfsim"
 	"repro/internal/randx"
 )
 
@@ -268,6 +269,42 @@ func TestDriftRefitEndToEnd(t *testing.T) {
 	// The background refits left traces rooted at refit.fit.
 	if !strings.Contains(strings.Join(renderedTraces(s), "\n"), "refit.fit") {
 		t.Error("no refit.fit trace recorded")
+	}
+}
+
+// TestDriftRefitLeavesEarlierSnapshotIntact pins the contract that
+// lets drift cells keep the snapshot's runs as their baseline without
+// copying them: ingest, a trip and a refit swap in a new database
+// snapshot and never write to the runs of the earlier one.
+func TestDriftRefitLeavesEarlierSnapshotIntact(t *testing.T) {
+	s := driftTestServer(t)
+	bench := firstBench(testDB)
+	snap := s.pred.DB()
+	sd, _ := snap.System("intel")
+	b, _ := sd.Find(bench)
+	want := perfsim.CloneRuns(b.Runs)
+	// A resident model gives the refit something to fit.
+	other := sd.Benchmarks[1].Workload.ID()
+	if rec, resp := post(t, s, "/v1/predict/uc1", fmt.Sprintf(`{"system":"intel","benchmark":%q}`, other)); rec.Code != http.StatusOK {
+		t.Fatalf("predict: %d %v", rec.Code, resp)
+	}
+
+	rec, resp := post(t, s, "/v1/measurements",
+		measurementsBody(t, "intel", bench, benchProbeRuns(testDB, "intel", bench, 2)[:16]))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ingest: %d %v", rec.Code, resp)
+	}
+	s.Drift().Wait()
+	_, status := get(t, s, "/v1/status")
+	cell := status["drift"].(map[string]any)["cells"].([]any)[0].(map[string]any)
+	if cell["trips"].(float64) != 1 || cell["refit_ok"].(float64) != 1 {
+		t.Fatalf("want one trip and one refit: %v", cell)
+	}
+	if s.pred.DB() == snap {
+		t.Fatal("refit did not swap in a new snapshot")
+	}
+	if !reflect.DeepEqual(b.Runs, want) {
+		t.Error("ingest, trip or refit wrote to the earlier snapshot's runs")
 	}
 }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 )
 
 // KDE is a Gaussian kernel density estimate over a sample — the smooth
@@ -83,26 +84,35 @@ func (k *KDE) Support() (lo, hi float64) {
 	return lo - 3*k.Bandwidth, hi + 3*k.Bandwidth
 }
 
+// kdeCutoff is the half-width, in bandwidths, of the window over which
+// CountModes scatters each sample's kernel.
+const kdeCutoff = 10
+
 // CountModes estimates the number of modes of the density by evaluating
 // it on a grid of gridN points and counting strict local maxima above
 // relThreshold × the global maximum. It is used by the simulator's tests
 // and by the experiment reports to check that predicted distributions
 // recover multi-modality (one of the paper's qualitative claims).
+//
+// The grid is filled by scattering, not by calling At per point: each
+// sample adds its kernel only to the grid points within ±10 bandwidths
+// of it, so the cost is O(n·w) for a window of w points instead of
+// O(n·gridN). Dropping the tails beyond the cutoff lowers the density
+// at any grid point by at most exp(-50)·φ(0)/h. The grid's end points
+// lie 3 bandwidths outside the extreme samples, so its peak is at
+// least φ(3)/(n·h): the truncation error is at most n·exp(-45.5) ≈
+// n·1.7e-20 of the peak however coarse the grid. The kernel
+// recurrence adds rounding below 1e-13 of the peak. An 8-bandwidth
+// cutoff is not enough: when one far outlier makes the grid see only
+// kernel tails, its error reaches 3e-12 of the peak.
 func (k *KDE) CountModes(gridN int, relThreshold float64) int {
 	lo, hi := k.Support()
 	if gridN < 8 {
 		gridN = 8
 	}
 	step := (hi - lo) / float64(gridN-1)
-	ys := make([]float64, gridN)
-	maxY := 0.0
-	for i := range ys {
-		ys[i] = k.At(lo + float64(i)*step)
-		if ys[i] > maxY {
-			maxY = ys[i]
-		}
-	}
-	threshold := relThreshold * maxY
+	ys := k.gridDensity(lo, step, gridN)
+	threshold := relThreshold * slices.Max(ys)
 	modes := 0
 	for i := 1; i < gridN-1; i++ {
 		if ys[i] > ys[i-1] && ys[i] >= ys[i+1] && ys[i] >= threshold {
@@ -110,4 +120,64 @@ func (k *KDE) CountModes(gridN int, relThreshold float64) int {
 		}
 	}
 	return modes
+}
+
+// gridDensity returns the density at lo + j·step for j in [0, n),
+// truncating each kernel at kdeCutoff bandwidths. Along the grid the
+// kernel g_j = exp(-u_j²/2), u_j = u_0 + j·d, obeys the exact
+// recurrence g_{j+1} = g_j·r_j with r_{j+1} = r_j·exp(-d²), so each
+// sample costs three math.Exp calls and a few multiplies per window
+// point. The recurrence runs outward from the grid point nearest the
+// sample, where the kernel is largest, so rounding compounds only
+// where the kernel has already decayed.
+func (k *KDE) gridDensity(lo, step float64, n int) []float64 {
+	ys := make([]float64, n)
+	//lint:allow floatcheck both constructors reject non-positive bandwidths
+	inv := 1 / k.Bandwidth
+	//lint:allow floatcheck Support widens the range by 6 bandwidths, so step > 0
+	invStep := 1 / step
+	d := step * inv
+	decay := math.Exp(-d * d)
+	half := 0.5 * d * d
+	reach := kdeCutoff * k.Bandwidth
+	for _, xi := range k.sample {
+		jlo := max(int(math.Ceil((xi-reach-lo)*invStep)), 0)
+		jhi := min(int(math.Floor((xi+reach-lo)*invStep)), n-1)
+		if jlo > jhi {
+			continue
+		}
+		jc := min(max(int(math.Round((xi-lo)*invStep)), jlo), jhi)
+		u := (lo + float64(jc)*step - xi) * inv
+		g := math.Exp(-0.5 * u * u)
+		ys[jc] += g
+		// Upward: exp(-(u+d)²/2) = exp(-u²/2)·exp(-u·d - d²/2); downward
+		// likewise with exp(u·d - d²/2). The two independent chains run
+		// side by side while both are inside the window.
+		gu, ru := g, math.Exp(-u*d-half)
+		gd, rd := g, math.Exp(u*d-half)
+		up, down := jc+1, jc-1
+		for ; up <= jhi && down >= jlo; up, down = up+1, down-1 {
+			gu *= ru
+			ru *= decay
+			ys[up] += gu
+			gd *= rd
+			rd *= decay
+			ys[down] += gd
+		}
+		for ; up <= jhi; up++ {
+			gu *= ru
+			ru *= decay
+			ys[up] += gu
+		}
+		for ; down >= jlo; down-- {
+			gd *= rd
+			rd *= decay
+			ys[down] += gd
+		}
+	}
+	scale := invSqrt2Pi * inv / float64(len(k.sample))
+	for j := range ys {
+		ys[j] *= scale
+	}
+	return ys
 }
