@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint vet varlint docscheck lintgraph persistence drift cluster benchcheck benchcheck-update fuzz cover clean
+.PHONY: all build test race lint vet fmtcheck varlint docscheck lintgraph persistence drift cluster benchcheck benchcheck-update fuzz cover clean
 
 all: build test
 
@@ -13,13 +13,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint mirrors the CI lint shard: vet plus the repository's own
+# lint mirrors the CI lint shard: vet, gofmt, the repository's own
 # analyzer suite and the package-docs floor. The findings cache makes
 # warm re-runs near-instant; `make clean` drops it.
-lint: vet varlint docscheck
+lint: vet fmtcheck varlint docscheck
 
 vet:
 	$(GO) vet ./...
+
+# fmtcheck fails on any file gofmt would rewrite, and lists it.
+fmtcheck:
+	@gofmt -l .
+	@test -z "$$(gofmt -l .)"
 
 varlint:
 	$(GO) run ./cmd/varlint -cache .varlint-cache ./...

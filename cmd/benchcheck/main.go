@@ -1,6 +1,7 @@
 // Command benchcheck is the benchmark regression guard: it runs the
 // tier-1 hot-path benchmarks (batch prediction, the KS/W1 scoring
-// kernels and the KDE mode count), compares the best-of-N ns/op
+// kernels, the KDE mode count and the served response summary),
+// compares the best-of-N ns/op
 // against the committed BENCH_baseline.json, and exits nonzero when
 // any guarded benchmark slowed down beyond the threshold.
 //
@@ -38,6 +39,7 @@ var targets = []struct {
 }{
 	{"./internal/ml", "^(BenchmarkPredictBatch|BenchmarkPredictBatchForest|BenchmarkPredictBatchXGB|BenchmarkPredictBatchTraced|BenchmarkKNNFitPredict)$"},
 	{"./internal/stats", "^(BenchmarkKSStatistic1000|BenchmarkWasserstein1|BenchmarkKDECountModes)$"},
+	{"./internal/serve", "^BenchmarkBuildResponse$"},
 }
 
 // Baseline is the committed measurement set.

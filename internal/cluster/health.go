@@ -43,8 +43,8 @@ type replica struct {
 
 	// Served/failed tally requests forwarded to this replica; breakers
 	// and drifted mirror the last successful probe.
-	served  atomic.Uint64
-	failed  atomic.Uint64
+	served   atomic.Uint64
+	failed   atomic.Uint64
 	breakers atomic.Int32
 	drifted  atomic.Int32
 }

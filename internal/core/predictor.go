@@ -17,6 +17,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/perfsim"
 	"repro/internal/randx"
+	"repro/internal/stats"
 )
 
 // Sentinel errors for request-path lookups, so serving layers can map
@@ -242,6 +243,12 @@ type Prediction struct {
 	// Actual is the measured ground-truth sample, nil when the request
 	// predicted from a caller-supplied probe profile (no holdout).
 	Actual []float64
+	// Measured summarizes Actual, and is nil when Actual is. It belongs
+	// to the dataset snapshot that holds Actual: the first request for
+	// the benchmark builds it, every later request on that snapshot
+	// shares it, and a swap or refit starts a new snapshot with a new
+	// summary. Shared across requests; do not mutate.
+	Measured *MeasuredSummary
 	// CacheHit reports whether the fitted model was reused.
 	CacheHit bool
 	// Degraded reports the prediction came from a fallback model
@@ -250,6 +257,30 @@ type Prediction struct {
 	// Fallback names the degraded path ("stale" or "knn"; "" when the
 	// primary model served).
 	Fallback string
+}
+
+// MeasuredSummary is the request-independent half of a prediction's
+// summary: what the response reports about the measured sample.
+type MeasuredSummary struct {
+	// Sorted is the measured sample sorted ascending, for the sorted
+	// KS/W1 cores.
+	Sorted []float64
+	// Moments are the sample's first four moments, summed in sample
+	// order.
+	Moments stats.Moments4
+	// Modes is stats.SampleModes of the sample.
+	Modes int
+}
+
+// NewMeasuredSummary summarizes the measured sample xs, which it does
+// not modify or retain.
+func NewMeasuredSummary(xs []float64) *MeasuredSummary {
+	sorted := stats.SortedCopy(xs)
+	return &MeasuredSummary{
+		Sorted:  sorted,
+		Moments: stats.ComputeMoments4(xs),
+		Modes:   stats.SampleModes(xs, sorted),
+	}
 }
 
 // datasetKey identifies one assembled learning problem.
@@ -683,6 +714,7 @@ func decodeHoldout(ctx context.Context, m *servedModel, seed uint64) *Prediction
 	return &Prediction{
 		Predicted: predicted,
 		Actual:    actual,
+		Measured:  m.data.measuredSummary(m.test),
 		CacheHit:  m.hit,
 		Degraded:  m.degraded,
 		Fallback:  m.fallback,

@@ -68,6 +68,27 @@ type uc1Data struct {
 	// model keyed off it.
 	fpOnce sync.Once
 	fp     uint64
+
+	// measured holds one lazily built summary per row of rel (see
+	// measuredSummary).
+	measured []measuredCell
+}
+
+// measuredCell is one row's summary slot.
+type measuredCell struct {
+	once sync.Once
+	sum  *MeasuredSummary
+}
+
+// measuredSummary returns the summary of row's measured sample,
+// building it on the first request for the row. rel never changes once
+// the dataset is assembled, and a swap or refit assembles a new
+// uc1Data, so the summary lives exactly as long as the sample it
+// describes.
+func (d *uc1Data) measuredSummary(row int) *MeasuredSummary {
+	c := &d.measured[row]
+	c.once.Do(func() { c.sum = NewMeasuredSummary(d.rel[row]) })
+	return c.sum
 }
 
 // fingerprint returns the content-address fingerprint of the assembled
@@ -144,6 +165,7 @@ func buildUC1(sd *measure.SystemData, cfg UC1Config) (*uc1Data, error) {
 	if err := d.dataset.Validate(); err != nil {
 		return nil, fmt.Errorf("core: UC1 dataset: %w", err)
 	}
+	d.measured = make([]measuredCell, len(d.rel))
 	return d, nil
 }
 
@@ -227,7 +249,7 @@ func evaluateLOGO(dataset *ml.Dataset, rel [][]float64, ids []string,
 			return nil, err
 		}
 		test := split.Test[0]
-	//lint:allow ctxflow per-fold batch predict in a synchronous CLI evaluation; no caller deadline exists to propagate
+		//lint:allow ctxflow per-fold batch predict in a synchronous CLI evaluation; no caller deadline exists to propagate
 		predVec := ml.PredictBatch(context.Background(), reg, [][]float64{dataset.X[test]})[0]
 		actualRel := rel[test]
 		predRel := rep.Decode(predVec, len(actualRel), rngs[i])
@@ -275,7 +297,7 @@ func evaluateLOGOTolerant(dataset *ml.Dataset, rel [][]float64, ids []string,
 			return nil, err
 		}
 		test := split.Test[0]
-	//lint:allow ctxflow per-fold batch predict in a synchronous CLI evaluation; no caller deadline exists to propagate
+		//lint:allow ctxflow per-fold batch predict in a synchronous CLI evaluation; no caller deadline exists to propagate
 		predVec := ml.PredictBatch(context.Background(), reg, [][]float64{dataset.X[test]})[0]
 		actualRel := rel[test]
 		predRel := rep.Decode(predVec, len(actualRel), rngs[i])
@@ -326,17 +348,20 @@ func predictHoldout(dataset *ml.Dataset, rel [][]float64, ids []string,
 	return predicted, actual, nil
 }
 
-// score computes the per-benchmark accuracy record.
+// score computes the per-benchmark accuracy record, sorting each
+// sample once. Anderson–Darling keeps its own tagged sort: it orders
+// ties across the two samples differently from a merge.
 func score(id string, predRel, actualRel []float64) BenchScore {
+	sp, sa := stats.SortedCopy(predRel), stats.SortedCopy(actualRel)
 	return BenchScore{
 		Benchmark:      id,
-		KS:             stats.KSStatistic(predRel, actualRel),
-		W1:             stats.Wasserstein1(predRel, actualRel),
+		KS:             stats.KSSorted(sp, sa),
+		W1:             stats.Wasserstein1Sorted(sp, sa),
 		AD:             stats.AndersonDarling(predRel, actualRel),
-		CvM:            stats.CramerVonMises(predRel, actualRel),
-		Energy:         stats.EnergyDistance(predRel, actualRel),
-		PredictedModes: stats.NewKDE(predRel).CountModes(512, 0.1),
-		ActualModes:    stats.NewKDE(actualRel).CountModes(512, 0.1),
+		CvM:            stats.CramerVonMisesSorted(sp, sa),
+		Energy:         stats.EnergyDistanceSorted(sp, sa),
+		PredictedModes: stats.SampleModes(predRel, sp),
+		ActualModes:    stats.SampleModes(actualRel, sa),
 	}
 }
 

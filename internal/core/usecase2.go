@@ -108,6 +108,7 @@ func buildUC2(src, dst *measure.SystemData, cfg UC2Config) (*uc1Data, error) {
 	if err := d.dataset.Validate(); err != nil {
 		return nil, fmt.Errorf("core: UC2 dataset: %w", err)
 	}
+	d.measured = make([]measuredCell, len(d.rel))
 	return d, nil
 }
 

@@ -163,7 +163,7 @@ type cell struct {
 	mu  sync.Mutex
 
 	base     []perfsim.Run // training snapshot; replaced by merged set on refit success
-	baseSecs []float64     // seconds of base, the detector's reference sample
+	baseSecs []float64     // seconds of base sorted ascending, the detector's reference sample
 
 	ring []perfsim.Run
 	head int
@@ -241,7 +241,7 @@ func (m *Manager) cell(key Key) (*cell, error) {
 	c = &cell{
 		key:      key,
 		base:     base,
-		baseSecs: perfsim.Seconds(base),
+		baseSecs: sortedSeconds(base),
 		ring:     make([]perfsim.Run, m.cfg.WindowSize),
 		jrng:     randx.NewPair(m.cfg.Seed^h.Sum64(), m.cfg.Seed+0x9E3779B97F4A7C15*h.Sum64()),
 	}
@@ -316,19 +316,28 @@ func (m *Manager) Ingest(ctx context.Context, key Key, runs []perfsim.Run, nMetr
 		res.Tripped = c.tripped
 	}()
 	if schedule {
-	//lint:allow ctxflow refits run detached from the ingest request; their spans belong to the background drain, not the caller's trace
+		//lint:allow ctxflow refits run detached from the ingest request; their spans belong to the background drain, not the caller's trace
 		res.RefitScheduled = m.enqueue(c)
 	}
 	return res, nil
 }
 
+// sortedSeconds returns the run times of runs sorted ascending, the
+// form the sorted KS/W1 cores take.
+func sortedSeconds(runs []perfsim.Run) []float64 {
+	secs := perfsim.Seconds(runs)
+	sort.Float64s(secs)
+	return secs
+}
+
 // evaluateLocked runs one detector pass over the window (c.mu held):
 // KS distance plus significance gate, W1 for the gauges, hysteresis
-// on consecutive breaches.
+// on consecutive breaches. The window is sorted once; the baseline is
+// kept sorted.
 func (m *Manager) evaluateLocked(c *cell, now time.Time) {
-	ws := perfsim.Seconds(c.window())
-	c.lastKS = stats.KSStatistic(ws, c.baseSecs)
-	c.lastW1 = stats.Wasserstein1(ws, c.baseSecs)
+	ws := sortedSeconds(c.window())
+	c.lastKS = stats.KSSorted(ws, c.baseSecs)
+	c.lastW1 = stats.Wasserstein1Sorted(ws, c.baseSecs)
 	c.lastP = stats.KSPValue(c.lastKS, len(ws), len(c.baseSecs))
 	c.evals++
 	c.lastEval = now
@@ -487,7 +496,7 @@ func (c *cell) noteRefitSuccess(now time.Time, merged []perfsim.Run) {
 	c.lastRefit = now
 	c.hasRefit = true
 	c.base = merged
-	c.baseSecs = perfsim.Seconds(merged)
+	c.baseSecs = sortedSeconds(merged)
 	c.head, c.fill = 0, 0
 }
 

@@ -9,9 +9,9 @@ import "testing"
 // (a drift would send requests to replicas whose registries are cold).
 func TestDatasetKeyGolden(t *testing.T) {
 	cases := []struct {
-		useCase         int
-		system, target  string
-		want            string
+		useCase        int
+		system, target string
+		want           string
 	}{
 		{1, "intel", "", "uc1|sys=intel|dst="},
 		{2, "intel", "amd", "uc2|sys=intel|dst=amd"},

@@ -272,13 +272,8 @@ func (s *Server) handleUC1Batch(w http.ResponseWriter, r *http.Request) {
 		resp.Degraded = out.preds[0].Degraded
 		resp.Fallback = out.preds[0].Fallback
 		for _, p := range out.preds {
-			resp.Results = append(resp.Results, BatchResultJSON{
-				N:         len(p.Predicted),
-				Quantiles: quantileMap(p.Predicted),
-				Histogram: histogramJSON(p.Predicted, req.Bins),
-				Moments:   momentsJSON(p.Predicted),
-				Modes:     countModes(p.Predicted),
-			})
+			sum, _ := summarize(p.Predicted, req.Bins)
+			resp.Results = append(resp.Results, sum)
 		}
 		resp.ElapsedMS = float64(clock.Since(start)) / float64(time.Millisecond)
 		writeJSON(w, http.StatusOK, resp)
@@ -334,8 +329,9 @@ func validateRequest(req *PredictRequest, useCase int) error {
 // buildResponse summarizes the predicted sample: quantiles, a density
 // histogram, moments, and modality, plus the KS/W1 scores against the
 // measured ground truth when the request named a database benchmark.
+// The measured side comes precomputed in p.Measured.
 func buildResponse(req *PredictRequest, useCase int, p *core.Prediction) *PredictResponse {
-	pred := p.Predicted
+	sum, sorted := summarize(p.Predicted, req.Bins)
 	model, _ := parseModel(req.Model)
 	rep, _ := parseRep(req.Representation)
 	resp := &PredictResponse{
@@ -347,11 +343,11 @@ func buildResponse(req *PredictRequest, useCase int, p *core.Prediction) *Predic
 		Model:          model.String(),
 		Representation: rep.String(),
 		Seed:           req.Seed,
-		N:              len(pred),
-		Quantiles:      quantileMap(pred),
-		Histogram:      histogramJSON(pred, req.Bins),
-		Moments:        momentsJSON(pred),
-		Modes:          countModes(pred),
+		N:              sum.N,
+		Quantiles:      sum.Quantiles,
+		Histogram:      sum.Histogram,
+		Moments:        sum.Moments,
+		Modes:          sum.Modes,
 		Cache:          "miss",
 	}
 	if p.CacheHit {
@@ -359,18 +355,33 @@ func buildResponse(req *PredictRequest, useCase int, p *core.Prediction) *Predic
 	}
 	resp.Degraded = p.Degraded
 	resp.Fallback = p.Fallback
-	if p.Actual != nil {
-		ks := stats.KSStatistic(pred, p.Actual)
-		w1 := stats.Wasserstein1(pred, p.Actual)
+	if m := p.Measured; m != nil {
+		ks := stats.KSSorted(sorted, m.Sorted)
+		w1 := stats.Wasserstein1Sorted(sorted, m.Sorted)
 		resp.KSVsMeasured = &ks
 		resp.W1VsMeasured = &w1
 		resp.Measured = &MeasuredJSON{
-			N:       len(p.Actual),
-			Moments: momentsJSON(p.Actual),
-			Modes:   countModes(p.Actual),
+			N:       len(m.Sorted),
+			Moments: momentsJSON(m.Moments),
+			Modes:   m.Modes,
 		}
 	}
 	return resp
+}
+
+// summarize renders the predicted sample's quantiles, histogram,
+// moments and modes, sorting the sample once for every order statistic.
+// It also returns that sorted copy for the KS/W1 scores. The histogram
+// range, the moments and the density grid read pred in sample order.
+func summarize(pred []float64, bins int) (BatchResultJSON, []float64) {
+	sorted := stats.SortedCopy(pred)
+	return BatchResultJSON{
+		N:         len(pred),
+		Quantiles: quantileMap(sorted),
+		Histogram: histogramJSON(pred, bins),
+		Moments:   momentsJSON(stats.ComputeMoments4(pred)),
+		Modes:     stats.SampleModes(pred, sorted),
+	}, sorted
 }
 
 var quantilePoints = []struct {
@@ -381,12 +392,18 @@ var quantilePoints = []struct {
 	{"p75", 0.75}, {"p90", 0.90}, {"p95", 0.95}, {"p99", 0.99},
 }
 
-func quantileMap(xs []float64) map[string]float64 {
+// quantileProbs holds quantilePoints' probabilities in order.
+var quantileProbs = func() []float64 {
 	qs := make([]float64, len(quantilePoints))
 	for i, p := range quantilePoints {
 		qs[i] = p.q
 	}
-	vals := stats.Quantiles(xs, qs)
+	return qs
+}()
+
+// quantileMap renders the named quantiles of a sorted sample.
+func quantileMap(sorted []float64) map[string]float64 {
+	vals := stats.QuantilesSorted(sorted, quantileProbs)
 	out := make(map[string]float64, len(quantilePoints))
 	for i, p := range quantilePoints {
 		out[p.name] = vals[i]
@@ -410,18 +427,8 @@ func histogramJSON(xs []float64, bins int) *HistogramJSON {
 	return &HistogramJSON{Lo: h.Lo, Hi: h.Hi, BinWidth: h.BinWidth(), Density: density}
 }
 
-func momentsJSON(xs []float64) MomentsJSON {
-	m := stats.ComputeMoments4(xs)
+func momentsJSON(m stats.Moments4) MomentsJSON {
 	return MomentsJSON{Mean: m.Mean, Std: m.Std, Skew: m.Skew, Kurt: m.Kurt}
-}
-
-// countModes counts KDE modes the way the figures do, guarding the
-// zero-variance sample KDE cannot handle.
-func countModes(xs []float64) int {
-	if stats.StdDev(xs) == 0 {
-		return 1
-	}
-	return stats.NewKDE(xs).CountModes(512, 0.1)
 }
 
 // writePredictError maps predictor errors onto HTTP statuses: unknown

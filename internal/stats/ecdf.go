@@ -11,14 +11,23 @@ type ECDF struct {
 	sorted []float64
 }
 
+// SortedCopy returns a copy of xs sorted ascending; xs is not modified.
+// It is the one copy-and-sort behind every statistic in this package
+// that needs order statistics. A caller that needs several of them on
+// the same sample sorts once with SortedCopy and calls the *Sorted
+// cores.
+func SortedCopy(xs []float64) []float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s
+}
+
 // NewECDF builds an empirical CDF from xs (copied and sorted).
 func NewECDF(xs []float64) *ECDF {
 	if len(xs) == 0 {
 		panic("stats: NewECDF of empty sample")
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
+	return &ECDF{sorted: SortedCopy(xs)}
 }
 
 // At returns F(x) = P(X <= x), a step function in [0, 1].
@@ -41,13 +50,17 @@ func (e *ECDF) Sorted() []float64 { return e.sorted }
 //
 // The merge-based implementation is exact and runs in O(n log n).
 func KSStatistic(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
+	return KSSorted(SortedCopy(a), SortedCopy(b))
+}
+
+// KSSorted is KSStatistic for samples sa and sb that are already sorted
+// ascending (see SortedCopy). It only merges, in O(n+m), and returns
+// the same bits as KSStatistic on the unsorted samples. Unsorted input
+// is not detected; it yields a wrong statistic.
+func KSSorted(sa, sb []float64) float64 {
+	if len(sa) == 0 || len(sb) == 0 {
 		panic("stats: KSStatistic needs non-empty samples")
 	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
 	na, nb := float64(len(sa)), float64(len(sb))
 	var i, j int
 	var d float64
@@ -105,8 +118,7 @@ func KSAgainstCDF(xs []float64, cdf func(float64) float64) float64 {
 	if len(xs) == 0 {
 		panic("stats: KSAgainstCDF needs a non-empty sample")
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	s := SortedCopy(xs)
 	n := float64(len(s))
 	var d float64
 	for i, x := range s {
@@ -127,13 +139,17 @@ func KSAgainstCDF(xs []float64, cdf func(float64) float64) float64 {
 // between two equal-weight samples. It complements the KS statistic in
 // our extended evaluation: KS is sup-norm, W1 is area between CDFs.
 func Wasserstein1(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
+	return Wasserstein1Sorted(SortedCopy(a), SortedCopy(b))
+}
+
+// Wasserstein1Sorted is Wasserstein1 for samples sa and sb that are
+// already sorted ascending (see SortedCopy). It only merges, in
+// O(n+m), and returns the same bits as Wasserstein1 on the unsorted
+// samples. Unsorted input is not detected; it yields a wrong distance.
+func Wasserstein1Sorted(sa, sb []float64) float64 {
+	if len(sa) == 0 || len(sb) == 0 {
 		panic("stats: Wasserstein1 needs non-empty samples")
 	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
 	// Integrate |F_a - F_b| over the merged support.
 	na, nb := float64(len(sa)), float64(len(sb))
 	i, j := 0, 0

@@ -50,17 +50,21 @@ func AndersonDarling(a, b []float64) float64 {
 // an L2 distance between the empirical CDFs. It weighs the body of the
 // distributions more evenly than KS's sup-norm.
 func CramerVonMises(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
+	return CramerVonMisesSorted(SortedCopy(a), SortedCopy(b))
+}
+
+// CramerVonMisesSorted is CramerVonMises for samples sa and sb that are
+// already sorted ascending (see SortedCopy): it merges them for the
+// combined ranks instead of sorting, and returns the same bits as
+// CramerVonMises on the unsorted samples. Unsorted input is not
+// detected; it yields a wrong criterion.
+func CramerVonMisesSorted(sa, sb []float64) float64 {
+	if len(sa) == 0 || len(sb) == 0 {
 		panic("stats: CramerVonMises needs non-empty samples")
 	}
-	n, m := float64(len(a)), float64(len(b))
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
+	n, m := float64(len(sa)), float64(len(sb))
 	// Ranks of each sample in the combined ordering.
-	combined := append(append([]float64(nil), sa...), sb...)
-	sort.Float64s(combined)
+	combined := mergeSorted(sa, sb)
 	rank := func(v float64) float64 {
 		// Average rank across ties in the combined sample (1-based).
 		lo := sort.SearchFloat64s(combined, v)
@@ -84,18 +88,40 @@ func CramerVonMises(a, b []float64) float64 {
 	return t - (4*nm-1)/(6*(n+m))
 }
 
+// mergeSorted merges two ascending samples into one new ascending
+// slice.
+func mergeSorted(sa, sb []float64) []float64 {
+	out := make([]float64, 0, len(sa)+len(sb))
+	i, j := 0, 0
+	for i < len(sa) && j < len(sb) {
+		if sb[j] < sa[i] {
+			out = append(out, sb[j])
+			j++
+		} else {
+			out = append(out, sa[i])
+			i++
+		}
+	}
+	out = append(out, sa[i:]...)
+	return append(out, sb[j:]...)
+}
+
 // EnergyDistance computes the (squared) energy distance
 // 2·E|X−Y| − E|X−X'| − E|Y−Y'| between two samples using the
 // closed-form expression over sorted samples. It is a proper metric on
 // distributions and serves as a third cross-check divergence.
 func EnergyDistance(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
+	return EnergyDistanceSorted(SortedCopy(a), SortedCopy(b))
+}
+
+// EnergyDistanceSorted is EnergyDistance for samples sa and sb that are
+// already sorted ascending (see SortedCopy), and returns the same bits
+// as EnergyDistance on the unsorted samples. Unsorted input is not
+// detected; it yields a wrong distance.
+func EnergyDistanceSorted(sa, sb []float64) float64 {
+	if len(sa) == 0 || len(sb) == 0 {
 		panic("stats: EnergyDistance needs non-empty samples")
 	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
 	meanPairwiseCross := crossMeanAbs(sa, sb)
 	d := 2*meanPairwiseCross - meanPairwiseWithin(sa) - meanPairwiseWithin(sb)
 	if d < 0 {

@@ -14,14 +14,19 @@ type KDE struct {
 }
 
 // SilvermanBandwidth returns Silverman's rule-of-thumb bandwidth
-// 0.9 · min(σ, IQR/1.34) · n^{-1/5}, with fallbacks for degenerate
+// 0.9 · min(σ, IQR/1.349) · n^{-1/5}, with fallbacks for degenerate
 // samples (zero IQR or zero variance).
 func SilvermanBandwidth(xs []float64) float64 {
 	if len(xs) == 0 {
 		panic("stats: SilvermanBandwidth of empty sample")
 	}
-	sigma := StdDev(xs)
-	iqr := IQR(xs) / 1.349
+	return silverman(xs, SortedCopy(xs), StdDev(xs))
+}
+
+// silverman is SilvermanBandwidth with the IQR read from sorted, a
+// sorted copy of xs, and σ = StdDev(xs) given.
+func silverman(xs, sorted []float64, sigma float64) float64 {
+	iqr := (quantileSorted(sorted, 0.75) - quantileSorted(sorted, 0.25)) / 1.349
 	spread := sigma
 	if iqr > 0 && iqr < spread {
 		spread = iqr
@@ -41,6 +46,25 @@ func SilvermanBandwidth(xs []float64) float64 {
 // NewKDE builds a KDE with Silverman's bandwidth.
 func NewKDE(xs []float64) *KDE {
 	return NewKDEWithBandwidth(xs, SilvermanBandwidth(xs))
+}
+
+// SampleModes counts the modes of xs the way the figures and the served
+// responses do: a Silverman-bandwidth KDE on a 512-point grid, maxima
+// above a tenth of the peak. A zero-variance sample counts as one mode.
+// sorted is a sorted copy of xs (see SortedCopy), used only for the
+// IQR; xs itself must stay in sample order, because σ and the density
+// grid sum its terms in that order. Otherwise the result equals
+// NewKDE(xs).CountModes(512, 0.1), without copying xs.
+func SampleModes(xs, sorted []float64) int {
+	if len(xs) == 0 {
+		panic("stats: SampleModes of empty sample")
+	}
+	sigma := StdDev(xs)
+	if sigma == 0 {
+		return 1
+	}
+	k := KDE{sample: xs, Bandwidth: silverman(xs, sorted, sigma)}
+	return k.CountModes(512, 0.1)
 }
 
 // NewKDEWithBandwidth builds a KDE with an explicit bandwidth (> 0).

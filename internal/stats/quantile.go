@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (NumPy's default "linear"
@@ -15,9 +12,7 @@ func Quantile(xs []float64, q float64) float64 {
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("stats: Quantile q=%v outside [0,1]", q))
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
+	return quantileSorted(SortedCopy(xs), q)
 }
 
 // quantileSorted computes the linear-interpolation quantile of an already
@@ -39,11 +34,17 @@ func quantileSorted(sorted []float64, q float64) float64 {
 // Quantiles returns the quantiles of xs at each probability in qs,
 // sorting xs only once.
 func Quantiles(xs []float64, qs []float64) []float64 {
-	if len(xs) == 0 {
+	return QuantilesSorted(SortedCopy(xs), qs)
+}
+
+// QuantilesSorted is Quantiles for a sample that is already sorted
+// ascending (see SortedCopy): it only interpolates, and returns the
+// same bits as Quantiles on the unsorted sample. Unsorted input is not
+// detected; it yields wrong quantiles.
+func QuantilesSorted(sorted []float64, qs []float64) []float64 {
+	if len(sorted) == 0 {
 		panic("stats: Quantiles of empty slice")
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
 	out := make([]float64, len(qs))
 	for i, q := range qs {
 		if q < 0 || q > 1 {
