@@ -3,12 +3,15 @@
 // terminal figure plus its data series and a paper-vs-measured summary.
 // With -ext it also runs the extension experiments, including the ext6
 // fault-tolerance sweep (UC1 accuracy vs injected fault rate under
-// ingest quarantine, with and without counter repair).
+// ingest quarantine, with and without counter repair) and the ext7
+// streaming-drift experiment (detection latency and residual KS after
+// background refits, against a no-refit control).
 //
 // Usage:
 //
 //	experiments                         # full campaign, all figures
 //	experiments -fig 4,6                # only Figures 4 and 6
+//	experiments -fig ext7               # only the streaming-drift experiment
 //	experiments -db campaign.gob.gz     # reuse a saved campaign
 //	experiments -runs 300 -fast         # reduced scale for quick runs
 package main
@@ -34,7 +37,7 @@ func main() {
 	var (
 		dbPath = flag.String("db", "", "measurement database from varcollect (collected on the fly when empty)")
 		figSel = flag.String("fig", "all", "comma-separated figure numbers or extension ids (e.g. \"1,4,ext6\") or \"all\"")
-		ext    = flag.Bool("ext", false, "also run the extension experiments (ext1-ext6)")
+		ext    = flag.Bool("ext", false, "also run the extension experiments (ext1-ext7)")
 		runs   = flag.Int("runs", 1000, "campaign runs per benchmark when collecting on the fly")
 		probes = flag.Int("probes", 120, "campaign probe runs per benchmark")
 		seed   = flag.Uint64("seed", 1, "seed for campaign and models")
@@ -81,7 +84,11 @@ func main() {
 	for k, v := range report.Extensions() {
 		figs[k] = v
 	}
-	ids = append(ids, report.ExtensionIDs()...)
+	// ext7 drives the serving stack, which internal/report, the
+	// offline evaluation, does not import.
+	figs["ext7"] = ext7Drift
+	extIDs := append(report.ExtensionIDs(), "ext7")
+	ids = append(ids, extIDs...)
 
 	wanted := map[string]bool{}
 	if *figSel == "all" {
@@ -89,7 +96,7 @@ func main() {
 			wanted[id] = true
 		}
 		if *ext {
-			for _, id := range report.ExtensionIDs() {
+			for _, id := range extIDs {
 				wanted[id] = true
 			}
 		}
@@ -104,7 +111,7 @@ func main() {
 				id = "fig" + strings.TrimPrefix(tok, "fig")
 			}
 			if _, ok := figs[id]; !ok {
-				log.Fatalf("unknown figure %q (have 1, 3, 4, 5, 6, 7, 8, 9, ext1-ext6)", tok)
+				log.Fatalf("unknown figure %q (have 1, 3, 4, 5, 6, 7, 8, 9, ext1-ext7)", tok)
 			}
 			wanted[id] = true
 		}

@@ -14,9 +14,9 @@
 // start each varserve with the matching -replica flag so its status
 // payloads confirm its shard. The frontend exposes the same /v1
 // surface as a single varserve (predictions, batch, measurements,
-// systems) plus GET /v1/cluster/status for the router's own posture,
-// so existing clients — including varserve -loadgen -url — point at it
-// unchanged.
+// systems) plus GET /v1/cluster/status for the router's own posture
+// and GET /v1/metrics for its metrics registry, so existing clients —
+// perfbench's cluster_mixed workload included — point at it unchanged.
 package main
 
 import (

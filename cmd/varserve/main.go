@@ -10,18 +10,17 @@
 //	varserve -warm                                    # pre-train default models
 //	varserve -modeldir models/ -warm                  # warm start from the model store
 //	varserve -modeldir models/ -refresh 10m           # with breaker-aware refresh
-//	varserve -loadgen -requests 600 -model xgboost    # self-hosted benchmark
-//	varserve -loadgen -url http://host:8080           # benchmark a remote server
-//	varserve -driftscenario                           # streaming-drift experiment
 //
-// Endpoints: POST /v1/predict/uc1, POST /v1/predict/uc2,
-// POST /v1/measurements (streaming ingest with drift-triggered
-// background refits; tuned by the -drift* flags), GET /v1/systems,
-// /healthz, /readyz, /metrics, /v1/metrics (obs registry), /v1/traces
-// (recent request traces), and — with -pprof — /debug/pprof/. See the
+// Endpoints: POST /v1/predict/uc1, POST /v1/predict/uc1/batch,
+// POST /v1/predict/uc2, POST /v1/measurements (streaming ingest with
+// drift-triggered background refits; tuned by the -drift* flags),
+// GET /v1/systems, /v1/status (posture), /v1/metrics (the one metrics
+// endpoint: the obs registry), /v1/traces (recent request traces),
+// /healthz, /readyz, and — with -pprof — /debug/pprof/. See the
 // "Serving predictions", "Streaming ingest & drift", and
 // "Observability" sections of README.md for the request/response
-// reference.
+// reference. Load generation is perfbench's job (perfbench/run.sh);
+// the streaming-drift experiment is `experiments -fig ext7`.
 //
 // The server drains gracefully on SIGINT/SIGTERM: readiness flips to
 // 503 and in-flight requests get time to finish.
@@ -30,14 +29,11 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"os/signal"
 	"runtime"
 	"syscall"
 	"time"
-
-	"expvar"
 
 	"repro/internal/core"
 	"repro/internal/drift"
@@ -69,8 +65,6 @@ func main() {
 		driftHyst   = flag.Int("drifthyst", 0, "consecutive breaching evaluations before a cell trips (0 = default 3)")
 		driftRefits = flag.Int("driftrefits", 0, "max concurrent background refits (0 = default 2)")
 
-		driftScenario = flag.Bool("driftscenario", false, "run the streaming-drift experiment (self-hosted): inject drifted measurements, report detection latency and residual KS vs a no-refit control, exit")
-
 		modelDir   = flag.String("modeldir", "", "persistent model store directory: fitted models are saved there and loaded on restart (empty = off)")
 		modelCache = flag.Int("modelcache", 256, "max models resident in memory with -modeldir (LRU beyond that)")
 		refresh    = flag.Duration("refresh", 0, "periodically drop caches so models refit from fresh data, keeping stale models as breaker-guarded fallbacks (0 = off)")
@@ -78,14 +72,6 @@ func main() {
 		pprofOn = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes heap/stack contents; opt-in)")
 		slow    = flag.Duration("slowtrace", time.Second, "log requests slower than this as span trees (0 disables)")
 		traces  = flag.Int("tracebuf", 256, "completed request traces kept for GET /v1/traces")
-
-		loadgen  = flag.Bool("loadgen", false, "run the load generator instead of (or against) a server")
-		url      = flag.String("url", "", "loadgen target (empty = self-host an in-process server)")
-		requests = flag.Int("requests", 300, "loadgen total requests")
-		conc     = flag.Int("concurrency", 8, "loadgen client workers")
-		usecase  = flag.Int("usecase", 1, "loadgen use case (1 or 2)")
-		model    = flag.String("model", "knn", "loadgen model (knn | rf | xgboost | ridge)")
-		repName  = flag.String("rep", "pearsonrnd", "loadgen representation")
 	)
 	flag.Parse()
 	if *procs > 0 {
@@ -95,36 +81,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	if *loadgen && *url != "" {
-		// Benchmark a remote server; no database needed locally.
-		runLoadgen(ctx, *url, *requests, *conc, *usecase, *model, *repName)
-		return
-	}
-
 	db := loadDatabase(*dbPath, *runs, *seed)
-	driftCfg := drift.Config{
-		WindowSize:   *driftWindow,
-		MinWindow:    *driftMin,
-		KSThreshold:  *driftKS,
-		PValueAlpha:  *driftAlpha,
-		Hysteresis:   *driftHyst,
-		RefitWorkers: *driftRefits,
-		Seed:         *seed,
-	}
-	if *driftScenario {
-		// Self-hosted drift experiment: report and exit (recorded in
-		// EXPERIMENTS.md "Streaming drift").
-		res, err := serve.DriftScenario(ctx, serve.DriftScenarioOptions{DB: db, Drift: driftCfg})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(res)
-		return
-	}
-	listenAddr := *addr
-	if *loadgen {
-		listenAddr = "127.0.0.1:0" // self-hosted benchmark target
-	}
 	var registry *modelstore.Registry
 	if *modelDir != "" {
 		store, err := modelstore.Open(*modelDir)
@@ -139,7 +96,7 @@ func main() {
 		log.Printf("model store %s: %d models on disk, %d resident max", store.Dir(), len(keys), *modelCache)
 	}
 	srv := serve.New(db, serve.Config{
-		Addr:               listenAddr,
+		Addr:               *addr,
 		ReplicaID:          *replica,
 		Workers:            *workers,
 		RequestTimeout:     *timeout,
@@ -147,14 +104,16 @@ func main() {
 		SlowTraceThreshold: *slow,
 		TraceBufferSize:    *traces,
 		ModelRegistry:      registry,
-		Drift:              driftCfg,
+		Drift: drift.Config{
+			WindowSize:   *driftWindow,
+			MinWindow:    *driftMin,
+			KSThreshold:  *driftKS,
+			PValueAlpha:  *driftAlpha,
+			Hysteresis:   *driftHyst,
+			RefitWorkers: *driftRefits,
+			Seed:         *seed,
+		},
 	})
-	// Mirror the server's obs registry into the process-global expvar
-	// set (one server per process here, so the name cannot collide).
-	expvar.Publish("obs", srv.Metrics().Registry().ExpvarVar())
-	if registry != nil {
-		expvar.Publish("modelstore", expvar.Func(func() any { return registry.Stats() }))
-	}
 	if *refresh > 0 {
 		// Breaker-aware background refresh: Predictor.Refresh drops the
 		// fitted models but keeps them as stale fallbacks, so the next
@@ -186,24 +145,6 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("warmed default models in %v", randx.SystemClock.Since(warmStart).Round(time.Millisecond))
-	}
-
-	if *loadgen {
-		// Self-hosted benchmark: serve on a loopback port, hammer it,
-		// report, exit.
-		if err := srv.Listen(); err != nil {
-			log.Fatal(err)
-		}
-		srvCtx, cancel := context.WithCancel(ctx)
-		done := make(chan error, 1)
-		go func() { done <- srv.Serve(srvCtx) }()
-		log.Printf("self-hosted server on http://%s", srv.Addr())
-		runLoadgen(ctx, "http://"+srv.Addr(), *requests, *conc, *usecase, *model, *repName)
-		cancel()
-		if err := <-done; err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	if err := srv.Listen(); err != nil {
@@ -238,19 +179,4 @@ func loadDatabase(path string, runs int, seed uint64) *measure.Database {
 	}
 	log.Printf("collected in %v", randx.SystemClock.Since(start).Round(time.Millisecond))
 	return db
-}
-
-func runLoadgen(ctx context.Context, url string, requests, conc, usecase int, model, rep string) {
-	res, err := serve.Loadgen(ctx, serve.LoadgenOptions{
-		URL:            url,
-		UseCase:        usecase,
-		Requests:       requests,
-		Concurrency:    conc,
-		Model:          model,
-		Representation: rep,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(res)
 }

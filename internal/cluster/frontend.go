@@ -20,7 +20,7 @@ const maxFrontendBody = 32 << 20
 // each request body, routes through the Router, and relays the owning
 // replica's response verbatim. It exposes the same /v1 surface as a
 // single varserve plus /v1/cluster/status, so existing clients (and
-// the loadgen) point at the router unchanged.
+// perfbench) point at the router unchanged.
 type Frontend struct {
 	router  *Router
 	metrics *obs.Registry
@@ -34,10 +34,13 @@ func NewFrontend(router *Router, metrics *obs.Registry) *Frontend {
 	f.mux.HandleFunc("POST /v1/predict/uc1", f.forwardKeyed(keyUC1))
 	f.mux.HandleFunc("POST /v1/predict/uc1/batch", f.forwardKeyed(keyUC1))
 	f.mux.HandleFunc("POST /v1/predict/uc2", f.forwardKeyed(keyUC2))
-	f.mux.HandleFunc("POST /v1/measurements", f.forwardKeyed(keyMeasurement))
+	// Ingest goes to the system's UC1 cell owner, so the replica
+	// accumulating a system's drift windows is the one serving its
+	// predictions.
+	f.mux.HandleFunc("POST /v1/measurements", f.forwardKeyed(keyUC1))
 	f.mux.HandleFunc("GET /v1/systems", f.forwardUnkeyed)
 	f.mux.HandleFunc("GET /v1/cluster/status", f.handleClusterStatus)
-	f.mux.HandleFunc("GET /metrics", f.handleMetrics)
+	f.mux.HandleFunc("GET /v1/metrics", f.handleMetrics)
 	f.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -72,16 +75,6 @@ func keyUC2(b keyedBody) (string, error) {
 		return "", fmt.Errorf("source and target are required")
 	}
 	return modelstore.DatasetKey(2, b.Source, b.Target), nil
-}
-
-// keyMeasurement routes ingest batches to the system's UC1 cell owner,
-// so the replica accumulating a system's drift windows is the one
-// serving its predictions.
-func keyMeasurement(b keyedBody) (string, error) {
-	if b.System == "" {
-		return "", fmt.Errorf("system is required")
-	}
-	return modelstore.DatasetKey(1, b.System, ""), nil
 }
 
 // forwardKeyed builds a handler that extracts the routing key with

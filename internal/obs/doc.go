@@ -33,8 +33,8 @@
 // recording methods do nothing, so optional instrumentation needs no
 // branching at call sites.
 //
-// Snapshots are plain JSON-encodable values served by varserve's
-// GET /v1/metrics endpoint and publishable through expvar
-// (Registry.ExpvarVar). Profiling is the third leg: varserve's -pprof
-// flag mounts net/http/pprof on the serving mux.
+// Snapshots are plain JSON-encodable values served by varserve's and
+// varroute's GET /v1/metrics endpoint, the one metrics surface of each
+// process. Profiling is the third leg: varserve's -pprof flag mounts
+// net/http/pprof on the serving mux.
 package obs

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -313,12 +312,4 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		}
 	}
 	return out
-}
-
-// ExpvarVar adapts the registry to the expvar interface. Publish it
-// under a process-unique name at most once:
-//
-//	expvar.Publish("obs", reg.ExpvarVar())
-func (r *Registry) ExpvarVar() expvar.Var {
-	return expvar.Func(func() any { return r.Snapshot() })
 }

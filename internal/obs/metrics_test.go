@@ -139,7 +139,7 @@ func TestLatencyHistConcurrent(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshotAndExpvar(t *testing.T) {
+func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits").Add(3)
 	r.Gauge("temp").Set(1.5)
@@ -149,17 +149,23 @@ func TestRegistrySnapshotAndExpvar(t *testing.T) {
 		t.Errorf("snapshot = %+v", snap)
 	}
 
-	out := r.ExpvarVar().String()
+	// The snapshot is what GET /v1/metrics encodes: it must round-trip
+	// through JSON under the documented field names.
+	buf, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := string(buf)
 	var decoded RegistrySnapshot
-	if err := json.Unmarshal([]byte(out), &decoded); err != nil {
-		t.Fatalf("expvar output is not JSON: %v\n%s", err, out)
+	if err := json.Unmarshal(buf, &decoded); err != nil {
+		t.Fatalf("snapshot JSON does not decode: %v\n%s", err, out)
 	}
 	if decoded.Counters["hits"] != 3 {
-		t.Errorf("decoded expvar = %+v", decoded)
+		t.Errorf("decoded snapshot = %+v", decoded)
 	}
 	for _, key := range []string{"p50_ms", "p95_ms", "p99_ms", "count"} {
 		if !strings.Contains(out, key) {
-			t.Errorf("expvar JSON missing %q: %s", key, out)
+			t.Errorf("snapshot JSON missing %q: %s", key, out)
 		}
 	}
 }

@@ -6,13 +6,19 @@
 //
 // The server exposes:
 //
-//	POST /v1/predict/uc1   few-run, same-system prediction (use case 1)
-//	POST /v1/predict/uc2   cross-system prediction (use case 2)
-//	GET  /v1/systems       systems, benchmark IDs, campaign parameters
-//	GET  /healthz          liveness
-//	GET  /readyz           readiness (flips off during graceful drain)
-//	GET  /metrics          expvar-based counters, latency percentiles,
-//	                       and model-cache hit/miss statistics
+//	POST /v1/predict/uc1        few-run, same-system prediction (use case 1)
+//	POST /v1/predict/uc1/batch  up to 256 probe profiles in one request
+//	POST /v1/predict/uc2        cross-system prediction (use case 2)
+//	POST /v1/measurements       streaming ingest with drift-triggered refits
+//	GET  /v1/systems            systems, benchmark IDs, campaign parameters
+//	GET  /v1/status             breakers, degraded counters, model store,
+//	                            quarantine and drift cells
+//	GET  /v1/metrics            the obs registry: per-route latency
+//	                            histograms, status-class counters, cache,
+//	                            in-flight and saturation accounting
+//	GET  /v1/traces             recent request traces
+//	GET  /healthz               liveness
+//	GET  /readyz                readiness (flips off during graceful drain)
 //
 // Performance comes from core.Predictor's trained-model cache: the
 // first request for a (system, config, benchmark) key pays for dataset
@@ -21,8 +27,7 @@
 // a worker semaphore and a per-request timeout, and the server drains
 // gracefully on context cancellation (SIGTERM in cmd/varserve).
 //
-// Loadgen (also wired into cmd/varserve -loadgen) hammers a running
-// server and reports throughput plus cold-versus-warm latency
-// percentiles, making the cache speedup measurable; EXPERIMENTS.md
-// records a reference run.
+// The package only serves. Load generation lives in perfbench, which
+// bit-checks every answer, and the streaming-drift experiment is ext7
+// of cmd/experiments, which drives two servers through Handler.
 package serve

@@ -86,7 +86,7 @@ func (s *Server) acquireWorker(ctx context.Context, w http.ResponseWriter, phase
 		return true
 	default:
 	}
-	s.metrics.saturated.Add(1)
+	s.saturated.Inc()
 	queue := time.NewTimer(maxQueueWait)
 	defer queue.Stop()
 	select {

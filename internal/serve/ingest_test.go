@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,6 +14,7 @@ import (
 	"repro/internal/drift"
 	"repro/internal/faults"
 	"repro/internal/measure"
+	"repro/internal/obs"
 	"repro/internal/perfsim"
 	"repro/internal/randx"
 )
@@ -197,29 +196,23 @@ func TestDriftRefitEndToEnd(t *testing.T) {
 	}
 
 	// Stream a 2x-slower distribution into every training cell of the
-	// predicted benchmark, over HTTP through the StreamMeasurements
-	// helper. One 16-run batch per cell is enough to evaluate and trip.
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	// predicted benchmark. One 16-run batch per cell is enough to
+	// evaluate and trip: its response must report both the trip and
+	// the scheduled refit.
 	intel, _ := testDB.System("intel")
 	for i := range intel.Benchmarks {
 		cell := intel.Benchmarks[i].Workload.ID()
 		if cell == target {
 			continue
 		}
-		res, err := StreamMeasurements(context.Background(), StreamOptions{
-			URL:       ts.URL,
-			System:    "intel",
-			Benchmark: cell,
-			Runs:      benchProbeRuns(testDB, "intel", cell, 2)[:16],
-			BatchSize: 16,
-		})
-		if err != nil {
-			t.Fatalf("stream %s: %v", cell, err)
+		rec, resp := post(t, s, "/v1/measurements",
+			measurementsBody(t, "intel", cell, benchProbeRuns(testDB, "intel", cell, 2)[:16]))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("ingest %s: %d %v", cell, rec.Code, resp)
 		}
-		if res.TrippedBatch != 1 || res.RefitBatch != 1 {
-			t.Fatalf("cell %s: tripped batch %d, refit batch %d, want 1/1 (%s)",
-				cell, res.TrippedBatch, res.RefitBatch, res)
+		d, _ := resp["drift"].(map[string]any)
+		if d["tripped"] != true || d["refit_scheduled"] != true {
+			t.Fatalf("cell %s: batch 1 drift block %v, want tripped and refit scheduled", cell, d)
 		}
 	}
 	s.Drift().Wait()
@@ -256,15 +249,27 @@ func TestDriftRefitEndToEnd(t *testing.T) {
 		t.Error("prediction unchanged although every training cell drifted")
 	}
 
-	// The metrics surfaces carry the drift gauges.
-	_, metrics := get(t, s, "/metrics")
-	md, ok := metrics["drift"].(map[string]any)
-	if !ok || md["refit_ok"].(float64) < 1 || md["drifted"].(float64) != 0 {
-		t.Errorf("metrics drift block: %v", metrics["drift"])
+	// The metrics endpoint carries the drift gauges.
+	var snap obs.RegistrySnapshot
+	if err := json.Unmarshal(getRec(t, s, "/v1/metrics").Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
 	}
-	rec, _ = get(t, s, "/v1/metrics")
-	if !strings.Contains(rec.Body.String(), "drift.ks.") || !strings.Contains(rec.Body.String(), "drift.last_refit_age_ms.") {
-		t.Error("obs registry missing per-cell drift gauges")
+	if snap.Gauges["drift.drifted"] != 0 || snap.Gauges["drift.cells"] != float64(len(intel.Benchmarks)-1) {
+		t.Errorf("drift gauges: drifted=%v cells=%v", snap.Gauges["drift.drifted"], snap.Gauges["drift.cells"])
+	}
+	refitOK, ksCells, ageCells := 0.0, 0, 0
+	for name, v := range snap.Gauges {
+		switch {
+		case strings.HasPrefix(name, "drift.refit_ok."):
+			refitOK += v
+		case strings.HasPrefix(name, "drift.ks."):
+			ksCells++
+		case strings.HasPrefix(name, "drift.last_refit_age_ms."):
+			ageCells++
+		}
+	}
+	if refitOK < 1 || ksCells == 0 || ageCells == 0 {
+		t.Errorf("per-cell drift gauges: refit_ok sum %v, %d ks, %d refit-age", refitOK, ksCells, ageCells)
 	}
 	// The background refits left traces rooted at refit.fit.
 	if !strings.Contains(strings.Join(renderedTraces(s), "\n"), "refit.fit") {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/obs"
 )
 
 // get issues a GET to the handler and decodes the JSON response.
@@ -69,8 +69,8 @@ func TestDegradedServingVisibleEndToEnd(t *testing.T) {
 		t.Fatalf("response must flag the fallback: degraded=%v fallback=%v",
 			resp["degraded"], resp["fallback"])
 	}
-	// The flip is visible within the same request on every surface:
-	// /v1/status, /readyz, and the expvar metrics snapshot.
+	// The flip is visible within the same request on both posture
+	// surfaces: /v1/status and /readyz.
 	rec, status := get(t, s, "/v1/status")
 	if rec.Code != http.StatusOK || status["status"] != "degraded" {
 		t.Fatalf("/v1/status = %d %v, want degraded", rec.Code, status)
@@ -89,11 +89,6 @@ func TestDegradedServingVisibleEndToEnd(t *testing.T) {
 	rec, ready := get(t, s, "/readyz")
 	if rec.Code != http.StatusOK || ready["status"] != "degraded" {
 		t.Errorf("/readyz = %d %v, want 200 degraded (still serving)", rec.Code, ready)
-	}
-	_, metrics := get(t, s, "/metrics")
-	deg, ok := metrics["degraded"].(map[string]any)
-	if !ok || deg["knn_served"].(float64) < 1 || deg["breakers_open"].(float64) < 1 {
-		t.Errorf("metrics degraded gauge: %v", metrics["degraded"])
 	}
 }
 
@@ -161,54 +156,32 @@ func TestQuarantinedBenchmarkIs422(t *testing.T) {
 	}
 }
 
-func TestRetryDelayBounds(t *testing.T) {
-	for i := 0; i < 50; i++ {
-		if d := retryDelay("", 0); d < loadgenBaseBackoff || d > loadgenBaseBackoff*3/2 {
-			t.Fatalf("attempt 0 delay %v outside [base, 1.5*base]", d)
-		}
-		if d := retryDelay("2", 0); d < 2*time.Second || d > 3*time.Second {
-			t.Fatalf("Retry-After 2s delay %v outside [2s, 3s]", d)
-		}
-		if d := retryDelay("", 12); d < loadgenMaxBackoff || d > loadgenMaxBackoff*3/2 {
-			t.Fatalf("late-attempt delay %v not capped to [max, 1.5*max]", d)
-		}
-		// Malformed headers fall back to exponential backoff.
-		if d := retryDelay("soon", 1); d < 2*loadgenBaseBackoff || d > 3*loadgenBaseBackoff {
-			t.Fatalf("attempt 1 delay %v outside [2*base, 3*base]", d)
-		}
+// TestShedRequestCountsSaturated holds the only worker slot, so a
+// prediction queues for maxQueueWait and is shed with 503 +
+// Retry-After; the shed request shows up in GET /v1/metrics as one
+// http.saturated count.
+func TestShedRequestCountsSaturated(t *testing.T) {
+	s := New(testCampaign(t), Config{Workers: 1, RequestTimeout: time.Minute})
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+	body := fmt.Sprintf(`{"system":"intel","benchmark":%q}`, firstBench(testDB))
+	rec, resp := post(t, s, "/v1/predict/uc1", body)
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("saturated pool: %d %v (Retry-After %q), want 503 with Retry-After",
+			rec.Code, resp, rec.Header().Get("Retry-After"))
 	}
-}
-
-func TestLoadgenRetriesShedRequests(t *testing.T) {
-	var calls int
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls++
-		if calls <= 2 {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, `{"error":"worker pool saturated"}`, http.StatusServiceUnavailable)
-			return
-		}
-		_ = json.NewEncoder(w).Encode(PredictResponse{Cache: "hit"})
-	}))
-	defer ts.Close()
-	opts := LoadgenOptions{URL: ts.URL, MaxRetries: 3}.withDefaults()
-	client := &http.Client{Timeout: 10 * time.Second}
-	start := time.Now()
-	hit, _, err := loadgenOnce(context.Background(), client, ts.URL, &opts, "npb/bt")
-	if err != nil {
-		t.Fatalf("loadgen should retry through 503s: %v", err)
+	var snap obs.RegistrySnapshot
+	if err := json.Unmarshal(getRec(t, s, "/v1/metrics").Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
 	}
-	if !hit || calls != 3 {
-		t.Errorf("hit=%v calls=%d, want cache hit on 3rd call", hit, calls)
+	if got := snap.Counters["http.saturated"]; got != 1 {
+		t.Errorf("http.saturated = %d, want 1", got)
 	}
-	// Two Retry-After:1s waits (plus jitter) must actually have elapsed.
-	if elapsed := time.Since(start); elapsed < 2*time.Second {
-		t.Errorf("elapsed %v, want >= 2s of honored Retry-After", elapsed)
+	if got := snap.Counters["http.status.5xx"]; got != 1 {
+		t.Errorf("http.status.5xx = %d, want 1 (the shed request)", got)
 	}
-	// With retries exhausted the 503 surfaces as an error.
-	calls = -100 // stay in the 503 branch for all attempts
-	opts.MaxRetries = 0
-	if _, _, err := loadgenOnce(context.Background(), client, ts.URL, &opts, "npb/bt"); err == nil {
-		t.Error("MaxRetries=0 must surface the 503")
+	// The scrape itself is the one request in flight.
+	if got := snap.Gauges["http.in_flight"]; got != 1 {
+		t.Errorf("http.in_flight during the scrape = %v, want 1", got)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/measure"
+	"repro/internal/obs"
 	"repro/internal/perfsim"
 )
 
@@ -283,36 +284,28 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 }
 
+// TestMetricsEndpoint pins the replica's one metrics surface:
+// GET /v1/metrics serves the obs registry, and the retired GET
+// /metrics and /debug/vars paths are gone. TestObsMetricsEndpoint
+// checks the registry's contents.
 func TestMetricsEndpoint(t *testing.T) {
 	s := newTestServer(t)
-	body := fmt.Sprintf(`{"system":"intel","benchmark":%q}`, firstBench(testDB))
-	post(t, s, "/v1/predict/uc1", body)
-	post(t, s, "/v1/predict/uc1", body)
-
-	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
+	post(t, s, "/v1/predict/uc1", fmt.Sprintf(`{"system":"intel","benchmark":%q}`, firstBench(testDB)))
+	for _, path := range []string{"/metrics", "/debug/vars"} {
+		if rec := getRec(t, s, path); rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, rec.Code)
+		}
+	}
+	rec := getRec(t, s, "/v1/metrics")
 	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
+		t.Fatalf("GET /v1/metrics: status %d", rec.Code)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
-		t.Fatalf("metrics is not JSON: %v", err)
+	var snap obs.RegistrySnapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatalf("GET /v1/metrics is not a registry snapshot: %v", err)
 	}
-	reqs, ok := m["requests"].(map[string]any)
-	if !ok || reqs["POST /v1/predict/uc1"].(float64) < 2 {
-		t.Errorf("request counter missing or low: %v", m["requests"])
-	}
-	cache, ok := m["cache"].(map[string]any)
-	if !ok {
-		t.Fatalf("cache stats missing: %v", m)
-	}
-	if cache["misses"].(float64) < 1 || cache["hits"].(float64) < 1 {
-		t.Errorf("cache stats should show >=1 miss and >=1 hit: %v", cache)
-	}
-	lat, ok := m["latency"].(map[string]any)
-	if !ok || lat["POST /v1/predict/uc1"] == nil {
-		t.Errorf("latency summary missing: %v", m["latency"])
+	if snap.Histograms["http.latency.POST /v1/predict/uc1"].Count != 1 {
+		t.Errorf("per-route histogram missing: %v", snap.Histograms)
 	}
 }
 
@@ -349,36 +342,9 @@ func TestCacheHitIdenticalResponse(t *testing.T) {
 	}
 }
 
-func TestLoadgenEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end loadgen")
-	}
-	s := newTestServer(t)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	res, err := Loadgen(context.Background(), LoadgenOptions{
-		URL:         ts.URL,
-		Requests:    48,
-		Concurrency: 4,
-		Seed:        3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("loadgen saw %d errors", res.Errors)
-	}
-	if int(res.Cold.Count+res.Warm.Count) != res.Requests {
-		t.Errorf("cold %d + warm %d != %d requests", res.Cold.Count, res.Warm.Count, res.Requests)
-	}
-	// 16 distinct benchmarks -> 16 cold fits, the rest warm.
-	if res.Cold.Count != 16 {
-		t.Errorf("cold count = %d, want 16 (one per distinct benchmark)", res.Cold.Count)
-	}
-	if res.RPS <= 0 || res.String() == "" {
-		t.Error("report not rendered")
-	}
-	// Graceful shutdown of the serve loop.
+// TestServeGracefulShutdown runs the real listener: readiness answers
+// over TCP, and canceling the context drains and returns nil.
+func TestServeGracefulShutdown(t *testing.T) {
 	srv := New(testCampaign(t), Config{Addr: "127.0.0.1:0"})
 	if err := srv.Listen(); err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -84,15 +83,25 @@ func (c Config) withDefaults() Config {
 // Server is the varserve HTTP prediction service: routing, the bounded
 // worker pool, metrics, and the cached predictor.
 type Server struct {
-	cfg     Config
-	pred    *core.Predictor
-	metrics *Metrics
-	tracer  *obs.Tracer
-	drift   *drift.Manager
-	sem     chan struct{}
-	ready   atomic.Bool
-	mux     *http.ServeMux
-	ln      net.Listener
+	cfg    Config
+	pred   *core.Predictor
+	tracer *obs.Tracer
+	drift  *drift.Manager
+	sem    chan struct{}
+	ready  atomic.Bool
+	mux    *http.ServeMux
+	ln     net.Listener
+
+	// metrics is the server's obs registry, served by GET /v1/metrics.
+	// It is owned by the instance rather than published process-wide,
+	// so several servers in one process never collide on names.
+	// inFlight and saturated are held so the request path does no
+	// registry lookup for them; saturated counts requests that found
+	// the worker pool full on arrival (whether they eventually got a
+	// slot or were shed).
+	metrics   *obs.Registry
+	inFlight  *obs.Gauge
+	saturated *obs.Counter
 
 	// ingestMu serializes the (not concurrency-safe) batch fault
 	// injector and the per-cell batch sequence numbers behind it.
@@ -105,8 +114,10 @@ func New(db *measure.Database, cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg.withDefaults(),
 		pred:    core.NewPredictor(db),
-		metrics: NewMetrics(),
+		metrics: obs.NewRegistry(),
 	}
+	s.inFlight = s.metrics.Gauge("http.in_flight")
+	s.saturated = s.metrics.Counter("http.saturated")
 	if s.cfg.ModelRegistry != nil {
 		s.pred.SetModelStore(s.cfg.ModelRegistry)
 	}
@@ -135,7 +146,6 @@ func New(db *measure.Database, cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/status", s.instrument("GET /v1/status", s.handleStatus))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/metrics", s.instrument("GET /v1/metrics", s.handleObsMetrics))
 	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	if s.cfg.EnablePprof {
@@ -144,23 +154,17 @@ func New(db *measure.Database, cfg Config) *Server {
 		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		// The process-global expvar set (the binary publishes the obs
-		// registry there as "obs"); same sensitivity class as pprof —
-		// it includes the command line — so it shares the gate.
-		s.mux.Handle("GET /debug/vars", expvar.Handler())
 	}
 	s.ready.Store(true)
 	return s
 }
 
-// Handler exposes the routing table (used directly by tests).
+// Handler exposes the routing table (driven in process by tests and
+// by the drift experiment in cmd/experiments).
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Predictor exposes the cached predictor (warmup, cache statistics).
 func (s *Server) Predictor() *core.Predictor { return s.pred }
-
-// Metrics exposes the server's metrics set.
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Tracer exposes the request tracer (trace buffer, slow-trace stats).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
@@ -224,14 +228,14 @@ func (s *Server) Serve(ctx context.Context) error {
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := clock()
-		s.metrics.inFlight.Add(1)
+		s.inFlight.Add(1)
 		ctx, span := s.tracer.Start(r.Context(), endpoint)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r.WithContext(ctx))
 		span.SetAttr("status", strconv.Itoa(sw.status))
 		span.End()
-		s.metrics.inFlight.Add(-1)
-		s.metrics.Observe(endpoint, sw.status, clock.Since(start))
+		s.inFlight.Add(-1)
+		s.observe(endpoint, sw.status, clock.Since(start))
 	}
 }
 
