@@ -73,15 +73,10 @@ func ScalingScenario(ctx context.Context, replicaCounts []int, nKeys, nRequests 
 	}
 	var points []ScalingPoint
 	for _, n := range replicaCounts {
-		cfgs := make([]ReplicaConfig, n)
-		for i := range cfgs {
-			cfgs[i] = ReplicaConfig{ID: fmt.Sprintf("replica-%d", i), ServiceTime: service}
-		}
-		h, err := NewHarness(cfgs, seed, func(c *cluster.Config) { c.LoadFactor = 1.05 })
+		_, res, err := scalingRun(ctx, n, keys, nRequests, service, interval, seed)
 		if err != nil {
 			return nil, err
 		}
-		res := h.Run(ctx, UniformSchedule(keys, nRequests, 0, interval))
 		if lost := res.Lost(); lost > 0 {
 			return nil, fmt.Errorf("sim: scaling run with %d replicas lost %d requests", n, lost)
 		}
@@ -93,4 +88,18 @@ func ScalingScenario(ctx context.Context, replicaCounts []int, nKeys, nRequests 
 		})
 	}
 	return points, nil
+}
+
+// scalingRun is one fleet size of ScalingScenario: n identical
+// replicas under a 1.05 load factor, fed the uniform schedule.
+func scalingRun(ctx context.Context, n int, keys []string, nRequests int, service, interval time.Duration, seed uint64) (*Harness, *Result, error) {
+	cfgs := make([]ReplicaConfig, n)
+	for i := range cfgs {
+		cfgs[i] = ReplicaConfig{ID: fmt.Sprintf("replica-%d", i), ServiceTime: service}
+	}
+	h, err := NewHarness(cfgs, seed, func(c *cluster.Config) { c.LoadFactor = 1.05 })
+	if err != nil {
+		return nil, nil, err
+	}
+	return h, h.Run(ctx, UniformSchedule(keys, nRequests, 0, interval)), nil
 }

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,6 +21,88 @@ func replicaConfigs(n int, mutate func(i int, rc *ReplicaConfig)) []ReplicaConfi
 		}
 	}
 	return cfgs
+}
+
+const (
+	failoverVictim = "replica-2"
+	degradedVictim = "replica-1"
+)
+
+// failoverScenario is four replicas with failoverVictim dead from 400
+// to 900 ms of virtual time, and three phases: a healthy warm-up that
+// assigns every key, the outage storm of predictions with every fifth
+// request an ingest batch, and a tail after recovery.
+func failoverScenario(t *testing.T) (*Harness, [3]Schedule) {
+	t.Helper()
+	h, err := NewHarness(replicaConfigs(4, func(i int, rc *ReplicaConfig) {
+		if rc.ID == failoverVictim {
+			rc.Outages = []Window{{From: 400 * time.Millisecond, To: 900 * time.Millisecond}}
+		}
+	}), 11, nil)
+	if err != nil {
+		t.Fatalf("NewHarness: %v", err)
+	}
+	keys := ScenarioKeys(120)
+	var storm Schedule
+	for i := 0; i < 300; i++ {
+		at := 350*time.Millisecond + time.Duration(i)*2*time.Millisecond
+		req := cluster.Request{Method: "POST", Path: "/v1/predict/uc1", Key: keys[i%len(keys)]}
+		if i%5 == 0 {
+			req.Path = "/v1/measurements"
+		}
+		storm = append(storm, Event{At: at, Req: req})
+	}
+	return h, [3]Schedule{
+		UniformSchedule(keys, 240, 0, time.Millisecond),
+		storm,
+		UniformSchedule(keys, 240, 1000*time.Millisecond, time.Millisecond),
+	}
+}
+
+// degradedScenario is three replicas with degradedVictim reporting
+// open breakers from 200 ms on, a healthy warm-up, and a phase served
+// while it is degraded.
+func degradedScenario(t *testing.T) (*Harness, [2]Schedule) {
+	t.Helper()
+	h, err := NewHarness(replicaConfigs(3, func(i int, rc *ReplicaConfig) {
+		if rc.ID == degradedVictim {
+			rc.Degraded = []Window{{From: 200 * time.Millisecond, To: time.Hour}}
+		}
+	}), 13, nil)
+	if err != nil {
+		t.Fatalf("NewHarness: %v", err)
+	}
+	keys := ScenarioKeys(90)
+	return h, [2]Schedule{
+		UniformSchedule(keys, 90, 0, time.Millisecond),
+		UniformSchedule(keys, 180, 300*time.Millisecond, time.Millisecond),
+	}
+}
+
+// faultedScenario is five jittered replicas, one dead from 150 to
+// 320 ms, under a strided stream with every ninth request an ingest
+// batch.
+func faultedScenario(t *testing.T) (*Harness, Schedule) {
+	t.Helper()
+	h, err := NewHarness(replicaConfigs(5, func(i int, rc *ReplicaConfig) {
+		rc.JitterFrac = 0.3
+		if i == 3 {
+			rc.Outages = []Window{{From: 150 * time.Millisecond, To: 320 * time.Millisecond}}
+		}
+	}), 29, nil)
+	if err != nil {
+		t.Fatalf("NewHarness: %v", err)
+	}
+	keys := ScenarioKeys(200)
+	var sched Schedule
+	for i := 0; i < 500; i++ {
+		req := cluster.Request{Method: "POST", Path: "/v1/predict/uc1", Key: keys[(i*7)%len(keys)]}
+		if i%9 == 0 {
+			req.Path = "/v1/measurements"
+		}
+		sched = append(sched, Event{At: time.Duration(i) * time.Millisecond, Req: req})
+	}
+	return h, sched
 }
 
 // TestSimSingleOwnerAndImbalance is the headline distribution
@@ -68,25 +153,12 @@ func TestSimSingleOwnerAndImbalance(t *testing.T) {
 // ingest batch is dropped, the remap is minimal, and ownership fails
 // back after recovery.
 func TestSimFailoverNoLostRequests(t *testing.T) {
-	const (
-		outageFrom = 400 * time.Millisecond
-		outageTo   = 900 * time.Millisecond
-	)
-	victimID := "replica-2"
-	h, err := NewHarness(replicaConfigs(4, func(i int, rc *ReplicaConfig) {
-		if rc.ID == victimID {
-			rc.Outages = []Window{{From: outageFrom, To: outageTo}}
-		}
-	}), 11, nil)
-	if err != nil {
-		t.Fatalf("NewHarness: %v", err)
-	}
+	const victimID = failoverVictim
+	h, phases := failoverScenario(t)
 	ctx := context.Background()
-	keys := ScenarioKeys(120)
 
 	// Phase 1: healthy warm-up assigns every key.
-	warm := UniformSchedule(keys, 240, 0, time.Millisecond)
-	if lost := h.Run(ctx, warm).Lost(); lost != 0 {
+	if lost := h.Run(ctx, phases[0]).Lost(); lost != 0 {
 		t.Fatalf("warm-up lost %d requests", lost)
 	}
 	before := h.Router.Owners()
@@ -94,24 +166,14 @@ func TestSimFailoverNoLostRequests(t *testing.T) {
 	// Phase 2: the outage window. Predictions and ingest batches keep
 	// arriving; detection happens via transport failures and the 50ms
 	// probe cadence, retries carry everything to fallbacks.
-	var storm Schedule
-	for i := 0; i < 300; i++ {
-		at := 350*time.Millisecond + time.Duration(i)*2*time.Millisecond
-		key := keys[i%len(keys)]
-		req := cluster.Request{Method: "POST", Path: "/v1/predict/uc1", Key: key}
-		if i%5 == 0 {
-			req.Path = "/v1/measurements"
-		}
-		storm = append(storm, Event{At: at, Req: req})
-	}
-	stormRes := h.Run(ctx, storm)
+	stormRes := h.Run(ctx, phases[1])
 	if lost := stormRes.Lost(); lost != 0 {
 		for _, o := range stormRes.Outcomes {
 			if o.Err != nil {
 				t.Logf("lost: t=%v key=%s err=%v", o.Event.At, o.Event.Req.Key, o.Err)
 			}
 		}
-		t.Fatalf("outage phase lost %d of %d requests", lost, len(storm))
+		t.Fatalf("outage phase lost %d of %d requests", lost, len(phases[1]))
 	}
 	during := h.Router.Owners()
 	for key, id := range during {
@@ -131,8 +193,7 @@ func TestSimFailoverNoLostRequests(t *testing.T) {
 
 	// Phase 3: after recovery, probes restore the victim and its
 	// ring-owned keys fail back.
-	tail := UniformSchedule(keys, 240, 1000*time.Millisecond, time.Millisecond)
-	if lost := h.Run(ctx, tail).Lost(); lost != 0 {
+	if lost := h.Run(ctx, phases[2]).Lost(); lost != 0 {
 		t.Fatalf("recovery phase lost %d requests", lost)
 	}
 	after := h.Router.Owners()
@@ -157,18 +218,10 @@ func TestSimFailoverNoLostRequests(t *testing.T) {
 // replica reporting open breakers keeps its ownership but receives no
 // new traffic while Ready fallbacks exist.
 func TestSimDegradedDrainsWithoutRemap(t *testing.T) {
-	victimID := "replica-1"
-	h, err := NewHarness(replicaConfigs(3, func(i int, rc *ReplicaConfig) {
-		if rc.ID == victimID {
-			rc.Degraded = []Window{{From: 200 * time.Millisecond, To: time.Hour}}
-		}
-	}), 13, nil)
-	if err != nil {
-		t.Fatalf("NewHarness: %v", err)
-	}
+	const victimID = degradedVictim
+	h, phases := degradedScenario(t)
 	ctx := context.Background()
-	keys := ScenarioKeys(90)
-	if lost := h.Run(ctx, UniformSchedule(keys, 90, 0, time.Millisecond)).Lost(); lost != 0 {
+	if lost := h.Run(ctx, phases[0]).Lost(); lost != 0 {
 		t.Fatal("warm-up lost requests")
 	}
 	before := h.Router.Owners()
@@ -183,7 +236,7 @@ func TestSimDegradedDrainsWithoutRemap(t *testing.T) {
 		t.Fatal("victim served nothing while healthy; test is vacuous")
 	}
 
-	if lost := h.Run(ctx, UniformSchedule(keys, 180, 300*time.Millisecond, time.Millisecond)).Lost(); lost != 0 {
+	if lost := h.Run(ctx, phases[1]).Lost(); lost != 0 {
 		t.Fatal("degraded phase lost requests")
 	}
 	// Ownership must be untouched (degraded is a drain, not a death).
@@ -204,24 +257,7 @@ func TestSimDegradedDrainsWithoutRemap(t *testing.T) {
 // ownership, makespan — byte for byte.
 func TestSimByteDeterminism(t *testing.T) {
 	build := func() (*Harness, *Result) {
-		h, err := NewHarness(replicaConfigs(5, func(i int, rc *ReplicaConfig) {
-			rc.JitterFrac = 0.3
-			if i == 3 {
-				rc.Outages = []Window{{From: 150 * time.Millisecond, To: 320 * time.Millisecond}}
-			}
-		}), 29, nil)
-		if err != nil {
-			t.Fatalf("NewHarness: %v", err)
-		}
-		keys := ScenarioKeys(200)
-		var sched Schedule
-		for i := 0; i < 500; i++ {
-			req := cluster.Request{Method: "POST", Path: "/v1/predict/uc1", Key: keys[(i*7)%len(keys)]}
-			if i%9 == 0 {
-				req.Path = "/v1/measurements"
-			}
-			sched = append(sched, Event{At: time.Duration(i) * time.Millisecond, Req: req})
-		}
+		h, sched := faultedScenario(t)
 		return h, h.Run(context.Background(), sched)
 	}
 	h1, r1 := build()
@@ -253,5 +289,55 @@ func TestSimScalingNearLinear(t *testing.T) {
 	}
 	if s := points[2].Speedup(base); s < 3.0 {
 		t.Fatalf("4-replica speedup %.2fx < 3.0x", s)
+	}
+}
+
+// routingGolden is the SHA-256 of each scenario's fingerprints (one
+// per phase, concatenated), recorded from the routing this package
+// ships. Update an entry only for a routing change that is meant.
+var routingGolden = map[string]string{
+	"failover":  "de3dc8223711d99378655c16b4608617e13bac5732e1e542760c55f8feb8f32e",
+	"degraded":  "d51ddf0cf5c81e42873b2c5f718ff08a8b9b542820c5bc5e4005ce4aaf73eccf",
+	"faulted":   "1382a9ad48c309dcade595e7d00d1728086d7332f458032e2a7106bcb909b057",
+	"scaling-1": "c9ddf1803640078f01f50cee9c81e8a72ee1a7672cc8d2d6da0d990132b754b6",
+	"scaling-2": "52b991b98c225fa846e9e9569b629a076abc4ddfb2388317ea1d379581bd0ecc",
+	"scaling-4": "a3a2a90b14b3e58b591d4d8eb50ece45d3ebca4af13a449c8cd9c05305f9af06",
+}
+
+// TestSimRoutingGolden pins the routing decisions themselves, not only
+// their repeatability: who serves each request, the retries after a
+// death, fail-back and bounded-load overflow. TestSimByteDeterminism
+// compares a run with a rerun, so a change that routes differently but
+// the same way every time passes it; it does not pass this.
+func TestSimRoutingGolden(t *testing.T) {
+	ctx := context.Background()
+	fingerprint := func(h *Harness, phases ...Schedule) string {
+		var b strings.Builder
+		for _, sched := range phases {
+			b.WriteString(h.Fingerprint(h.Run(ctx, sched)))
+		}
+		return b.String()
+	}
+	got := map[string]string{}
+	h, failover := failoverScenario(t)
+	got["failover"] = fingerprint(h, failover[:]...)
+	h, degraded := degradedScenario(t)
+	got["degraded"] = fingerprint(h, degraded[:]...)
+	h, faulted := faultedScenario(t)
+	got["faulted"] = fingerprint(h, faulted)
+	// TestSimScalingNearLinear's workload: 200 keys, 2,000 requests,
+	// 10ms service, arrivals every 10ms/(2x4 replicas).
+	for _, n := range []int{1, 2, 4} {
+		h, res, err := scalingRun(ctx, n, ScenarioKeys(200), 2000, 10*time.Millisecond, 10*time.Millisecond/8, 5)
+		if err != nil {
+			t.Fatalf("scalingRun(%d): %v", n, err)
+		}
+		got[fmt.Sprintf("scaling-%d", n)] = h.Fingerprint(res)
+	}
+	for name, want := range routingGolden {
+		sum := sha256.Sum256([]byte(got[name]))
+		if hash := hex.EncodeToString(sum[:]); hash != want {
+			t.Errorf("%s: fingerprint SHA-256 %s, want %s", name, hash, want)
+		}
 	}
 }
