@@ -10,8 +10,11 @@ build:
 test:
 	$(GO) test ./...
 
+# race sets -timeout because internal/core and internal/report take
+# about 15 minutes each under -race on 2 vCPUs, past go test's
+# 10-minute default.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # lint mirrors the CI lint shard: vet, gofmt, the repository's own
 # analyzer suite and the package-docs floor. The findings cache makes
@@ -63,10 +66,11 @@ drift:
 	$(GO) test -race -count=1 -run 'Measurements|Drift|Refit|Ingest|BodyCap|Batch' ./internal/serve/ ./internal/core/ ./internal/faults/
 
 # cluster mirrors the CI sharded-serving shard: consistent-hash ring
-# property tests, router failover/hot-swap concurrency under the race
-# detector, and the deterministic multi-replica simulation invariants
-# (single owner, bounded imbalance, minimal remap, zero lost requests,
-# near-linear virtual-time scaling), bypassing the test cache.
+# property tests, router failover under concurrent probe churn with
+# the race detector, and the deterministic multi-replica simulation
+# invariants (single owner, bounded imbalance, minimal remap, zero lost
+# requests, near-linear virtual-time scaling, pinned fingerprint
+# hashes), bypassing the test cache.
 cluster:
 	$(GO) test -race -count=1 ./internal/cluster/...
 

@@ -1,14 +1,14 @@
 // Command varroute is the cluster frontend: it shards dataset cells
 // across N varserve replicas by consistent hashing on the stable
-// dataset key, tracks replica health from their /readyz and /v1/status
-// endpoints, and fails requests over (with optional hedging) when a
-// replica degrades or dies.
+// dataset key (cache affinity: a cell's owner keeps its trained models
+// warm), tracks replica health from their /readyz and /v1/status
+// endpoints, and fails requests over along the ring when a replica
+// degrades or dies.
 //
 // Usage:
 //
 //	varroute -replicas http://127.0.0.1:8081,http://127.0.0.1:8082
-//	varroute -addr :8080 -policy least-loaded -retries 3
-//	varroute -replicas ... -hedge 50ms                # tail-latency hedging
+//	varroute -addr :8080 -replicas ... -probe 300ms -timeout 10s
 //
 // Replica ring identities default to "replica-<index>" in flag order;
 // start each varserve with the matching -replica flag so its status
@@ -41,16 +41,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("varroute: ")
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		replicas   = flag.String("replicas", "", "comma-separated replica base URLs (required)")
-		policyName = flag.String("policy", "cache-affinity", "routing policy: cache-affinity | round-robin | least-loaded")
-		vnodes     = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per replica on the hash ring")
-		loadFactor = flag.Float64("loadfactor", cluster.DefaultLoadFactor, "bounded-load ownership factor (>= 1)")
-		retries    = flag.Int("retries", cluster.DefaultMaxRetries, "max failover retries per request")
-		hedge      = flag.Duration("hedge", 0, "hedge to the next candidate after this long (0 = off)")
-		probe      = flag.Duration("probe", cluster.DefaultProbeInterval, "replica health-probe interval")
-		timeout    = flag.Duration("timeout", 30*time.Second, "per-replica request timeout")
-		drain      = flag.Duration("drain", 5*time.Second, "graceful shutdown drain budget")
+		addr     = flag.String("addr", ":8080", "listen address")
+		replicas = flag.String("replicas", "", "comma-separated replica base URLs (required)")
+		probe    = flag.Duration("probe", cluster.DefaultProbeInterval, "replica health-probe interval")
+		timeout  = flag.Duration("timeout", 30*time.Second, "per-replica request timeout")
+		drain    = flag.Duration("drain", 5*time.Second, "graceful shutdown drain budget")
 	)
 	flag.Parse()
 
@@ -58,18 +53,9 @@ func main() {
 	if len(urls) == 0 {
 		log.Fatal("at least one -replicas URL is required")
 	}
-	policy := cluster.PolicyByName(*policyName)
-	if policy == nil {
-		log.Fatalf("unknown -policy %q (want cache-affinity, round-robin, or least-loaded)", *policyName)
-	}
 
 	metrics := obs.NewRegistry()
 	cfg := cluster.Config{
-		Policy:        policy,
-		VNodes:        *vnodes,
-		LoadFactor:    *loadFactor,
-		MaxRetries:    *retries,
-		HedgeAfter:    *hedge,
 		ProbeInterval: *probe,
 		Metrics:       metrics,
 		Tracer:        obs.NewTracer(obs.Config{}),
@@ -105,8 +91,7 @@ func main() {
 	srv := &http.Server{Handler: frontend}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- serveHTTP(srv, ln) }()
-	log.Printf("routing %d replicas on %s (policy %s, load factor %.2f)",
-		len(urls), ln.Addr(), policy.Name(), *loadFactor)
+	log.Printf("routing %d replicas on %s", len(urls), ln.Addr())
 
 	<-ctx.Done()
 	//lint:allow ctxflow the drain deadline must outlive the canceled run ctx; Background is the correct root for shutdown

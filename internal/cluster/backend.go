@@ -8,8 +8,8 @@ import (
 // Request is one routed call, already reduced to what placement and
 // forwarding need: the HTTP shape plus the dataset key the frontend
 // derived from the body (modelstore.DatasetKey). Key may be empty for
-// unkeyed endpoints (GET /v1/systems), which route by policy order
-// alone.
+// unkeyed endpoints (GET /v1/systems), which take the replicas in
+// sorted ID order.
 type Request struct {
 	Method string
 	Path   string

@@ -11,15 +11,15 @@
 // walking the ring, so a hot ring segment cannot pile every cell onto
 // one replica.
 //
-// Routing policies are pluggable behind one interface: cache-affinity
-// (the default, ownership-driven), round-robin, and least-loaded.
-// Replica health is tracked from the replicas' own /readyz and
-// /v1/status endpoints; degraded or breaker-open replicas drain to
-// ring-ordered fallbacks without giving up ownership, while failed
-// replicas trigger deterministic key remapping with minimal churn
-// (only the dead replica's keys move, and they move back when it
-// recovers). Replica errors are retried on the fallback sequence, with
-// optional hedging for tail latency.
+// Routing is cache affinity and nothing else: a request goes to its
+// key's owner, then along the ring's fallback sequence. Replica health
+// is tracked from the replicas' own /readyz and /v1/status endpoints;
+// degraded or breaker-open replicas drain to ring-ordered fallbacks
+// without giving up ownership, while failed replicas trigger
+// deterministic key remapping with minimal churn (only the dead
+// replica's keys move, and they move back when it recovers). Transport
+// errors and 502/503/504 answers are retried, one attempt at a time,
+// on at most two fallbacks.
 //
 // The router is exercised against in-process fake replicas by
 // internal/cluster/sim — a shared-clock event-loop harness that proves

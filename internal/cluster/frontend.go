@@ -100,8 +100,8 @@ func (f *Frontend) forwardKeyed(derive func(keyedBody) (string, error)) http.Han
 	}
 }
 
-// forwardUnkeyed relays requests with no dataset identity (the policy
-// alone picks the replica).
+// forwardUnkeyed relays requests with no dataset identity (they take
+// the replicas in sorted ID order).
 func (f *Frontend) forwardUnkeyed(w http.ResponseWriter, r *http.Request) {
 	f.relay(w, r, Request{Method: r.Method, Path: r.URL.Path})
 }

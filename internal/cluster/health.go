@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // State is a replica's health as the router tracks it.
 type State int32
@@ -52,8 +49,7 @@ type replica struct {
 func (r *replica) State() State { return State(r.state.Load()) }
 
 // View is the immutable health-and-ownership snapshot a Policy ranks
-// candidates from. It is built per routed request; all lookups are on
-// materialized maps, so policies stay pure functions.
+// candidates from, built once per routed request.
 type View struct {
 	// Owner is the routed key's current table owner ("" when the key is
 	// unkeyed or not yet assigned).
@@ -61,12 +57,8 @@ type View struct {
 	// Sequence is the key's full ring fallback order (owner first). For
 	// unkeyed requests it is the sorted replica list.
 	Sequence []string
-	// States and InFlight map replica ID to health and live request
-	// count.
-	States   map[string]State
-	InFlight map[string]int64
-	// RRTick is a monotone counter the round-robin policy offsets by.
-	RRTick uint64
+	// States maps replica ID to health.
+	States map[string]State
 }
 
 // Alive reports whether id is routable at all (Ready or Degraded).
@@ -76,8 +68,7 @@ func (v View) Alive(id string) bool {
 }
 
 // readyThenDegraded orders ids: Ready replicas first (preserving the
-// given order), then Degraded, Down dropped. The shared drain rule
-// every built-in policy applies.
+// given order), then Degraded, Down dropped.
 func readyThenDegraded(ids []string, v View) []string {
 	out := make([]string, 0, len(ids))
 	for _, id := range ids {
@@ -91,15 +82,4 @@ func readyThenDegraded(ids []string, v View) []string {
 		}
 	}
 	return out
-}
-
-// sortedIDs returns the view's replica IDs sorted, the canonical
-// iteration order for unkeyed routing.
-func (v View) sortedIDs() []string {
-	ids := make([]string, 0, len(v.States))
-	for id := range v.States {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -1,22 +1,19 @@
 package cluster
 
-import "sort"
-
 // Policy ranks the replicas a request may be sent to, most preferred
 // first. The router forwards to the first candidate and walks the rest
 // on retryable failure, so a policy expresses preference, not
 // admission: returning no candidates fails the request with 503.
-// Policies must be pure functions of (key, View) — all mutable state
-// lives in the View — so they can be hot-swapped under load.
+// CacheAffinity is the only implementation.
 type Policy interface {
-	// Name identifies the policy in status payloads and flags.
+	// Name identifies the policy in status payloads.
 	Name() string
 	// Candidates returns replica IDs in forwarding order. Down replicas
 	// must not appear; Degraded replicas should trail Ready ones.
 	Candidates(key string, v View) []string
 }
 
-// CacheAffinity is the default policy: the key's owner first — that
+// CacheAffinity is the router's policy: the key's owner first — that
 // replica holds the cell's trained models warm — then the ring
 // fallback sequence, Ready before Degraded throughout. Unkeyed
 // requests fall back to sorted order.
@@ -28,9 +25,6 @@ func (CacheAffinity) Name() string { return "cache-affinity" }
 // Candidates implements Policy.
 func (CacheAffinity) Candidates(key string, v View) []string {
 	seq := v.Sequence
-	if len(seq) == 0 {
-		seq = v.sortedIDs()
-	}
 	if v.Owner != "" && (len(seq) == 0 || seq[0] != v.Owner) {
 		// The owner table may disagree with the pure ring (bounded-load
 		// overflow); the table wins, the ring order follows.
@@ -46,61 +40,11 @@ func (CacheAffinity) Candidates(key string, v View) []string {
 	return readyThenDegraded(seq, v)
 }
 
-// RoundRobin ignores affinity and spreads requests evenly over live
-// replicas in rotating sorted order — the baseline policy for scaling
-// comparisons (every replica fits every cell's models cold).
-type RoundRobin struct{}
-
-// Name implements Policy.
-func (RoundRobin) Name() string { return "round-robin" }
-
-// Candidates implements Policy.
-func (RoundRobin) Candidates(_ string, v View) []string {
-	ids := v.sortedIDs()
-	if len(ids) == 0 {
-		return nil
-	}
-	start := int(v.RRTick % uint64(len(ids)))
-	rotated := make([]string, 0, len(ids))
-	rotated = append(rotated, ids[start:]...)
-	rotated = append(rotated, ids[:start]...)
-	return readyThenDegraded(rotated, v)
-}
-
-// LeastLoaded routes to the live replica with the fewest in-flight
-// requests, breaking ties by replica ID so ranking is deterministic
-// under equal load. It never returns a Down replica (pinned by a
-// regression test) and drains Degraded ones behind Ready ones like
-// every built-in policy.
-type LeastLoaded struct{}
-
-// Name implements Policy.
-func (LeastLoaded) Name() string { return "least-loaded" }
-
-// Candidates implements Policy.
-func (LeastLoaded) Candidates(_ string, v View) []string {
-	ids := v.sortedIDs()
-	sort.SliceStable(ids, func(i, j int) bool {
-		li, lj := v.InFlight[ids[i]], v.InFlight[ids[j]]
-		if li != lj {
-			return li < lj
-		}
-		return ids[i] < ids[j]
-	})
-	return readyThenDegraded(ids, v)
-}
-
-// PolicyByName resolves the -policy flag values. Unknown names return
-// nil.
+// PolicyByName resolves a policy name: "" and "cache-affinity" give
+// CacheAffinity, anything else nil.
 func PolicyByName(name string) Policy {
-	switch name {
-	case "", "cache-affinity":
+	if name == "" || name == "cache-affinity" {
 		return CacheAffinity{}
-	case "round-robin":
-		return RoundRobin{}
-	case "least-loaded":
-		return LeastLoaded{}
-	default:
-		return nil
 	}
+	return nil
 }

@@ -8,10 +8,10 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is the virtual-node count per replica when Config
-// leaves it zero. 128 points per replica keeps the pure-hash spread of
-// 1k keys over 8 replicas within ~1.3x of the mean; the bounded-load
-// walk tightens that to the configured factor.
+// DefaultVNodes is the router's virtual-node count per replica. 128
+// points per replica keeps the pure-hash spread of 1k keys over 8
+// replicas within ~1.3x of the mean; the bounded-load walk tightens
+// that to the configured factor.
 const DefaultVNodes = 128
 
 // Hash64 is the ring's key hash: FNV-1a over the dataset-key bytes.

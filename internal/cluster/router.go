@@ -13,10 +13,10 @@ import (
 	"repro/internal/randx"
 )
 
-// Default router tuning. LoadFactor 1.25 is the classic bounded-load
+// Router tuning. LoadFactor 1.25 is the classic bounded-load
 // constant; two retries give every request three candidate replicas,
 // enough to survive one dead and one degraded replica on the same
-// arc.
+// arc. DefaultMaxRetries is fixed; the others are Config defaults.
 const (
 	DefaultLoadFactor    = 1.25
 	DefaultMaxRetries    = 2
@@ -30,21 +30,12 @@ type Config struct {
 	// Backends are the replicas, one per varserve process (or sim
 	// fake). IDs must be unique.
 	Backends []Backend
-	// Policy ranks forwarding candidates (default CacheAffinity).
+	// Policy ranks forwarding candidates (default and only
+	// implementation CacheAffinity).
 	Policy Policy
-	// VNodes is the virtual-node count per replica (default
-	// DefaultVNodes).
-	VNodes int
 	// LoadFactor bounds ownership: no replica owns more than
 	// ceil(LoadFactor x keys/alive) cells (default 1.25).
 	LoadFactor float64
-	// MaxRetries bounds failover: a request touches at most
-	// 1+MaxRetries replicas (default 2).
-	MaxRetries int
-	// HedgeAfter, when positive, launches a second attempt on the next
-	// candidate if the first has not answered within it. Zero disables
-	// hedging.
-	HedgeAfter time.Duration
 	// ProbeInterval is Run's health-probe cadence (default 2s).
 	ProbeInterval time.Duration
 	// ProbeFailures is the consecutive probe/transport failures that
@@ -64,16 +55,8 @@ func (c Config) withDefaults() Config {
 	if c.Policy == nil {
 		c.Policy = CacheAffinity{}
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.LoadFactor < 1 {
 		c.LoadFactor = DefaultLoadFactor
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = DefaultMaxRetries
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = DefaultProbeInterval
@@ -89,13 +72,11 @@ func (c Config) withDefaults() Config {
 
 // Router is the sharded serving tier's brain: it owns the ring, the
 // bounded-load owner table, per-replica health, and the forwarding
-// loop with retries and optional hedging. Safe for concurrent use.
+// loop with retries. Safe for concurrent use.
 type Router struct {
 	cfg   Config
 	ring  *Ring
 	clock randx.Clock
-
-	policy atomic.Value // policyBox
 
 	replicas map[string]*replica
 	ids      []string // sorted
@@ -104,14 +85,12 @@ type Router struct {
 	owners map[string]string // key -> replica ID
 	counts map[string]int    // replica ID -> owned keys
 
-	rrTick    atomic.Uint64
 	remaps    atomic.Uint64
 	failbacks atomic.Uint64
 
 	scope    obs.Scope
 	requests *obs.Counter
 	retries  *obs.Counter
-	hedges   *obs.Counter
 	noroute  *obs.Counter
 }
 
@@ -144,12 +123,10 @@ func New(cfg Config) (*Router, error) {
 		r.ids = append(r.ids, id)
 	}
 	sort.Strings(r.ids)
-	r.ring = NewRing(r.ids, cfg.VNodes)
-	r.policy.Store(policyBox{cfg.Policy})
+	r.ring = NewRing(r.ids, DefaultVNodes)
 	r.scope = cfg.Metrics.Scope("cluster.")
 	r.requests = r.scope.Counter("requests")
 	r.retries = r.scope.Counter("retries")
-	r.hedges = r.scope.Counter("hedges")
 	r.noroute = r.scope.Counter("no_route")
 	return r, nil
 }
@@ -157,33 +134,12 @@ func New(cfg Config) (*Router, error) {
 // Ring exposes the router's ring (for status and tests).
 func (r *Router) Ring() *Ring { return r.ring }
 
-// policyBox gives atomic.Value one consistent concrete type across
-// the distinct Policy implementations.
-type policyBox struct{ p Policy }
-
-// Policy returns the active routing policy.
-func (r *Router) Policy() Policy { return r.policy.Load().(policyBox).p }
-
-// SetPolicy swaps the routing policy atomically; in-flight requests
-// finish under the policy they started with.
-func (r *Router) SetPolicy(p Policy) {
-	if p != nil {
-		r.policy.Store(policyBox{p})
-	}
-}
-
-// view snapshots health, load, and the key's ownership for one routing
+// view snapshots health and the key's ownership for one routing
 // decision.
 func (r *Router) view(key string) View {
-	v := View{
-		States:   make(map[string]State, len(r.ids)),
-		InFlight: make(map[string]int64, len(r.ids)),
-		RRTick:   r.rrTick.Add(1) - 1,
-	}
+	v := View{Sequence: r.ids, States: make(map[string]State, len(r.ids))}
 	for _, id := range r.ids {
-		rep := r.replicas[id]
-		v.States[id] = rep.State()
-		v.InFlight[id] = rep.inFlight.Load()
+		v.States[id] = r.replicas[id].State()
 	}
 	if key != "" {
 		v.Owner = r.ownerFor(key, v)
@@ -299,9 +255,9 @@ func retryableStatus(status int) bool {
 		status == http.StatusGatewayTimeout
 }
 
-// Do routes one request: candidates from the active policy, forwarded
-// with at most MaxRetries failovers, hedged when configured. The
-// returned error is non-nil only when no replica produced a response.
+// Do routes one request: candidates from the policy, forwarded in turn
+// with at most DefaultMaxRetries failovers. The returned error is
+// non-nil only when no replica produced a response.
 func (r *Router) Do(ctx context.Context, req Request) (Response, error) {
 	var span *obs.Span
 	if r.cfg.Tracer != nil {
@@ -320,42 +276,30 @@ func (r *Router) Do(ctx context.Context, req Request) (Response, error) {
 	if v.Owner != "" {
 		span.SetAttr("owner", v.Owner)
 	}
-	candidates := r.Policy().Candidates(req.Key, v)
+	candidates := r.cfg.Policy.Candidates(req.Key, v)
 	if len(candidates) == 0 {
 		r.noroute.Inc()
 		span.SetAttr("error", "no live replica")
 		return Response{}, fmt.Errorf("cluster: no live replica for %s %s", req.Method, req.Path)
 	}
-	if max := 1 + r.cfg.MaxRetries; len(candidates) > max {
+	if max := 1 + DefaultMaxRetries; len(candidates) > max {
 		candidates = candidates[:max]
 	}
 
 	var lastResp Response
 	var lastErr error
 	haveResp := false
-	for i := 0; i < len(candidates); i++ {
-		rep := r.replicas[candidates[i]]
+	for i, id := range candidates {
+		rep := r.replicas[id]
 		if rep == nil || rep.State() == Down {
 			continue
 		}
 		if i > 0 {
 			r.retries.Inc()
 		}
-		var resp Response
-		var err error
-		var via string
-		if i == 0 && r.cfg.HedgeAfter > 0 && len(candidates) > 1 {
-			next := r.replicas[candidates[1]]
-			resp, via, err = r.doHedged(ctx, rep, next, req)
-			if via != "" && via != rep.id {
-				i++ // the hedge consumed the next candidate
-			}
-		} else {
-			resp, err = r.attempt(ctx, rep, req)
-			via = rep.id
-		}
+		resp, err := r.attempt(ctx, rep, req)
 		if err == nil && !retryableStatus(resp.Status) {
-			span.SetAttr("replica", via)
+			span.SetAttr("replica", rep.id)
 			span.SetAttr("attempts", i+1)
 			return resp, nil
 		}
@@ -399,65 +343,6 @@ func (r *Router) attempt(ctx context.Context, rep *replica, req Request) (Respon
 	rep.served.Add(1)
 	sc.Counter("requests").Inc()
 	return resp, nil
-}
-
-// doHedged races the primary against the next candidate launched after
-// HedgeAfter. The first acceptable answer wins; the loser's attempt is
-// canceled.
-func (r *Router) doHedged(ctx context.Context, primary, hedge *replica, req Request) (Response, string, error) {
-	type result struct {
-		resp Response
-		err  error
-		id   string
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan result, 2)
-	launch := func(rep *replica) {
-		go func() {
-			resp, err := r.attempt(hctx, rep, req)
-			select {
-			case ch <- result{resp, err, rep.id}:
-			case <-hctx.Done():
-			}
-		}()
-	}
-	launch(primary)
-	timer := time.NewTimer(r.cfg.HedgeAfter)
-	defer timer.Stop()
-	outstanding, hedged := 1, false
-	var last result
-	for {
-		select {
-		case res := <-ch:
-			outstanding--
-			if res.err == nil && !retryableStatus(res.resp.Status) {
-				return res.resp, res.id, nil
-			}
-			last = res
-			if outstanding == 0 {
-				if !hedged && hedge.State() != Down {
-					// Primary failed fast: use the hedge slot as an
-					// immediate retry.
-					r.hedges.Inc()
-					hedged = true
-					outstanding++
-					launch(hedge)
-					continue
-				}
-				return last.resp, last.id, last.err
-			}
-		case <-timer.C:
-			if !hedged && hedge.State() != Down {
-				r.hedges.Inc()
-				hedged = true
-				outstanding++
-				launch(hedge)
-			}
-		case <-ctx.Done():
-			return Response{}, "", ctx.Err()
-		}
-	}
 }
 
 // probeOne applies one health observation to a replica.
@@ -534,7 +419,7 @@ type Status struct {
 func (r *Router) Snapshot() Status {
 	keys, counts := r.tableSnapshot()
 	st := Status{
-		Policy:    r.Policy().Name(),
+		Policy:    r.cfg.Policy.Name(),
 		Keys:      keys,
 		Remaps:    r.remaps.Load(),
 		Failbacks: r.failbacks.Load(),

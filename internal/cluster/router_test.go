@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // fakeBackend is the in-package test replica: scriptable health,
@@ -19,8 +18,7 @@ type fakeBackend struct {
 	ready    bool
 	status   string
 	breakers int
-	fail     bool          // transport error on Do
-	delay    time.Duration // real sleep before answering (hedging tests)
+	fail     bool // transport error on Do
 
 	served sync.Map // key -> *atomic.Int64
 	total  atomic.Int64
@@ -40,15 +38,8 @@ func (f *fakeBackend) set(ready bool, status string, fail bool) {
 
 func (f *fakeBackend) Do(ctx context.Context, req Request) (Response, error) {
 	f.mu.Lock()
-	fail, delay := f.fail, f.delay
+	fail := f.fail
 	f.mu.Unlock()
-	if delay > 0 {
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-			return Response{}, ctx.Err()
-		}
-	}
 	if fail {
 		return Response{}, fmt.Errorf("connection refused")
 	}
@@ -131,73 +122,85 @@ func TestRouterConcurrentHealthAndRouting(t *testing.T) {
 	}
 }
 
-// TestPolicyHotSwap swaps policies under live traffic; -race plus the
-// invariant that every request still lands somewhere.
-func TestPolicyHotSwap(t *testing.T) {
+// TestCacheAffinityNeverRoutesNotReady pins the drain rules: a Down
+// replica receives zero requests, keyed or unkeyed, and a Degraded
+// owner keeps its keys but trails every Ready fallback.
+func TestCacheAffinityNeverRoutesNotReady(t *testing.T) {
 	r, backs := testRouter(t, 3, nil)
 	ctx := context.Background()
-	keys := testKeys(32)
-	policies := []Policy{CacheAffinity{}, RoundRobin{}, LeastLoaded{}}
-	stop := make(chan struct{})
-	var swapper sync.WaitGroup
-	swapper.Add(1)
-	go func() {
-		defer swapper.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				r.SetPolicy(policies[i%len(policies)])
-			}
-		}
-	}()
-	var workers sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		workers.Add(1)
-		go func(g int) {
-			defer workers.Done()
-			for i := 0; i < 150; i++ {
-				if _, err := r.Do(ctx, Request{Method: "POST", Path: "/p", Key: keys[i%len(keys)]}); err != nil {
-					t.Errorf("Do under hot swap: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	workers.Wait()
-	close(stop)
-	swapper.Wait()
-	total := int64(0)
-	for _, b := range backs {
-		total += b.total.Load()
-	}
-	if total != 6*150 {
-		t.Fatalf("replicas served %d requests, want %d", total, 6*150)
-	}
-}
-
-// TestLeastLoadedNeverRoutesNotReady is the regression pin: a Down
-// replica receives zero requests under the least-loaded policy, even
-// though it always has the fewest in flight.
-func TestLeastLoadedNeverRoutesNotReady(t *testing.T) {
-	r, backs := testRouter(t, 3, func(cfg *Config) { cfg.Policy = LeastLoaded{} })
-	ctx := context.Background()
+	keys := testKeys(200)
 	backs[1].set(false, "draining", false)
 	r.ProbeAll(ctx)
-	for i, key := range testKeys(200) {
+	for i, key := range keys {
 		if _, err := r.Do(ctx, Request{Method: "POST", Path: "/p", Key: key}); err != nil {
-			t.Fatalf("Do %d: %v", i, err)
+			t.Fatalf("keyed Do %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := r.Do(ctx, Request{Method: "GET", Path: "/v1/systems"}); err != nil {
+			t.Fatalf("unkeyed Do %d: %v", i, err)
 		}
 	}
 	if got := backs[1].total.Load(); got != 0 {
-		t.Fatalf("not-ready replica served %d requests, want 0", got)
+		t.Fatalf("down replica served %d requests, want 0", got)
 	}
-	// Sequential requests all tie at zero in flight, so the ID
-	// tie-break deterministically picks the first live replica; the
-	// live pair must account for every request either way.
-	if total := backs[0].total.Load() + backs[2].total.Load(); total != 200 {
-		t.Fatalf("live replicas served %d requests, want 200", total)
+	if total := backs[0].total.Load() + backs[2].total.Load(); total != 250 {
+		t.Fatalf("live replicas served %d requests, want 250", total)
+	}
+
+	// Degraded: replica-2 keeps ownership, serves nothing new.
+	backs[2].set(true, "degraded", false)
+	r.ProbeAll(ctx)
+	before, served := r.Owners(), backs[2].total.Load()
+	owned := 0
+	for _, key := range keys {
+		if before[key] == "replica-2" {
+			owned++
+		}
+		if _, err := r.Do(ctx, Request{Method: "POST", Path: "/p", Key: key}); err != nil {
+			t.Fatalf("degraded-phase Do: %v", err)
+		}
+	}
+	if owned == 0 {
+		t.Fatal("replica-2 owns no keys; test is vacuous")
+	}
+	if got := backs[2].total.Load(); got != served {
+		t.Fatalf("degraded owner served %d new requests with Ready fallbacks up", got-served)
+	}
+	for key, id := range r.Owners() {
+		if before[key] != id {
+			t.Fatalf("key %q moved %s -> %s on degradation", key, before[key], id)
+		}
+	}
+
+	// The ranking itself: a table owner that disagrees with the ring
+	// goes first, Degraded trails Ready, Down is dropped.
+	v := View{
+		Owner:    "replica-2",
+		Sequence: []string{"replica-0", "replica-1", "replica-2", "replica-3"},
+		States:   map[string]State{"replica-0": Degraded, "replica-1": Ready, "replica-2": Ready, "replica-3": Down},
+	}
+	got := CacheAffinity{}.Candidates("k", v)
+	if want := []string{"replica-2", "replica-1", "replica-0"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Candidates = %v, want %v", got, want)
+	}
+	if p := r.Snapshot().Policy; p != "cache-affinity" {
+		t.Fatalf("status policy %q, want cache-affinity", p)
+	}
+}
+
+// TestPolicyByName pins the one routing policy's names: "" and
+// "cache-affinity" resolve to CacheAffinity, anything else to nil.
+func TestPolicyByName(t *testing.T) {
+	for _, name := range []string{"", "cache-affinity"} {
+		if p := PolicyByName(name); p == nil || p.Name() != "cache-affinity" {
+			t.Fatalf("PolicyByName(%q) = %v, want CacheAffinity", name, p)
+		}
+	}
+	for _, name := range []string{"round-robin", "least-loaded", "Cache-Affinity", "bogus"} {
+		if p := PolicyByName(name); p != nil {
+			t.Fatalf("PolicyByName(%q) = %v, want nil", name, p)
+		}
 	}
 }
 
@@ -295,42 +298,5 @@ func TestRouterFailbackOnRecovery(t *testing.T) {
 	}
 	if returned == 0 {
 		t.Fatal("no keys failed back; test is vacuous")
-	}
-}
-
-// TestRouterHedging pins that a slow primary gets hedged to the next
-// candidate and the fast answer wins.
-func TestRouterHedging(t *testing.T) {
-	r, backs := testRouter(t, 2, func(cfg *Config) {
-		cfg.HedgeAfter = 5 * time.Millisecond
-	})
-	ctx := context.Background()
-	key := testKeys(1)[0]
-	// Make the key's owner slow.
-	if _, err := r.Do(ctx, Request{Method: "POST", Path: "/p", Key: key}); err != nil {
-		t.Fatalf("warm Do: %v", err)
-	}
-	ownerID := r.Owners()[key]
-	var owner, other *fakeBackend
-	for _, b := range backs {
-		if b.id == ownerID {
-			owner = b
-		} else {
-			other = b
-		}
-	}
-	owner.mu.Lock()
-	owner.delay = 300 * time.Millisecond
-	owner.mu.Unlock()
-	start := time.Now()
-	resp, err := r.Do(ctx, Request{Method: "POST", Path: "/p", Key: key})
-	if err != nil || resp.Status != http.StatusOK {
-		t.Fatalf("hedged Do: %v status %d", err, resp.Status)
-	}
-	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
-		t.Fatalf("hedged request took %v; hedge did not fire", elapsed)
-	}
-	if other.total.Load() == 0 {
-		t.Fatal("hedge replica served nothing")
 	}
 }

@@ -271,7 +271,7 @@ type Harness struct {
 }
 
 // NewHarness wires cfgs into fake replicas and a router. mutate, when
-// non-nil, adjusts the router config (policy, retries, load factor)
+// non-nil, adjusts the router config (load factor, probe failures)
 // before construction; the harness always installs its own clock.
 func NewHarness(cfgs []ReplicaConfig, seed uint64, mutate func(*cluster.Config)) (*Harness, error) {
 	clock := NewClock()

@@ -18,10 +18,9 @@ import (
 // join handle — so no goroutine can outlive its owner. In server paths
 // (internal/serve, internal/core) raw goroutines stay forbidden
 // outright: request work fans out through internal/parallel. The
-// cluster router (internal/cluster) sits in the default class: its
-// hedged attempts and probe loops are allowed goroutines, but each
-// must show its bound (the hedge bodies select on the hedge context's
-// Done; the probe loop is WaitGroup-joined by cmd/varroute).
+// cluster router (internal/cluster) sits in the default class: it
+// spawns no goroutine itself, and any it gains must show its bound
+// (its probe loop is WaitGroup-joined by cmd/varroute).
 var Analyzer = &analysis.Analyzer{
 	Name:    "goroutinecheck",
 	Version: "v1",

@@ -28,7 +28,7 @@ func TestServePathNegative(t *testing.T) {
 }
 
 // TestClusterPath pins the sharded-serving-tier policy: under
-// internal/cluster the lifecycle-bound rule applies (the hedged-attempt
+// internal/cluster the lifecycle-bound rule applies (a ctx-bounded
 // select shape passes, fire-and-forget is flagged) — the package is
 // neither a banned server path nor an exempt substrate.
 func TestClusterPath(t *testing.T) {

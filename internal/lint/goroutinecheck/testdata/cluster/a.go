@@ -1,19 +1,17 @@
 // Package cluster pins the policy for the sharded serving tier:
-// internal/cluster is NOT a server path (the router may spawn hedged
-// attempts) and NOT an exempt substrate — its goroutines must carry a
-// visible lifecycle bound like everyone else's. The hedge shape (a
-// result send raced against the hedge context's cancellation) is the
-// sanctioned pattern.
+// internal/cluster is NOT a server path and NOT an exempt substrate —
+// any goroutine it spawns must carry a visible lifecycle bound like
+// everyone else's. A result send raced against a context's
+// cancellation is a sanctioned shape.
 package cluster
 
 import "context"
 
 type result struct{ err error }
 
-// hedge is the router's doHedged spawn shape: the body selects between
-// delivering its result and the hedge context's cancellation, so a
-// losing attempt can never block or leak.
-func hedge(ctx context.Context, ch chan result) {
+// bounded selects between delivering its result and the context's
+// cancellation, so an abandoned send can never block or leak.
+func bounded(ctx context.Context, ch chan result) {
 	go func() {
 		select {
 		case ch <- result{}:
@@ -31,6 +29,6 @@ func fireAndForget() {
 }
 
 var (
-	_ = hedge
+	_ = bounded
 	_ = fireAndForget
 )

@@ -461,15 +461,11 @@ func hashPackage(loader *load.Loader, m *load.Meta, memo map[string]string) (str
 		_, _ = fmt.Fprintf(h, "file=%s len=%d\n", name, len(data))
 		_, _ = h.Write(data)
 	}
-	byPath := make(map[string]*load.Meta)
-	for _, mm := range loader.Metas() {
-		byPath[mm.Path] = mm
-	}
 	imports := append([]string(nil), m.Imports...)
 	sort.Strings(imports)
 	for _, imp := range imports {
-		dep, ok := byPath[imp]
-		if !ok {
+		dep := loader.Meta(imp)
+		if dep == nil {
 			continue // standard library: covered by the Go version
 		}
 		dh, err := hashPackage(loader, dep, memo)

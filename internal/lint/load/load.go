@@ -1,13 +1,16 @@
 // Package load locates, parses, and type-checks the packages varlint
 // analyzes.
 //
-// Package discovery shells out to `go list -json` (the only reliable
-// arbiter of build constraints and module paths), while type-checking
-// runs in-process: packages inside this module are checked from their
-// parsed syntax in dependency order, and imports that leave the module
-// (the standard library — the module has no external dependencies) fall
-// back to the compiler's source importer. Test files are excluded on
-// purpose: the analyzers guard production invariants, and tests
+// Package discovery shells out to `go list -deps -json` (the only
+// reliable arbiter of build constraints and module paths), while
+// type-checking runs in-process: every package inside this module that
+// the patterns reach — matched or only imported — is checked once from
+// its parsed syntax, and imports that leave the module (the standard
+// library — the module has no external dependencies) fall back to the
+// compiler's source importer. A module package must never reach the
+// source importer: it would be checked a second time, and its types
+// would not be identical to the Loader's copy. Test files are excluded
+// on purpose: the analyzers guard production invariants, and tests
 // legitimately use wall clocks, ad-hoc randomness, and float literals.
 package load
 
@@ -48,18 +51,18 @@ type Package struct {
 // package is checked at most once per process.
 type Loader struct {
 	Fset    *token.FileSet
-	metas   []*Meta
-	byPath  map[string]*Meta
+	metas   []*Meta          // matched by the patterns
+	byPath  map[string]*Meta // every module package the patterns reach
 	checked map[string]*Package
 	failed  map[string]error
 	srcImp  types.ImporterFrom
 }
 
-// New runs `go list` in dir (the module root; "" means the process
-// working directory) over the given patterns and returns a Loader for
-// the matched packages.
+// New runs `go list -deps` in dir (the module root; "" means the
+// process working directory) over the given patterns and returns a
+// Loader for the matched packages and their module dependencies.
 func New(dir string, patterns ...string) (*Loader, error) {
-	metas, err := goList(dir, patterns)
+	metas, deps, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -67,22 +70,26 @@ func New(dir string, patterns ...string) (*Loader, error) {
 	l := &Loader{
 		Fset:    fset,
 		metas:   metas,
-		byPath:  make(map[string]*Meta, len(metas)),
+		byPath:  make(map[string]*Meta, len(metas)+len(deps)),
 		checked: make(map[string]*Package),
 		failed:  make(map[string]error),
 		srcImp:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 	}
-	for _, m := range metas {
+	for _, m := range append(deps, metas...) {
 		l.byPath[m.Path] = m
 	}
 	return l, nil
 }
 
-// Metas lists the matched packages in `go list` order.
+// Metas lists the matched packages, sorted by import path.
 func (l *Loader) Metas() []*Meta { return l.metas }
 
-// Check parses and type-checks the package at path (which must be one
-// of the matched packages), memoized.
+// Meta returns the module package at path, matched or only imported;
+// nil when the patterns do not reach it or it is outside the module.
+func (l *Loader) Meta(path string) *Meta { return l.byPath[path] }
+
+// Check parses and type-checks the module package at path (matched or
+// only imported), memoized.
 func (l *Loader) Check(path string) (*Package, error) {
 	if p, ok := l.checked[path]; ok {
 		return p, nil
@@ -92,7 +99,7 @@ func (l *Loader) Check(path string) (*Package, error) {
 	}
 	m, ok := l.byPath[path]
 	if !ok {
-		return nil, fmt.Errorf("load: package %s was not matched by the loader's patterns", path)
+		return nil, fmt.Errorf("load: package %s is not a module package the loader's patterns reach", path)
 	}
 	p, err := l.check(m)
 	if err != nil {
@@ -147,18 +154,20 @@ func (li *loaderImporter) ImportFrom(path, srcDir string, mode types.ImportMode)
 	return l.srcImp.ImportFrom(path, srcDir, mode)
 }
 
-// goList shells out to the go command for package metadata.
-func goList(dir string, patterns []string) ([]*Meta, error) {
-	args := append([]string{"list", "-json=ImportPath,Name,Dir,GoFiles,Imports", "--"}, patterns...)
+// goList shells out to the go command for package metadata: the
+// module packages the patterns match, and the module packages they
+// only import. Standard-library packages are left to the source
+// importer.
+func goList(dir string, patterns []string) (matched, deps []*Meta, err error) {
+	args := append([]string{"list", "-deps", "-json=ImportPath,Name,Dir,GoFiles,Imports,Standard,DepOnly", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var out, errb bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &errb
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("load: go list %s: %w\n%s", strings.Join(patterns, " "), err, errb.String())
+		return nil, nil, fmt.Errorf("load: go list %s: %w\n%s", strings.Join(patterns, " "), err, errb.String())
 	}
-	var metas []*Meta
 	dec := json.NewDecoder(&out)
 	for dec.More() {
 		var rec struct {
@@ -167,21 +176,29 @@ func goList(dir string, patterns []string) ([]*Meta, error) {
 			Dir        string
 			GoFiles    []string
 			Imports    []string
+			Standard   bool
+			DepOnly    bool
 		}
 		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("load: decode go list output: %w", err)
+			return nil, nil, fmt.Errorf("load: decode go list output: %w", err)
 		}
-		if len(rec.GoFiles) == 0 {
-			continue // test-only or empty package: nothing to analyze
+		if rec.Standard || len(rec.GoFiles) == 0 {
+			continue // standard library, or a test-only or empty package
 		}
 		sort.Strings(rec.GoFiles)
-		metas = append(metas, &Meta{
+		m := &Meta{
 			Path:    rec.ImportPath,
 			Name:    rec.Name,
 			Dir:     rec.Dir,
 			GoFiles: rec.GoFiles,
 			Imports: rec.Imports,
-		})
+		}
+		if rec.DepOnly {
+			deps = append(deps, m)
+		} else {
+			matched = append(matched, m)
+		}
 	}
-	return metas, nil
+	sort.Slice(matched, func(i, j int) bool { return matched[i].Path < matched[j].Path })
+	return matched, deps, nil
 }
