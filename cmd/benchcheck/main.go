@@ -1,6 +1,7 @@
 // Command benchcheck is the benchmark regression guard: it runs the
 // tier-1 hot-path benchmarks (batch prediction, the KS/W1 scoring
-// kernels, the KDE mode count and the served response summary),
+// kernels, the KDE mode count, the served response summary and the
+// tree learners' 50-output UC1 fits),
 // compares the best-of-N ns/op
 // against the committed BENCH_baseline.json, and exits nonzero when
 // any guarded benchmark slowed down beyond the threshold.
@@ -37,7 +38,7 @@ var targets = []struct {
 	pkg   string // package path passed to go test
 	bench string // -bench regexp
 }{
-	{"./internal/ml", "^(BenchmarkPredictBatch|BenchmarkPredictBatchForest|BenchmarkPredictBatchXGB|BenchmarkPredictBatchTraced|BenchmarkKNNFitPredict)$"},
+	{"./internal/ml", "^(BenchmarkPredictBatch|BenchmarkPredictBatchForest|BenchmarkPredictBatchXGB|BenchmarkPredictBatchTraced|BenchmarkKNNFitPredict|BenchmarkXGBFitUC1|BenchmarkForestFitUC1)$"},
 	{"./internal/stats", "^(BenchmarkKSStatistic1000|BenchmarkWasserstein1|BenchmarkKDECountModes)$"},
 	{"./internal/serve", "^BenchmarkBuildResponse$"},
 }

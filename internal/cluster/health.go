@@ -1,6 +1,10 @@
 package cluster
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/obs"
+)
 
 // State is a replica's health as the router tracks it.
 type State int32
@@ -44,9 +48,54 @@ type replica struct {
 	failed   atomic.Uint64
 	breakers atomic.Int32
 	drifted  atomic.Int32
+
+	// The replica's instruments under "cluster.replica.<id>.".
+	latency       instrument[obs.LatencyHist]
+	requests      instrument[obs.Counter]
+	failures      instrument[obs.Counter]
+	probeFailures instrument[obs.Counter]
+	stateGauge    instrument[obs.Gauge]
 }
 
 func (r *replica) State() State { return State(r.state.Load()) }
+
+// bindMetrics points the replica's instruments at sc, the replica's
+// scope in the router's registry.
+func (r *replica) bindMetrics(sc obs.Scope) {
+	r.latency.bind(sc, "latency", obs.Scope.Histogram)
+	r.requests.bind(sc, "requests", obs.Scope.Counter)
+	r.failures.bind(sc, "failures", obs.Scope.Counter)
+	r.probeFailures.bind(sc, "probe_failures", obs.Scope.Counter)
+	r.stateGauge.bind(sc, "state", obs.Scope.Gauge)
+}
+
+// instrument is one per-replica metric, resolved from the registry on
+// its first use and held from then on: the forwarding hop pays one
+// atomic load, not a scoped-name concatenation and a registry lookup,
+// and a name still appears in /v1/metrics only once it has been
+// touched. An unbound instrument (no registry) is nil, which every obs
+// instrument accepts as a no-op.
+type instrument[T any] struct {
+	p    atomic.Pointer[T]
+	sc   obs.Scope
+	name string
+	mint func(obs.Scope, string) *T
+}
+
+func (in *instrument[T]) bind(sc obs.Scope, name string, mint func(obs.Scope, string) *T) {
+	in.sc, in.name, in.mint = sc, name, mint
+}
+
+// get returns the instrument, resolving it on first use. Concurrent
+// first uses resolve the same registry entry, so either store is right.
+func (in *instrument[T]) get() *T {
+	if p := in.p.Load(); p != nil || in.mint == nil {
+		return p
+	}
+	p := in.mint(in.sc, in.name)
+	in.p.Store(p)
+	return p
+}
 
 // View is the immutable health-and-ownership snapshot a Policy ranks
 // candidates from, built once per routed request.

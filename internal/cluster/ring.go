@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math"
 	"sort"
@@ -34,10 +33,9 @@ type ringPoint struct {
 // vnodes points, keys resolve to the first point clockwise from their
 // hash. Immutability is what makes ownership a pure function — two
 // rings built from the same replica set agree on every key regardless
-// of construction order, and topology changes build a derived ring so
-// the remap between old and new is auditable.
+// of construction order, so the remap between the rings of two
+// topologies is auditable.
 type Ring struct {
-	vnodes int
 	ids    []string // sorted replica IDs
 	points []ringPoint
 }
@@ -57,7 +55,7 @@ func NewRing(ids []string, vnodes int) *Ring {
 			uniq = append(uniq, id)
 		}
 	}
-	r := &Ring{vnodes: vnodes, ids: uniq, points: make([]ringPoint, 0, len(uniq)*vnodes)}
+	r := &Ring{ids: uniq, points: make([]ringPoint, 0, len(uniq)*vnodes)}
 	for ri, id := range r.ids {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{hash: Hash64(id + "#" + strconv.Itoa(v)), replica: ri})
@@ -123,24 +121,6 @@ func (r *Ring) Sequence(key string) []string {
 	return out
 }
 
-// Without returns a derived ring with id removed (the replica-loss
-// topology). The surviving replicas' virtual nodes are identical, so
-// only keys owned by id resolve differently.
-func (r *Ring) Without(id string) *Ring {
-	ids := make([]string, 0, len(r.ids))
-	for _, x := range r.ids {
-		if x != id {
-			ids = append(ids, x)
-		}
-	}
-	return NewRing(ids, r.vnodes)
-}
-
-// With returns a derived ring with id added.
-func (r *Ring) With(id string) *Ring {
-	return NewRing(append(r.IDs(), id), r.vnodes)
-}
-
 // BoundedCap returns the bounded-load ownership cap for nKeys keys
 // over nReplicas replicas: ceil(factor x nKeys/nReplicas), never below
 // 1. factor <= 1 degenerates to perfect balance.
@@ -156,47 +136,4 @@ func BoundedCap(factor float64, nKeys, nReplicas int) int {
 		c = 1
 	}
 	return c
-}
-
-// AssignBounded assigns every key to a replica by walking its ring
-// sequence under the bounded-load cap BoundedCap(factor, len(keys),
-// Len()). Keys are placed in canonical (hash, key) order, so the
-// result is a pure function of the key SET — independent of input
-// order and identical across runs — which is what the distribution
-// property tests pin. The router's online owner table is the
-// incremental form of this assignment.
-func AssignBounded(r *Ring, keys []string, factor float64) (map[string]string, error) {
-	if r.Len() == 0 {
-		return nil, fmt.Errorf("cluster: assign over an empty ring")
-	}
-	canon := append([]string(nil), keys...)
-	sort.Slice(canon, func(i, j int) bool {
-		hi, hj := Hash64(canon[i]), Hash64(canon[j])
-		if hi != hj {
-			return hi < hj
-		}
-		return canon[i] < canon[j]
-	})
-	cap_ := BoundedCap(factor, len(canon), r.Len())
-	out := make(map[string]string, len(canon))
-	count := make(map[string]int, r.Len())
-	for _, key := range canon {
-		if _, dup := out[key]; dup {
-			continue
-		}
-		placed := false
-		for _, id := range r.Sequence(key) {
-			if count[id] < cap_ {
-				out[key] = id
-				count[id]++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			// Unreachable: cap x replicas >= keys by construction.
-			return nil, fmt.Errorf("cluster: no replica below cap %d for key %q", cap_, key)
-		}
-	}
-	return out, nil
 }

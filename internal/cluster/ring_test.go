@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/modelstore"
@@ -236,4 +237,69 @@ func TestHash64Golden(t *testing.T) {
 			t.Errorf("Hash64(%q) = %#x, want %#x", s, got, want)
 		}
 	}
+}
+
+// Without returns a derived ring with id removed (the replica-loss
+// topology). The surviving replicas' virtual nodes are identical, so
+// only keys owned by id resolve differently.
+func (r *Ring) Without(id string) *Ring {
+	ids := make([]string, 0, len(r.ids))
+	for _, x := range r.ids {
+		if x != id {
+			ids = append(ids, x)
+		}
+	}
+	return NewRing(ids, r.vnodesPerReplica())
+}
+
+// With returns a derived ring with id added.
+func (r *Ring) With(id string) *Ring {
+	return NewRing(append(r.IDs(), id), r.vnodesPerReplica())
+}
+
+// vnodesPerReplica recovers the virtual-node count the ring was built
+// with.
+func (r *Ring) vnodesPerReplica() int { return len(r.points) / len(r.ids) }
+
+// AssignBounded assigns every key to a replica by walking its ring
+// sequence under the bounded-load cap BoundedCap(factor, len(keys),
+// Len()). Keys are placed in canonical (hash, key) order, so the
+// result is a pure function of the key SET — independent of input
+// order and identical across runs — which is what the distribution
+// property tests pin. The router's online owner table is the
+// incremental form of this assignment.
+func AssignBounded(r *Ring, keys []string, factor float64) (map[string]string, error) {
+	if r.Len() == 0 {
+		return nil, fmt.Errorf("cluster: assign over an empty ring")
+	}
+	canon := append([]string(nil), keys...)
+	sort.Slice(canon, func(i, j int) bool {
+		hi, hj := Hash64(canon[i]), Hash64(canon[j])
+		if hi != hj {
+			return hi < hj
+		}
+		return canon[i] < canon[j]
+	})
+	cap_ := BoundedCap(factor, len(canon), r.Len())
+	out := make(map[string]string, len(canon))
+	count := make(map[string]int, r.Len())
+	for _, key := range canon {
+		if _, dup := out[key]; dup {
+			continue
+		}
+		placed := false
+		for _, id := range r.Sequence(key) {
+			if count[id] < cap_ {
+				out[key] = id
+				count[id]++
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			// Unreachable: cap x replicas >= keys by construction.
+			return nil, fmt.Errorf("cluster: no replica below cap %d for key %q", cap_, key)
+		}
+	}
+	return out, nil
 }

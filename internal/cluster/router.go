@@ -88,7 +88,6 @@ type Router struct {
 	remaps    atomic.Uint64
 	failbacks atomic.Uint64
 
-	scope    obs.Scope
 	requests *obs.Counter
 	retries  *obs.Counter
 	noroute  *obs.Counter
@@ -124,10 +123,15 @@ func New(cfg Config) (*Router, error) {
 	}
 	sort.Strings(r.ids)
 	r.ring = NewRing(r.ids, DefaultVNodes)
-	r.scope = cfg.Metrics.Scope("cluster.")
-	r.requests = r.scope.Counter("requests")
-	r.retries = r.scope.Counter("retries")
-	r.noroute = r.scope.Counter("no_route")
+	scope := cfg.Metrics.Scope("cluster.")
+	r.requests = scope.Counter("requests")
+	r.retries = scope.Counter("retries")
+	r.noroute = scope.Counter("no_route")
+	if cfg.Metrics != nil {
+		for _, rep := range r.replicas {
+			rep.bindMetrics(scope.Scope("replica." + rep.id + "."))
+		}
+	}
 	return r, nil
 }
 
@@ -204,7 +208,7 @@ func (r *Router) setState(rep *replica, next State) {
 	if prev == next {
 		return
 	}
-	r.scope.Scope("replica." + rep.id + ".").Gauge("state").Set(float64(next))
+	rep.stateGauge.get().Set(float64(next))
 	if next == Down {
 		r.shedOwned(rep.id)
 		return
@@ -325,15 +329,14 @@ func (r *Router) Do(ctx context.Context, req Request) (Response, error) {
 // accounting. A transport error counts toward the Down threshold so a
 // crashed replica stops receiving traffic before the next probe pass.
 func (r *Router) attempt(ctx context.Context, rep *replica, req Request) (Response, error) {
-	sc := r.scope.Scope("replica." + rep.id + ".")
 	rep.inFlight.Add(1)
 	start := r.clock()
 	resp, err := rep.backend.Do(ctx, req)
-	sc.Histogram("latency").ObserveMS(float64(r.clock().Sub(start)) / float64(time.Millisecond))
+	rep.latency.get().ObserveMS(float64(r.clock().Sub(start)) / float64(time.Millisecond))
 	rep.inFlight.Add(-1)
 	if err != nil {
 		rep.failed.Add(1)
-		sc.Counter("failures").Inc()
+		rep.failures.get().Inc()
 		if int(rep.probeFails.Add(1)) >= r.cfg.ProbeFailures {
 			r.setState(rep, Down)
 		}
@@ -341,16 +344,15 @@ func (r *Router) attempt(ctx context.Context, rep *replica, req Request) (Respon
 	}
 	rep.probeFails.Store(0)
 	rep.served.Add(1)
-	sc.Counter("requests").Inc()
+	rep.requests.get().Inc()
 	return resp, nil
 }
 
 // probeOne applies one health observation to a replica.
 func (r *Router) probeOne(ctx context.Context, rep *replica) {
 	p, err := rep.backend.Probe(ctx)
-	sc := r.scope.Scope("replica." + rep.id + ".")
 	if err != nil {
-		sc.Counter("probe_failures").Inc()
+		rep.probeFailures.get().Inc()
 		if int(rep.probeFails.Add(1)) >= r.cfg.ProbeFailures {
 			r.setState(rep, Down)
 		}

@@ -15,9 +15,13 @@ import (
 
 // uc1Shaped builds a dataset shaped like the paper's use case 1:
 // 59 training benchmarks, 272 profile features, 4 moment targets.
-func uc1Shaped(seed uint64) *ml.Dataset {
+func uc1Shaped(seed uint64) *ml.Dataset { return uc1ShapedOutputs(seed, 4) }
+
+// uc1ShapedOutputs is uc1Shaped with q targets; q = 50 is the
+// Histogram decoder's bin count.
+func uc1ShapedOutputs(seed uint64, q int) *ml.Dataset {
 	rng := randx.New(seed)
-	n, p, q := 59, 272, 4
+	n, p := 59, 272
 	d := &ml.Dataset{X: make([][]float64, n), Y: make([][]float64, n)}
 	for i := range d.X {
 		d.X[i] = make([]float64, p)
@@ -61,6 +65,41 @@ func BenchmarkXGBFit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := xgb.New(xgb.Config{NumRounds: 10, MaxDepth: 2, Seed: 4})
 		if err := m.Fit(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkXGBFitUC1 fits XGBoost with internal/core's configuration
+// on the Histogram decoder's UC1 shape (50 outputs, one boosted
+// ensemble each): the costliest fit a uc1_profile server warms.
+// benchcheck guards it.
+func BenchmarkXGBFitUC1(b *testing.B) {
+	d := uc1ShapedOutputs(6, 50)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := xgb.New(xgb.Config{
+			NumRounds:    60,
+			MaxDepth:     3,
+			LearningRate: 0.12,
+			Subsample:    0.9,
+			ColSample:    0.8,
+			Seed:         1,
+		})
+		if err := m.Fit(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkForestFitUC1 fits internal/core's 100-tree forest on the
+// same 50-output shape. benchcheck guards it.
+func BenchmarkForestFitUC1(b *testing.B) {
+	d := uc1ShapedOutputs(6, 50)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := forest.New(forest.Config{NumTrees: 100, Seed: 1})
+		if err := f.Fit(d); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -78,6 +78,9 @@ func (f *Regressor) Fit(d *ml.Dataset) error {
 	// never on what the other workers consume.
 	treeRNGs := rng.SplitN(f.cfg.NumTrees)
 	trees := make([]*tree.Tree, f.cfg.NumTrees)
+	// Every column is sorted once here; all trees share the order
+	// read-only.
+	order := ml.SortColumns(d.X)
 	//lint:allow ctxflow Fit is synchronous and bit-reproducible; a caller deadline would make training results depend on timing
 	err := parallel.ForEach(context.Background(), f.cfg.NumTrees, 0, func(_ context.Context, t int) error {
 		treeRNG := treeRNGs[t]
@@ -88,7 +91,7 @@ func (f *Regressor) Fit(d *ml.Dataset) error {
 			MaxFeatures:    maxFeatures,
 			Rand:           treeRNG,
 		})
-		if err := tr.FitIndices(d, boot); err != nil {
+		if err := tr.FitIndices(d, order, boot); err != nil {
 			return fmt.Errorf("forest: tree %d: %w", t, err)
 		}
 		trees[t] = tr

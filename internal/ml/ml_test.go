@@ -139,3 +139,28 @@ func TestTransformPanicsOnWrongLength(t *testing.T) {
 	}()
 	s.Transform([]float64{1})
 }
+
+// TestSortColumns pins the presort's total order: value first, row
+// index on ties, with −0 and +0 one tie group.
+func TestSortColumns(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	X := [][]float64{
+		{2, 0},
+		{-1, negZero},
+		{2, -3},
+		{0.5, 0},
+		{-1, negZero},
+	}
+	c := SortColumns(X)
+	wantRows := [][]int32{{1, 4, 3, 0, 2}, {2, 0, 1, 3, 4}}
+	for f, want := range wantRows {
+		for k, i := range c.Rows[f] {
+			if i != want[k] {
+				t.Fatalf("Rows[%d] = %v, want %v", f, c.Rows[f], want)
+			}
+			if got := c.Vals[f][k]; math.Float64bits(got) != math.Float64bits(X[i][f]) {
+				t.Fatalf("Vals[%d][%d] = %v, want X[%d][%d] = %v", f, k, got, i, f, X[i][f])
+			}
+		}
+	}
+}

@@ -169,37 +169,51 @@ func (t *Tree) Fit(d *ml.Dataset) error {
 	if err := d.Validate(); err != nil {
 		return fmt.Errorf("tree: %w", err)
 	}
-	if t.cfg.MaxFeatures > 0 && t.cfg.Rand == nil {
-		return fmt.Errorf("tree: MaxFeatures requires a Rand source")
-	}
 	idx := make([]int, d.NumExamples())
 	for i := range idx {
 		idx[i] = i
 	}
-	t.depth = 0
-	t.leaves = 0
-	t.importance = make([]float64, d.NumFeatures())
-	t.root = t.grow(d, idx, 0)
-	t.finalize()
-	return nil
+	return t.fit(d, ml.SortColumns(d.X), idx)
 }
 
-// FitIndices grows the tree on the subset of d given by idx (used by the
-// forest for bootstrap samples without copying rows).
-func (t *Tree) FitIndices(d *ml.Dataset, idx []int) error {
+// FitIndices grows the tree on the subset of d given by idx, which may
+// repeat rows (the forest's bootstrap samples, fitted without copying
+// rows). order must be ml.SortColumns(d.X); a forest sorts once and
+// shares it across its trees.
+func (t *Tree) FitIndices(d *ml.Dataset, order *ml.ColumnOrder, idx []int) error {
 	if err := d.Validate(); err != nil {
 		return fmt.Errorf("tree: %w", err)
-	}
-	if t.cfg.MaxFeatures > 0 && t.cfg.Rand == nil {
-		return fmt.Errorf("tree: MaxFeatures requires a Rand source")
 	}
 	if len(idx) == 0 {
 		return fmt.Errorf("tree: empty index set")
 	}
+	if len(order.Rows) != d.NumFeatures() || len(order.Rows[0]) != d.NumExamples() {
+		return fmt.Errorf("tree: column order does not match the %d×%d dataset", d.NumExamples(), d.NumFeatures())
+	}
+	return t.fit(d, order, append([]int(nil), idx...))
+}
+
+func (t *Tree) fit(d *ml.Dataset, order *ml.ColumnOrder, idx []int) error {
+	if t.cfg.MaxFeatures > 0 && t.cfg.Rand == nil {
+		return fmt.Errorf("tree: MaxFeatures requires a Rand source")
+	}
+	nf := d.NumFeatures()
+	g := &grower{
+		t:           t,
+		d:           d,
+		order:       order,
+		allFeatures: make([]int, nf),
+		count:       make([]int32, d.NumExamples()),
+		sumL:        make([]float64, d.NumOutputs()),
+		sumAll:      make([]float64, d.NumOutputs()),
+	}
+	for f := range g.allFeatures {
+		g.allFeatures[f] = f
+	}
 	t.depth = 0
 	t.leaves = 0
-	t.importance = make([]float64, d.NumFeatures())
-	t.root = t.grow(d, append([]int(nil), idx...), 0)
+	t.importance = make([]float64, nf)
+	t.root = g.grow(idx, 0)
 	t.finalize()
 	return nil
 }
@@ -233,7 +247,21 @@ func sse(d *ml.Dataset, idx []int) float64 {
 	return s
 }
 
-func (t *Tree) grow(d *ml.Dataset, idx []int, depth int) *node {
+// grower is one fit's tree-growing state: the shared column order and
+// the split scan's scratch, sized once per tree so the scan allocates
+// nothing per node.
+type grower struct {
+	t           *Tree
+	d           *ml.Dataset
+	order       *ml.ColumnOrder
+	allFeatures []int     // 0..p-1, the candidates when MaxFeatures is off
+	count       []int32   // count[i]: copies of row i in the node being split
+	sumL        []float64 // per-output target sum left of the cut
+	sumAll      []float64 // per-output target sum of the node
+}
+
+func (g *grower) grow(idx []int, depth int) *node {
+	t, d := g.t, g.d
 	if depth > t.depth {
 		t.depth = depth
 	}
@@ -244,7 +272,7 @@ func (t *Tree) grow(d *ml.Dataset, idx []int, depth int) *node {
 	if len(idx) < t.cfg.MinSamplesSplit || (t.cfg.MaxDepth > 0 && depth >= t.cfg.MaxDepth) {
 		return leaf()
 	}
-	feat, thr, gain, ok := t.bestSplit(d, idx)
+	feat, thr, gain, ok := g.bestSplit(idx)
 	if !ok {
 		return leaf()
 	}
@@ -263,36 +291,40 @@ func (t *Tree) grow(d *ml.Dataset, idx []int, depth int) *node {
 	return &node{
 		feature:   feat,
 		threshold: thr,
-		left:      t.grow(d, left, depth+1),
-		right:     t.grow(d, right, depth+1),
+		left:      g.grow(left, depth+1),
+		right:     g.grow(right, depth+1),
 	}
 }
 
 // bestSplit scans (a subsample of) features for the split that maximally
 // reduces total squared error, using the classic sorted-prefix-sum scan.
-func (t *Tree) bestSplit(d *ml.Dataset, idx []int) (feature int, threshold, gain float64, ok bool) {
+// Each column is walked in its presorted (value, row index) order,
+// keeping the node's rows, each as many times as idx repeats it; the
+// prefix sums add in the order a sort of idx by the same key would
+// give, and a cut is tried between each pair of adjacent distinct
+// values.
+func (g *grower) bestSplit(idx []int) (feature int, threshold, gain float64, ok bool) {
+	t, d := g.t, g.d
 	nf := d.NumFeatures()
-	features := make([]int, nf)
-	for i := range features {
-		features[i] = i
-	}
+	features := g.allFeatures
 	if t.cfg.MaxFeatures > 0 && t.cfg.MaxFeatures < nf {
 		features = t.cfg.Rand.SampleWithoutReplacement(nf, t.cfg.MaxFeatures)
 		sort.Ints(features) // determinism independent of sample order
 	}
-	no := d.NumOutputs()
 	n := len(idx)
+	minLeaf := t.cfg.MinSamplesLeaf
 
 	parentSSE := sse(d, idx)
 	best := parentSSE - 1e-12 // require strictly positive gain
 	found := false
 
-	order := make([]int, n)
-	// Prefix sums of targets and squared targets over the sorted order.
-	sumL := make([]float64, no)
-	sumAll := make([]float64, no)
+	sumL, sumAll := g.sumL, g.sumAll[:len(g.sumL)]
+	for j := range sumAll {
+		sumAll[j] = 0
+	}
 	var sqAll float64
 	for _, i := range idx {
+		g.count[i]++
 		for j, v := range d.Y[i] {
 			sumAll[j] += v
 			sqAll += v * v
@@ -300,46 +332,47 @@ func (t *Tree) bestSplit(d *ml.Dataset, idx []int) (feature int, threshold, gain
 	}
 
 	for _, f := range features {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool {
-			if d.X[order[a]][f] != d.X[order[b]][f] {
-				return d.X[order[a]][f] < d.X[order[b]][f]
-			}
-			return order[a] < order[b]
-		})
 		for j := range sumL {
 			sumL[j] = 0
 		}
-		var sqL float64
-		for pos := 0; pos < n-1; pos++ {
-			i := order[pos]
-			for j, v := range d.Y[i] {
-				sumL[j] += v
-				sqL += v * v
-			}
-			xv, xn := d.X[i][f], d.X[order[pos+1]][f]
-			if xv == xn {
-				continue // cannot split between equal values
-			}
-			nl, nr := float64(pos+1), float64(n-pos-1)
-			if int(nl) < t.cfg.MinSamplesLeaf || int(nr) < t.cfg.MinSamplesLeaf {
+		vals := g.order.Vals[f]
+		nl := 0    // rows (with repeats) left of the cut
+		prev := -1 // position in vals of the last row of the node seen
+		for k, i := range g.order.Rows[f] {
+			c := int(g.count[i])
+			if c == 0 {
 				continue
 			}
-			// SSE_left + SSE_right = Σy² − Σ_left²/n_l − Σ_right²/n_r,
-			// accumulated across outputs.
-			var childSSE float64
-			childSSE = sqAll
-			for j := 0; j < no; j++ {
-				sr := sumAll[j] - sumL[j]
-				childSSE -= sumL[j]*sumL[j]/nl + sr*sr/nr
+			// Equal values cannot be split between.
+			//lint:allow floatcheck exact equality is the tie test of the presorted order; tied rows share one side of every cut
+			if prev >= 0 && vals[prev] != vals[k] && nl >= minLeaf && n-nl >= minLeaf {
+				// SSE_left + SSE_right = Σy² − Σ_left²/n_l − Σ_right²/n_r,
+				// accumulated across outputs.
+				fl, fr := float64(nl), float64(n-nl)
+				childSSE := sqAll
+				for j, sl := range sumL {
+					sr := sumAll[j] - sl
+					childSSE -= sl*sl/fl + sr*sr/fr
+				}
+				if childSSE < best {
+					best = childSSE
+					feature = f
+					threshold = (vals[prev] + vals[k]) / 2
+					found = true
+				}
 			}
-			if childSSE < best {
-				best = childSSE
-				feature = f
-				threshold = (xv + xn) / 2
-				found = true
+			y := d.Y[i][:len(sumL)]
+			for r := 0; r < c; r++ {
+				for j, v := range y {
+					sumL[j] += v
+				}
 			}
+			nl += c
+			prev = k
 		}
+	}
+	for _, i := range idx {
+		g.count[i] = 0
 	}
 	if !found {
 		return 0, 0, 0, false

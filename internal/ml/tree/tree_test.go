@@ -128,15 +128,18 @@ func TestTreeFitIndices(t *testing.T) {
 		Y: [][]float64{{1}, {1}, {5}, {5}},
 	}
 	tr := New(Config{})
-	if err := tr.FitIndices(d, []int{2, 3}); err != nil {
+	if err := tr.FitIndices(d, ml.SortColumns(d.X), []int{2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	// Trained only on the high cluster.
 	if got := tr.Predict([]float64{0}); got[0] != 5 {
 		t.Errorf("Predict = %v, want 5", got[0])
 	}
-	if err := tr.FitIndices(d, nil); err == nil {
+	if err := tr.FitIndices(d, ml.SortColumns(d.X), nil); err == nil {
 		t.Error("empty indices should fail")
+	}
+	if err := tr.FitIndices(d, ml.SortColumns(d.X[:3]), []int{2, 3}); err == nil {
+		t.Error("a column order of another dataset should fail")
 	}
 }
 

@@ -176,6 +176,9 @@ func (x *Regressor) Fit(d *ml.Dataset) error {
 	outRNGs := rng.SplitN(nOut)
 	baseScore := make([]float64, nOut)
 	ensembles := make([][]*bnode, nOut)
+	// Every column is sorted once here; all output workers share the
+	// order read-only.
+	order := ml.SortColumns(d.X)
 	//lint:allow ctxflow Fit is synchronous and bit-reproducible; a caller deadline would make training results depend on timing
 	err := parallel.ForEach(context.Background(), nOut, 0, func(_ context.Context, out int) error {
 		y := make([]float64, n)
@@ -189,18 +192,24 @@ func (x *Regressor) Fit(d *ml.Dataset) error {
 		for i := range pred {
 			pred[i] = base
 		}
-		grad := make([]float64, n)
-		hess := make([]float64, n)
+		g := &grower{
+			cfg:    &x.cfg,
+			X:      d.X,
+			order:  order,
+			grad:   make([]float64, n),
+			hess:   make([]float64, n),
+			inNode: make([]bool, n),
+		}
 		outRNG := outRNGs[out]
 		trees := make([]*bnode, 0, x.cfg.NumRounds)
 		for round := 0; round < x.cfg.NumRounds; round++ {
-			for i := range grad {
-				grad[i] = pred[i] - y[i] // squared loss
-				hess[i] = 1
+			for i := range g.grad {
+				g.grad[i] = pred[i] - y[i] // squared loss
+				g.hess[i] = 1
 			}
 			rows := x.sampleRows(outRNG, n)
 			cols := x.sampleCols(outRNG, d.NumFeatures())
-			root := x.buildTree(d, rows, cols, grad, hess, 0)
+			root := g.buildTree(rows, cols, 0)
 			trees = append(trees, root)
 			for i := 0; i < n; i++ {
 				pred[i] += x.cfg.LearningRate * evalTree(root, d.X[i])
@@ -252,61 +261,38 @@ func (x *Regressor) sampleCols(rng *randx.RNG, nf int) []int {
 	return cols
 }
 
+// grower is one output worker's tree-growing state: the fit's shared
+// column order, this output's gradient statistics, and a row-membership
+// mark the split scan consults.
+type grower struct {
+	cfg        *Config
+	X          [][]float64
+	order      *ml.ColumnOrder
+	grad, hess []float64
+	inNode     []bool // inNode[i]: row i belongs to the node being split
+}
+
 // buildTree grows one regularized tree on the gradient statistics.
-func (x *Regressor) buildTree(d *ml.Dataset, rows, cols []int, grad, hess []float64, depth int) *bnode {
+func (g *grower) buildTree(rows, cols []int, depth int) *bnode {
+	cfg := g.cfg
 	var gSum, hSum float64
 	for _, i := range rows {
-		gSum += grad[i]
-		hSum += hess[i]
+		gSum += g.grad[i]
+		hSum += g.hess[i]
 	}
 	leaf := func() *bnode {
-		return &bnode{leaf: true, weight: -gSum / (hSum + x.cfg.Lambda)}
+		return &bnode{leaf: true, weight: -gSum / (hSum + cfg.Lambda)}
 	}
-	if depth >= x.cfg.MaxDepth || len(rows) < 2 {
+	if depth >= cfg.MaxDepth || len(rows) < 2 {
 		return leaf()
 	}
-
-	parentScore := gSum * gSum / (hSum + x.cfg.Lambda)
-	bestGain := 0.0
-	bestFeat, bestThr := -1, 0.0
-
-	order := make([]int, len(rows))
-	for _, f := range cols {
-		copy(order, rows)
-		sort.Slice(order, func(a, b int) bool {
-			if d.X[order[a]][f] != d.X[order[b]][f] {
-				return d.X[order[a]][f] < d.X[order[b]][f]
-			}
-			return order[a] < order[b]
-		})
-		var gl, hl float64
-		for pos := 0; pos < len(order)-1; pos++ {
-			i := order[pos]
-			gl += grad[i]
-			hl += hess[i]
-			xv, xn := d.X[i][f], d.X[order[pos+1]][f]
-			if xv == xn {
-				continue
-			}
-			gr := gSum - gl
-			hr := hSum - hl
-			if hl < x.cfg.MinChildWeight || hr < x.cfg.MinChildWeight {
-				continue
-			}
-			gain := 0.5*(gl*gl/(hl+x.cfg.Lambda)+gr*gr/(hr+x.cfg.Lambda)-parentScore) - x.cfg.Gamma
-			if gain > bestGain {
-				bestGain = gain
-				bestFeat = f
-				bestThr = (xv + xn) / 2
-			}
-		}
-	}
+	bestFeat, bestThr := g.bestSplit(rows, cols, gSum, hSum)
 	if bestFeat < 0 {
 		return leaf()
 	}
 	var left, right []int
 	for _, i := range rows {
-		if d.X[i][bestFeat] <= bestThr {
+		if g.X[i][bestFeat] <= bestThr {
 			left = append(left, i)
 		} else {
 			right = append(right, i)
@@ -318,9 +304,55 @@ func (x *Regressor) buildTree(d *ml.Dataset, rows, cols []int, grad, hess []floa
 	return &bnode{
 		feature:   bestFeat,
 		threshold: bestThr,
-		left:      x.buildTree(d, left, cols, grad, hess, depth+1),
-		right:     x.buildTree(d, right, cols, grad, hess, depth+1),
+		left:      g.buildTree(left, cols, depth+1),
+		right:     g.buildTree(right, cols, depth+1),
 	}
+}
+
+// bestSplit returns the feature and threshold of the highest-gain split
+// of rows, or feature -1 when no split gains. Each column is walked in
+// its presorted (value, row index) order, keeping only the node's rows,
+// so the gradient prefix sums add in the order a per-node sort would
+// give; a cut is tried between each pair of adjacent distinct values.
+func (g *grower) bestSplit(rows, cols []int, gSum, hSum float64) (int, float64) {
+	cfg := g.cfg
+	for _, i := range rows {
+		g.inNode[i] = true
+	}
+	parentScore := gSum * gSum / (hSum + cfg.Lambda)
+	bestGain := 0.0
+	bestFeat, bestThr := -1, 0.0
+	for _, f := range cols {
+		vals := g.order.Vals[f]
+		var gl, hl float64
+		prev := -1 // position in vals of the last row of the node seen
+		for k, i := range g.order.Rows[f] {
+			if !g.inNode[i] {
+				continue
+			}
+			// Equal values cannot be split between.
+			//lint:allow floatcheck exact equality is the tie test of the presorted order; tied rows share one side of every cut
+			if prev >= 0 && vals[prev] != vals[k] {
+				gr := gSum - gl
+				hr := hSum - hl
+				if hl >= cfg.MinChildWeight && hr >= cfg.MinChildWeight {
+					gain := 0.5*(gl*gl/(hl+cfg.Lambda)+gr*gr/(hr+cfg.Lambda)-parentScore) - cfg.Gamma
+					if gain > bestGain {
+						bestGain = gain
+						bestFeat = f
+						bestThr = (vals[prev] + vals[k]) / 2
+					}
+				}
+			}
+			gl += g.grad[i]
+			hl += g.hess[i]
+			prev = k
+		}
+	}
+	for _, i := range rows {
+		g.inNode[i] = false
+	}
+	return bestFeat, bestThr
 }
 
 // evalTree walks one pointer tree to its leaf weight, routing NaN
