@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint vet fmtcheck varlint docscheck lintgraph persistence drift cluster benchcheck benchcheck-update fuzz cover clean
+.PHONY: all build test race lint vet fmtcheck varlint docscheck lintgraph persistence drift cluster benchcheck benchcheck-update reproduce reproduce-update fuzz cover clean
 
 all: build test
 
@@ -82,6 +82,22 @@ benchcheck:
 
 benchcheck-update:
 	$(GO) run ./cmd/benchcheck -update
+
+# reproduce reruns every paper figure and extension experiment at
+# paper scale (about 2 minutes on 2 vCPUs) into a temporary directory
+# and fails on any byte that differs from results/SHA256SUMS.
+reproduce:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/experiments -ext -out "$$tmp" >/dev/null && \
+	(cd "$$tmp" && sha256sum *.txt) | diff -u results/SHA256SUMS - && \
+	echo "reproduce: every file matches results/SHA256SUMS"
+
+# reproduce-update regenerates results/ and rewrites its manifest. Run
+# it only for an output change that is meant, and say why in
+# CHANGES.md.
+reproduce-update:
+	$(GO) run ./cmd/experiments -ext -out results >/dev/null
+	cd results && sha256sum *.txt > SHA256SUMS
 
 # fuzz smokes every fuzz target for 10s each (Go permits one -fuzz
 # target per invocation).

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ml"
 	"repro/internal/ml/forest"
+	"repro/internal/ml/tree"
 	"repro/internal/ml/xgb"
 	"repro/internal/randx"
 )
@@ -67,6 +68,8 @@ var fitWireGolden = map[string]string{
 	"xgb-core":         "d0738ab1768e705d96badef986e7eb19227942966fa384f765618c1d3dfabcf5",
 	"forest-100":       "25bf58ab7c83ca3fd11b45af5e84003c236b4f64d3004b9d80e93ffdabb3ceac",
 	"forest-depth4-l2": "9caa8c24acfc86ebd50ba650dfe37a1763588ee003a73203585fe28814d355a3",
+	"xgb-depth6-full":  "3ae388aeb928d0f248196ae11abd1059526181c7ab2020cfc6e3f579cdd066cd",
+	"tree-all-l3":      "248a6aa58fe88010bd6e2ecb0f825911714a0ee8d03ac84b96bbaaec5bff9ff3",
 }
 
 type wireModel interface {
@@ -74,9 +77,12 @@ type wireModel interface {
 	AppendWire(*ml.WireEnc) error
 }
 
-// TestFitWireGolden pins the bytes of three fits: XGBoost with the
-// configuration internal/core uses, a default 100-tree forest, and a
-// depth-limited forest with two-row leaves.
+// TestFitWireGolden pins the bytes of five fits: XGBoost with the
+// configuration internal/core uses, a default 100-tree forest, a
+// depth-limited forest with two-row leaves, a deep XGBoost fit with no
+// row or column sampling (splits down to depth 5, every row and column
+// in every tree), and one CART tree over all features with three-row
+// leaves (no bootstrap, no feature draws, the leaf-size checks).
 func TestFitWireGolden(t *testing.T) {
 	d := tieHeavyUC1()
 	models := map[string]wireModel{
@@ -90,6 +96,15 @@ func TestFitWireGolden(t *testing.T) {
 		}),
 		"forest-100":       forest.New(forest.Config{NumTrees: 100, Seed: 7}),
 		"forest-depth4-l2": forest.New(forest.Config{NumTrees: 30, MaxDepth: 4, MinSamplesLeaf: 2, Seed: 11}),
+		"xgb-depth6-full": xgb.New(xgb.Config{
+			NumRounds:    12,
+			MaxDepth:     6,
+			LearningRate: 0.3,
+			Subsample:    1,
+			ColSample:    1,
+			Seed:         5,
+		}),
+		"tree-all-l3": tree.New(tree.Config{MinSamplesLeaf: 3}),
 	}
 	for name, m := range models {
 		if err := m.Fit(d); err != nil {
