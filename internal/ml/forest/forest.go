@@ -79,10 +79,18 @@ func (f *Regressor) Fit(d *ml.Dataset) error {
 	treeRNGs := rng.SplitN(f.cfg.NumTrees)
 	trees := make([]*tree.Tree, f.cfg.NumTrees)
 	// Every column is sorted once here; all trees share the order
-	// read-only.
+	// read-only, and each worker lays its trees out in its own segment
+	// scratch.
 	order := ml.SortColumns(d.X)
+	workers := parallel.Workers(0, f.cfg.NumTrees)
+	segs := make(chan *ml.Segments, workers)
+	for w := 0; w < workers; w++ {
+		segs <- ml.NewSegments(order, d.NumFeatures())
+	}
 	//lint:allow ctxflow Fit is synchronous and bit-reproducible; a caller deadline would make training results depend on timing
 	err := parallel.ForEach(context.Background(), f.cfg.NumTrees, 0, func(_ context.Context, t int) error {
+		seg := <-segs
+		defer func() { segs <- seg }()
 		treeRNG := treeRNGs[t]
 		boot := treeRNG.SampleWithReplacement(n, n)
 		tr := tree.New(tree.Config{
@@ -91,7 +99,7 @@ func (f *Regressor) Fit(d *ml.Dataset) error {
 			MaxFeatures:    maxFeatures,
 			Rand:           treeRNG,
 		})
-		if err := tr.FitIndices(d, order, boot); err != nil {
+		if err := tr.FitIndices(d, seg, boot); err != nil {
 			return fmt.Errorf("forest: tree %d: %w", t, err)
 		}
 		trees[t] = tr

@@ -128,18 +128,22 @@ func TestTreeFitIndices(t *testing.T) {
 		Y: [][]float64{{1}, {1}, {5}, {5}},
 	}
 	tr := New(Config{})
-	if err := tr.FitIndices(d, ml.SortColumns(d.X), []int{2, 3}); err != nil {
+	seg := ml.NewSegments(ml.SortColumns(d.X), 1)
+	if err := tr.FitIndices(d, seg, []int{2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	// Trained only on the high cluster.
 	if got := tr.Predict([]float64{0}); got[0] != 5 {
 		t.Errorf("Predict = %v, want 5", got[0])
 	}
-	if err := tr.FitIndices(d, ml.SortColumns(d.X), nil); err == nil {
+	if err := tr.FitIndices(d, seg, nil); err == nil {
 		t.Error("empty indices should fail")
 	}
-	if err := tr.FitIndices(d, ml.SortColumns(d.X[:3]), []int{2, 3}); err == nil {
-		t.Error("a column order of another dataset should fail")
+	if err := tr.FitIndices(d, ml.NewSegments(ml.SortColumns(d.X[:3]), 1), []int{2, 3}); err == nil {
+		t.Error("segments over another dataset should fail")
+	}
+	if err := tr.FitIndices(d, ml.NewSegments(ml.SortColumns(d.X), 0), []int{2, 3}); err == nil {
+		t.Error("segments that cannot hold every feature should fail")
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/ml"
 	"repro/internal/numeric"
@@ -169,6 +168,7 @@ func (x *Regressor) Fit(d *ml.Dataset) error {
 		return fmt.Errorf("xgb: %w", err)
 	}
 	n := d.NumExamples()
+	nf := d.NumFeatures()
 	nOut := d.NumOutputs()
 	rng := randx.New(x.cfg.Seed ^ 0xABCDEF0123456789)
 	// Output out's row/column subsampling depends only on stream out,
@@ -176,11 +176,23 @@ func (x *Regressor) Fit(d *ml.Dataset) error {
 	outRNGs := rng.SplitN(nOut)
 	baseScore := make([]float64, nOut)
 	ensembles := make([][]*bnode, nOut)
+	allCols := make([]int, nf)
+	for f := range allCols {
+		allCols[f] = f
+	}
 	// Every column is sorted once here; all output workers share the
-	// order read-only.
+	// order read-only, and each worker lays a tree's columns out in its
+	// own segment scratch.
 	order := ml.SortColumns(d.X)
+	workers := parallel.Workers(0, nOut)
+	segs := make(chan *ml.Segments, workers)
+	for w := 0; w < workers; w++ {
+		segs <- ml.NewSegments(order, sampleSize(x.cfg.ColSample, nf))
+	}
 	//lint:allow ctxflow Fit is synchronous and bit-reproducible; a caller deadline would make training results depend on timing
 	err := parallel.ForEach(context.Background(), nOut, 0, func(_ context.Context, out int) error {
+		seg := <-segs
+		defer func() { segs <- seg }()
 		y := make([]float64, n)
 		for i := range y {
 			y[i] = d.Y[i][out]
@@ -193,23 +205,24 @@ func (x *Regressor) Fit(d *ml.Dataset) error {
 			pred[i] = base
 		}
 		g := &grower{
-			cfg:    &x.cfg,
-			X:      d.X,
-			order:  order,
-			grad:   make([]float64, n),
-			hess:   make([]float64, n),
-			inNode: make([]bool, n),
+			cfg:  &x.cfg,
+			seg:  seg,
+			grad: make([]float64, n),
+			hess: make([]float64, n),
 		}
 		outRNG := outRNGs[out]
+		rowBuf := make([]int, n)
+		var rowSampler, colSampler randx.Sampler
 		trees := make([]*bnode, 0, x.cfg.NumRounds)
 		for round := 0; round < x.cfg.NumRounds; round++ {
 			for i := range g.grad {
 				g.grad[i] = pred[i] - y[i] // squared loss
 				g.hess[i] = 1
 			}
-			rows := x.sampleRows(outRNG, n)
-			cols := x.sampleCols(outRNG, d.NumFeatures())
-			root := g.buildTree(rows, cols, 0)
+			g.rows = x.sampleRows(outRNG, &rowSampler, rowBuf)
+			g.cols = x.sampleCols(outRNG, &colSampler, allCols)
+			seg.Load(g.cols, g.rows)
+			root := g.buildTree(0, len(g.rows), 0)
 			trees = append(trees, root)
 			for i := 0; i < n; i++ {
 				pred[i] += x.cfg.LearningRate * evalTree(root, d.X[i])
@@ -227,132 +240,120 @@ func (x *Regressor) Fit(d *ml.Dataset) error {
 	return nil
 }
 
-func (x *Regressor) sampleRows(rng *randx.RNG, n int) []int {
+// sampleSize is the number of indices a sampling fraction in (0, 1]
+// keeps of n, at least one.
+func sampleSize(frac float64, n int) int {
+	if frac >= 1 {
+		return n
+	}
+	return max(int(frac*float64(n)), 1)
+}
+
+// sampleRows returns the round's rows in increasing order, in buf (len
+// n, every row) or in the sampler's scratch.
+func (x *Regressor) sampleRows(rng *randx.RNG, s *randx.Sampler, buf []int) []int {
 	if x.cfg.Subsample >= 1 {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
+		for i := range buf {
+			buf[i] = i
 		}
-		return idx
+		return buf
 	}
-	k := int(x.cfg.Subsample * float64(n))
-	if k < 1 {
-		k = 1
-	}
-	idx := rng.SampleWithoutReplacement(n, k)
-	sort.Ints(idx)
-	return idx
+	return s.SampleWithoutReplacement(rng, len(buf), sampleSize(x.cfg.Subsample, len(buf)))
 }
 
-func (x *Regressor) sampleCols(rng *randx.RNG, nf int) []int {
+// sampleCols returns the round's columns in increasing order: all of
+// them (the shared, read-only identity) or a draw in the sampler's
+// scratch.
+func (x *Regressor) sampleCols(rng *randx.RNG, s *randx.Sampler, all []int) []int {
 	if x.cfg.ColSample >= 1 {
-		cols := make([]int, nf)
-		for i := range cols {
-			cols[i] = i
-		}
-		return cols
+		return all
 	}
-	k := int(x.cfg.ColSample * float64(nf))
-	if k < 1 {
-		k = 1
-	}
-	cols := rng.SampleWithoutReplacement(nf, k)
-	sort.Ints(cols)
-	return cols
+	return s.SampleWithoutReplacement(rng, len(all), sampleSize(x.cfg.ColSample, len(all)))
 }
 
-// grower is one output worker's tree-growing state: the fit's shared
-// column order, this output's gradient statistics, and a row-membership
-// mark the split scan consults.
+// grower is one output worker's tree-growing state: this output's
+// gradient statistics and the round's rows and columns, laid out in the
+// worker's segment scratch. A node owns the range [lo, hi) of rows and
+// of every segment column.
 type grower struct {
 	cfg        *Config
-	X          [][]float64
-	order      *ml.ColumnOrder
+	seg        *ml.Segments
+	cols       []int // the tree's columns; segment column c is feature cols[c]
+	rows       []int // the tree's rows; a node's rows are rows[lo:hi], in index order
 	grad, hess []float64
-	inNode     []bool // inNode[i]: row i belongs to the node being split
 }
 
-// buildTree grows one regularized tree on the gradient statistics.
-func (g *grower) buildTree(rows, cols []int, depth int) *bnode {
+// buildTree grows one regularized tree on the gradient statistics of
+// the node holding rows[lo:hi].
+func (g *grower) buildTree(lo, hi, depth int) *bnode {
 	cfg := g.cfg
 	var gSum, hSum float64
-	for _, i := range rows {
+	for _, i := range g.rows[lo:hi] {
 		gSum += g.grad[i]
 		hSum += g.hess[i]
 	}
 	leaf := func() *bnode {
 		return &bnode{leaf: true, weight: -gSum / (hSum + cfg.Lambda)}
 	}
-	if depth >= cfg.MaxDepth || len(rows) < 2 {
+	if depth >= cfg.MaxDepth || hi-lo < 2 {
 		return leaf()
 	}
-	bestFeat, bestThr := g.bestSplit(rows, cols, gSum, hSum)
-	if bestFeat < 0 {
+	c, thr := g.bestSplit(lo, hi, gSum, hSum)
+	if c < 0 {
 		return leaf()
 	}
-	var left, right []int
-	for _, i := range rows {
-		if g.X[i][bestFeat] <= bestThr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) == 0 || len(right) == 0 {
+	mid := g.seg.MarkLeft(c, lo, hi, thr)
+	if mid == lo || mid == hi {
 		return leaf()
+	}
+	g.seg.PartitionRows(g.rows[lo:hi])
+	// Leaves never search, so the columns are split only for children
+	// that will.
+	if depth+1 < cfg.MaxDepth {
+		g.seg.Partition(lo, hi)
 	}
 	return &bnode{
-		feature:   bestFeat,
-		threshold: bestThr,
-		left:      g.buildTree(left, cols, depth+1),
-		right:     g.buildTree(right, cols, depth+1),
+		feature:   g.cols[c],
+		threshold: thr,
+		left:      g.buildTree(lo, mid, depth+1),
+		right:     g.buildTree(mid, hi, depth+1),
 	}
 }
 
-// bestSplit returns the feature and threshold of the highest-gain split
-// of rows, or feature -1 when no split gains. Each column is walked in
-// its presorted (value, row index) order, keeping only the node's rows,
-// so the gradient prefix sums add in the order a per-node sort would
-// give; a cut is tried between each pair of adjacent distinct values.
-func (g *grower) bestSplit(rows, cols []int, gSum, hSum float64) (int, float64) {
+// bestSplit returns the segment column and threshold of the
+// highest-gain split of the node [lo, hi), or column -1 when no split
+// gains. Each column's segment is in (value, row index) order, so the
+// gradient prefix sums add in the order a per-node sort would give; a
+// cut is tried between each pair of adjacent distinct values.
+func (g *grower) bestSplit(lo, hi int, gSum, hSum float64) (int, float64) {
 	cfg := g.cfg
-	for _, i := range rows {
-		g.inNode[i] = true
-	}
 	parentScore := gSum * gSum / (hSum + cfg.Lambda)
 	bestGain := 0.0
-	bestFeat, bestThr := -1, 0.0
-	for _, f := range cols {
-		vals := g.order.Vals[f]
+	bestCol, bestThr := -1, 0.0
+	for c, rows := range g.seg.Rows {
+		rows = rows[lo:hi]
+		vals := g.seg.Vals[c][lo:hi]
 		var gl, hl float64
-		prev := -1 // position in vals of the last row of the node seen
-		for k, i := range g.order.Rows[f] {
-			if !g.inNode[i] {
-				continue
-			}
+		for k, i := range rows {
 			// Equal values cannot be split between.
 			//lint:allow floatcheck exact equality is the tie test of the presorted order; tied rows share one side of every cut
-			if prev >= 0 && vals[prev] != vals[k] {
+			if k > 0 && vals[k-1] != vals[k] {
 				gr := gSum - gl
 				hr := hSum - hl
 				if hl >= cfg.MinChildWeight && hr >= cfg.MinChildWeight {
 					gain := 0.5*(gl*gl/(hl+cfg.Lambda)+gr*gr/(hr+cfg.Lambda)-parentScore) - cfg.Gamma
 					if gain > bestGain {
 						bestGain = gain
-						bestFeat = f
-						bestThr = (vals[prev] + vals[k]) / 2
+						bestCol = c
+						bestThr = (vals[k-1] + vals[k]) / 2
 					}
 				}
 			}
 			gl += g.grad[i]
 			hl += g.hess[i]
-			prev = k
 		}
 	}
-	for _, i := range rows {
-		g.inNode[i] = false
-	}
-	return bestFeat, bestThr
+	return bestCol, bestThr
 }
 
 // evalTree walks one pointer tree to its leaf weight, routing NaN

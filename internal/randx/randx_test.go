@@ -2,6 +2,8 @@ package randx
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -262,17 +264,44 @@ func TestCategoricalPanics(t *testing.T) {
 
 func TestSampleWithoutReplacementDistinct(t *testing.T) {
 	r := New(12)
+	var s Sampler
 	for trial := 0; trial < 50; trial++ {
-		idx := r.SampleWithoutReplacement(20, 10)
-		seen := make(map[int]bool)
-		for _, i := range idx {
+		idx := s.SampleWithoutReplacement(r, 20, 10)
+		if len(idx) != 10 {
+			t.Fatalf("%d indices, want 10", len(idx))
+		}
+		for k, i := range idx {
 			if i < 0 || i >= 20 {
 				t.Fatalf("index %d out of range", i)
 			}
-			if seen[i] {
-				t.Fatal("duplicate index in without-replacement sample")
+			if k > 0 && idx[k-1] >= i {
+				t.Fatalf("indices %v not strictly increasing", idx)
 			}
-			seen[i] = true
+		}
+	}
+}
+
+// TestSampleWithoutReplacementMatchesPerm checks the sampler against
+// its reference, the sorted first k entries of Perm(n), over many seeds
+// and shapes (k = 0 and k = n included), with one Sampler reused across
+// shrinking and growing n. Both streams must also stand at the same
+// point afterwards, so callers that draw more keep their sequence.
+func TestSampleWithoutReplacementMatchesPerm(t *testing.T) {
+	var s Sampler
+	shapes := [][2]int{{1, 1}, {5, 0}, {7, 3}, {20, 10}, {59, 53}, {272, 91}, {272, 217}, {10, 10}}
+	for seed := uint64(0); seed < 200; seed++ {
+		for _, nk := range shapes {
+			n, k := nk[0], nk[1]
+			ref, got := New(seed), New(seed)
+			want := ref.Perm(n)[:k]
+			sort.Ints(want)
+			idx := s.SampleWithoutReplacement(got, n, k)
+			if !slices.Equal(idx, want) {
+				t.Fatalf("seed %d, n %d, k %d: got %v, want %v", seed, n, k, idx, want)
+			}
+			if a, b := ref.Float64(), got.Float64(); a != b {
+				t.Fatalf("seed %d, n %d, k %d: streams diverge after sampling (%v vs %v)", seed, n, k, a, b)
+			}
 		}
 	}
 }
@@ -300,7 +329,7 @@ func TestSamplerPanicsOnInvalidParams(t *testing.T) {
 		func() { r.Beta(-1, 1) },
 		func() { r.InvGamma(1, 0) },
 		func() { r.StudentT(0) },
-		func() { r.SampleWithoutReplacement(3, 4) },
+		func() { new(Sampler).SampleWithoutReplacement(r, 3, 4) },
 	}
 	for i, f := range cases {
 		func() {
