@@ -5,10 +5,11 @@ import "slices"
 // ColumnOrder is a design matrix's feature columns sorted once for
 // exact greedy split search (Chen & Guestrin 2016, Alg. 1): Rows[f]
 // lists every row index ordered by (X[i][f], i), and Vals[f][k] is
-// X[Rows[f][k]][f]. The tree learners walk these columns at every node
-// and keep the rows that belong to it. The order of any subset of rows
-// under this total order is the one a per-node sort by the same key
-// would produce, so presorting changes no split. Values compare with
+// X[Rows[f][k]][f]. The tree learners lay each tree's rows of these
+// columns out in Segments and split each node's range from there. The
+// order of any subset of rows under this total order is the one a
+// per-node sort by the same key would produce, so presorting changes no
+// split. Values compare with
 // <, so −0 and +0 tie and fall back to the row index; X must hold no
 // NaN, which Dataset.Validate guarantees.
 //
