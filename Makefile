@@ -107,6 +107,7 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzPredictRequestDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzBatchPredictRequestDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzMeasurementsRequestDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzRoutingKey$$' -fuzztime $(FUZZTIME)
 
 # cover prints per-package coverage and enforces the internal/obs gate
 # (the observability layer must stay >= 80% covered).

@@ -1,10 +1,10 @@
 // Command benchcheck is the benchmark regression guard: it runs the
 // tier-1 hot-path benchmarks (batch prediction, the KS/W1 scoring
-// kernels, the KDE mode count, the served response summary and the
-// tree learners' 50-output UC1 fits),
-// compares the best-of-N ns/op
-// against the committed BENCH_baseline.json, and exits nonzero when
-// any guarded benchmark slowed down beyond the threshold.
+// kernels, the KDE mode count, the served response summary, the
+// tree learners' 50-output UC1 fits, and the one-pass decode of an
+// ingest body at the replica and at the router), compares the
+// best-of-N ns/op against the committed BENCH_baseline.json, and exits
+// nonzero when any guarded benchmark slowed down beyond the threshold.
 //
 // Usage:
 //
@@ -40,7 +40,8 @@ var targets = []struct {
 }{
 	{"./internal/ml", "^(BenchmarkPredictBatch|BenchmarkPredictBatchForest|BenchmarkPredictBatchXGB|BenchmarkPredictBatchTraced|BenchmarkKNNFitPredict|BenchmarkXGBFitUC1|BenchmarkForestFitUC1)$"},
 	{"./internal/stats", "^(BenchmarkKSStatistic1000|BenchmarkWasserstein1|BenchmarkKDECountModes)$"},
-	{"./internal/serve", "^BenchmarkBuildResponse$"},
+	{"./internal/serve", "^(BenchmarkBuildResponse|BenchmarkDecodeMeasurements)$"},
+	{"./internal/cluster", "^BenchmarkRoutingKey$"},
 }
 
 // Baseline is the committed measurement set.

@@ -19,7 +19,9 @@
 // deterministic key remapping with minimal churn (only the dead
 // replica's keys move, and they move back when it recovers). Transport
 // errors and 502/503/504 answers are retried, one attempt at a time,
-// on at most two fallbacks.
+// on at most two fallbacks. The frontend reads a body's routing key in
+// one pass with internal/wire, skipping the rest, and answers 413 past
+// the replicas' own body cap.
 //
 // The router is exercised against in-process fake replicas by
 // internal/cluster/sim — a shared-clock event-loop harness that proves

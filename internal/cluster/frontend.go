@@ -1,20 +1,18 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
 	"repro/internal/modelstore"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
-
-// maxFrontendBody bounds request bodies the frontend will buffer,
-// mirroring varserve's own ingest limit.
-const maxFrontendBody = 32 << 20
 
 // Frontend is the router's HTTP face: it derives the dataset key from
 // each request body, routes through the Router, and relays the owning
@@ -60,6 +58,35 @@ type keyedBody struct {
 	Target string `json:"target"`
 }
 
+// keyedFields are keyedBody's JSON field names, in readKeyedBody's
+// order.
+var keyedFields = []string{"system", "source", "target"}
+
+// decodeKeyedBody reads a body's routing fields in one pass, falling
+// back to json.Unmarshal for a body the one-pass reader declines.
+func decodeKeyedBody(body []byte, kb *keyedBody) error {
+	return wire.Decode(body, kb, readKeyedBody)
+}
+
+// readKeyedBody reads the top-level system, source and target of a
+// body and skips the rest, still checking its grammar.
+func readKeyedBody(r *wire.Reader, kb *keyedBody) {
+	var seen uint64
+	r.Object(func(key []byte) bool {
+		switch r.Field(key, keyedFields, &seen) {
+		case 0:
+			kb.System = r.Text()
+		case 1:
+			kb.Source = r.Text()
+		case 2:
+			kb.Target = r.Text()
+		default:
+			return false
+		}
+		return true
+	})
+}
+
 // keyUC1 routes UC1 predictions (single and batch) by their system's
 // dataset cell.
 func keyUC1(b keyedBody) (string, error) {
@@ -78,16 +105,35 @@ func keyUC2(b keyedBody) (string, error) {
 }
 
 // forwardKeyed builds a handler that extracts the routing key with
-// derive and relays through the router.
+// derive and relays through the router. Bodies are capped at
+// wire.MaxBodyBytes, the replicas' own cap: a larger one gets the
+// replicas' structured 413 here instead of being buffered whole and
+// forwarded to be refused there.
 func (f *Frontend) forwardKeyed(derive func(keyedBody) (string, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxFrontendBody))
+		// Size the buffer from Content-Length (trusted only up to the
+		// cap) so a body is read with one allocation, not a doubling
+		// series.
+		var buf bytes.Buffer
+		if r.ContentLength > 0 && r.ContentLength <= wire.MaxBodyBytes {
+			buf.Grow(int(r.ContentLength) + bytes.MinRead)
+		}
+		_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
 		if err != nil {
+			var mbe *http.MaxBytesError
+			if errors.As(err, &mbe) {
+				writeJSON(w, http.StatusRequestEntityTooLarge, tooLarge{
+					Error: wire.TooLarge(mbe.Limit),
+					Code:  http.StatusRequestEntityTooLarge,
+				})
+				return
+			}
 			writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 			return
 		}
+		body := buf.Bytes()
 		var kb keyedBody
-		if err := json.Unmarshal(body, &kb); err != nil {
+		if err := decodeKeyedBody(body, &kb); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
 			return
 		}
@@ -154,6 +200,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// tooLarge is the replicas' 413 body (serve.ErrorResponse), field for
+// field, so a client sees the same answer from either hop.
+type tooLarge struct {
+	Error string `json:"error"`
+	Code  int    `json:"code"`
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

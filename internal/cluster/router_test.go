@@ -26,8 +26,9 @@ type fakeBackend struct {
 	breakers int
 	fail     bool // transport error on Do
 
-	served sync.Map // key -> *atomic.Int64
-	total  atomic.Int64
+	served   sync.Map // key -> *atomic.Int64
+	total    atomic.Int64
+	lastBody atomic.Int64 // length of the last forwarded body
 }
 
 func newFakeBackend(id string) *fakeBackend {
@@ -52,6 +53,7 @@ func (f *fakeBackend) Do(ctx context.Context, req Request) (Response, error) {
 	c, _ := f.served.LoadOrStore(req.Key, new(atomic.Int64))
 	c.(*atomic.Int64).Add(1)
 	f.total.Add(1)
+	f.lastBody.Store(int64(len(req.Body)))
 	return Response{Status: http.StatusOK, Body: []byte(`{"ok":true}`)}, nil
 }
 

@@ -67,11 +67,12 @@ type Predictor struct {
 	db   atomic.Pointer[measure.Database]
 	dbMu sync.Mutex // serializes writers (copy-on-write swaps)
 
-	datasets  sync.Map // datasetKey -> *dataCell
-	models    sync.Map // modelKey -> *modelCell
-	stale     sync.Map // modelKey -> *fittedModel (pre-Refresh models, until refitted)
-	fallbacks sync.Map // modelKey -> *modelCell (kNN fallback models)
-	breakers  sync.Map // datasetKey -> *breaker
+	datasets    sync.Map // datasetKey -> *dataCell
+	validations sync.Map // validKey -> *validCell
+	models      sync.Map // modelKey -> *modelCell
+	stale       sync.Map // modelKey -> *fittedModel (pre-Refresh models, until refitted)
+	fallbacks   sync.Map // modelKey -> *modelCell (kNN fallback models)
+	breakers    sync.Map // datasetKey -> *breaker
 
 	breakerCfg BreakerConfig
 	now        func() time.Time
@@ -208,12 +209,12 @@ func (p *Predictor) QuarantineReports() map[string]measure.SystemQuarantine {
 	return out
 }
 
-// Refresh drops every fitted model and assembled dataset so the next
-// request re-validates the data and refits, keeping the dropped models
-// as stale fallbacks: while a refit is failing or its breaker is open,
-// requests are answered by the pre-Refresh model flagged Degraded
-// instead of erroring. A key's stale model is released as soon as a
-// fresh fit for it succeeds.
+// Refresh drops every fitted model, assembled dataset and validated
+// view so the next request re-validates the data and refits, keeping
+// the dropped models as stale fallbacks: while a refit is failing or
+// its breaker is open, requests are answered by the pre-Refresh model
+// flagged Degraded instead of erroring. A key's stale model is
+// released as soon as a fresh fit for it succeeds.
 func (p *Predictor) Refresh() {
 	p.models.Range(func(key, value any) bool {
 		c := value.(*modelCell)
@@ -228,6 +229,10 @@ func (p *Predictor) Refresh() {
 	})
 	p.datasets.Range(func(key, _ any) bool {
 		p.datasets.Delete(key)
+		return true
+	})
+	p.validations.Range(func(key, _ any) bool {
+		p.validations.Delete(key)
 		return true
 	})
 	p.fallbacks.Range(func(key, _ any) bool {
@@ -394,7 +399,7 @@ func (p *Predictor) buildDataset(k datasetKey) (*uc1Data, error) {
 		if err != nil {
 			return nil, err
 		}
-		return buildUC1(sd, k.uc1)
+		return buildUC1(sd, k.uc1, p.validated)
 	case 2:
 		src, err := p.system(k.system)
 		if err != nil {
@@ -404,10 +409,42 @@ func (p *Predictor) buildDataset(k datasetKey) (*uc1Data, error) {
 		if err != nil {
 			return nil, err
 		}
-		return buildUC2(src, dst, k.uc2)
+		return buildUC2(src, dst, k.uc2, p.validated)
 	default:
 		return nil, fmt.Errorf("core: bad use case %d", k.useCase)
 	}
+}
+
+// validKey names one system's validated view under one Repair setting.
+type validKey struct {
+	system string
+	repair bool
+}
+
+// validCell is the validated view of one system snapshot, built once.
+type validCell struct {
+	sd      *measure.SystemData // the snapshot it validates
+	once    sync.Once
+	clean   *measure.SystemData
+	reports []measure.BenchmarkQuarantine
+}
+
+// validated is the predictor's validateFunc: it validates each system
+// snapshot once per Repair setting and hands every dataset built on
+// that snapshot — all model families and decoders, both use cases —
+// the same read-only view. A view of an older snapshot of the system
+// is replaced, and Refresh and a system refit drop the system's views.
+func (p *Predictor) validated(sd *measure.SystemData, repair bool) (*measure.SystemData, []measure.BenchmarkQuarantine) {
+	k := validKey{system: sd.SystemName, repair: repair}
+	v, _ := p.validations.LoadOrStore(k, &validCell{sd: sd})
+	c := v.(*validCell)
+	if c.sd != sd {
+		fresh := &validCell{sd: sd}
+		p.validations.CompareAndSwap(k, c, fresh)
+		c = fresh
+	}
+	c.once.Do(func() { c.clean, c.reports = validateFresh(sd, repair) })
+	return c.clean, c.reports
 }
 
 func (p *Predictor) system(name string) (*measure.SystemData, error) {

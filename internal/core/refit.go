@@ -69,9 +69,10 @@ func (p *Predictor) SetBenchmarkRuns(system, benchmark string, runs []perfsim.Ru
 
 // refreshSystem drops every cached dataset, model, and kNN fallback
 // touching the named system (as UC1 system, UC2 source, or UC2
-// target), keeping each dropped fitted model as a stale fallback so
-// degraded serving works while the refit is in flight or failing.
-// Returns the dropped model keys in deterministic order.
+// target), and the system's validated views, keeping each dropped
+// fitted model as a stale fallback so degraded serving works while the
+// refit is in flight or failing. Returns the dropped model keys in
+// deterministic order.
 func (p *Predictor) refreshSystem(system string) []modelKey {
 	touches := func(dk datasetKey) bool { return dk.system == system || dk.target == system }
 	var dropped []modelKey
@@ -94,6 +95,12 @@ func (p *Predictor) refreshSystem(system string) []modelKey {
 	p.datasets.Range(func(key, _ any) bool {
 		if touches(key.(datasetKey)) {
 			p.datasets.Delete(key)
+		}
+		return true
+	})
+	p.validations.Range(func(key, _ any) bool {
+		if key.(validKey).system == system {
+			p.validations.Delete(key)
 		}
 		return true
 	})

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/distrep"
+	"repro/internal/measure"
 	"repro/internal/perfsim"
 )
 
@@ -221,5 +223,69 @@ func TestRefitSystemReleasesStaleModels(t *testing.T) {
 	p.models.Range(func(any, any) bool { n++; return true })
 	if n != 2 {
 		t.Errorf("%d resident models after the refit, want 2", n)
+	}
+}
+
+// TestValidateOncePerSnapshot checks that datasets of two model
+// families on one system share one validated view, and that a refit on
+// a new snapshot gives the system a new view.
+func TestValidateOncePerSnapshot(t *testing.T) {
+	db := testCampaign(t)
+	p := NewPredictor(db)
+	sd := db.Systems[0]
+	sys := sd.SystemName
+	bench := sd.Benchmarks[0].Workload.ID()
+	knn := predictorConfig()
+	ridge := knn
+	ridge.Model = Ridge
+	ridge.Rep = distrep.Histogram
+	predict := func() {
+		t.Helper()
+		for _, cfg := range []UC1Config{knn, ridge} {
+			if _, err := p.PredictUC1(context.Background(), sys, bench, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// views returns the address of the first quarantine report of sys in
+	// every assembled dataset: one address means one validation.
+	views := func() map[*measure.BenchmarkQuarantine]int {
+		out := map[*measure.BenchmarkQuarantine]int{}
+		p.datasets.Range(func(_, v any) bool {
+			if c := v.(*dataCell); c.data != nil {
+				out[&c.data.quarantine[sys][0]]++
+			}
+			return true
+		})
+		return out
+	}
+
+	predict()
+	before := views()
+	if len(before) != 1 {
+		t.Fatalf("two model families validated %d times, want once: %v", len(before), before)
+	}
+	for _, n := range before {
+		if n != 2 {
+			t.Fatalf("%d datasets share the view, want 2", n)
+		}
+	}
+
+	b := &sd.Benchmarks[1]
+	if err := p.SetBenchmarkRuns(sys, b.Workload.ID(), widenRuns(b.Runs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RefitSystem(context.Background(), sys); err != nil {
+		t.Fatal(err)
+	}
+	predict()
+	after := views()
+	if len(after) != 1 {
+		t.Fatalf("after the refit: %d views, want 1: %v", len(after), after)
+	}
+	for v := range after {
+		if before[v] != 0 {
+			t.Error("the refit kept the old snapshot's validated view")
+		}
 	}
 }

@@ -98,14 +98,25 @@ func (d *uc1Data) fingerprint() uint64 {
 	return d.fp
 }
 
+// validateFunc returns sd's ingest-validated view under the Repair
+// setting: the cleaned copy and its per-benchmark quarantine reports,
+// both read-only to the caller.
+type validateFunc func(sd *measure.SystemData, repair bool) (*measure.SystemData, []measure.BenchmarkQuarantine)
+
+// validateFresh validates sd afresh on every call (the one-shot
+// evaluation paths, which build each dataset once).
+func validateFresh(sd *measure.SystemData, repair bool) (*measure.SystemData, []measure.BenchmarkQuarantine) {
+	return sd.Validate(0, 0, measure.ValidationPolicy{Repair: repair})
+}
+
 // buildUC1 assembles profiles (from the first NumSamples valid probe
 // runs) and targets (representation encodings of the measured
-// distributions). Every run passes ingest validation first: corrupt
-// runs are quarantined per benchmark, benchmarks left without enough
-// clean data are excluded (and recorded in unusable), and on a fully
-// clean database the assembled problem is bit-identical to validating
-// nothing.
-func buildUC1(sd *measure.SystemData, cfg UC1Config) (*uc1Data, error) {
+// distributions). Every run passes ingest validation first, through
+// validate: corrupt runs are quarantined per benchmark, benchmarks
+// left without enough clean data are excluded (and recorded in
+// unusable), and on a fully clean database the assembled problem is
+// bit-identical to validating nothing.
+func buildUC1(sd *measure.SystemData, cfg UC1Config, validate validateFunc) (*uc1Data, error) {
 	if cfg.NumSamples < 1 {
 		return nil, fmt.Errorf("core: NumSamples must be >= 1, got %d", cfg.NumSamples)
 	}
@@ -113,7 +124,7 @@ func buildUC1(sd *measure.SystemData, cfg UC1Config) (*uc1Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	clean, reports := sd.Validate(0, 0, measure.ValidationPolicy{Repair: cfg.Repair})
+	clean, reports := validate(sd, cfg.Repair)
 	d := &uc1Data{
 		rep:        rep,
 		dataset:    &ml.Dataset{},
@@ -173,7 +184,7 @@ func buildUC1(sd *measure.SystemData, cfg UC1Config) (*uc1Data, error) {
 // case 1 on one system's measurements and returns per-benchmark scores
 // in benchmark order.
 func EvaluateUC1(sd *measure.SystemData, cfg UC1Config) ([]BenchScore, error) {
-	data, err := buildUC1(sd, cfg)
+	data, err := buildUC1(sd, cfg, validateFresh)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +196,7 @@ func EvaluateUC1(sd *measure.SystemData, cfg UC1Config) ([]BenchScore, error) {
 // the source of the paper's Figure 1(f) and Figure 5 overlays). It
 // returns the predicted and measured relative-time samples.
 func PredictUC1(sd *measure.SystemData, benchmarkID string, cfg UC1Config) (predicted, actual []float64, err error) {
-	data, err := buildUC1(sd, cfg)
+	data, err := buildUC1(sd, cfg, validateFresh)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -209,7 +220,7 @@ type FoldError struct {
 // evaluation, so a single poisoned fold costs one score, not the
 // sweep. Scores cover only the folds that succeeded.
 func EvaluateUC1Tolerant(sd *measure.SystemData, cfg UC1Config) ([]BenchScore, []FoldError, error) {
-	data, err := buildUC1(sd, cfg)
+	data, err := buildUC1(sd, cfg, validateFresh)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -370,7 +381,7 @@ func score(id string, predRel, actualRel []float64) BenchScore {
 // with their feature names — the "which metrics drive the prediction"
 // analysis behind cmd/varimportance.
 func FeatureImportanceUC1(sd *measure.SystemData, cfg UC1Config) (names []string, importance []float64, err error) {
-	data, err := buildUC1(sd, cfg)
+	data, err := buildUC1(sd, cfg, validateFresh)
 	if err != nil {
 		return nil, nil, err
 	}

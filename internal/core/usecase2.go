@@ -42,10 +42,11 @@ func (c UC2Config) String() string {
 // buildUC2 assembles the system-to-system learning problem: inputs are
 // the source-system profile concatenated with the source-system
 // distribution encoding; targets are the target-system distribution
-// encoding. Both systems pass ingest validation first; a benchmark must
-// keep at least two valid measurement runs on each side to stay in the
-// dataset (probe runs are a UC1 concern and do not gate UC2).
-func buildUC2(src, dst *measure.SystemData, cfg UC2Config) (*uc1Data, error) {
+// encoding. Both systems pass ingest validation first, through
+// validate; a benchmark must keep at least two valid measurement runs
+// on each side to stay in the dataset (probe runs are a UC1 concern
+// and do not gate UC2).
+func buildUC2(src, dst *measure.SystemData, cfg UC2Config, validate validateFunc) (*uc1Data, error) {
 	rep, err := newRepresentation(cfg.Rep, cfg.Bins)
 	if err != nil {
 		return nil, err
@@ -54,9 +55,8 @@ func buildUC2(src, dst *measure.SystemData, cfg UC2Config) (*uc1Data, error) {
 	if profileRuns <= 0 {
 		profileRuns = 100
 	}
-	pol := measure.ValidationPolicy{Repair: cfg.Repair}
-	cleanSrc, srcReports := src.Validate(0, 0, pol)
-	cleanDst, dstReports := dst.Validate(0, 0, pol)
+	cleanSrc, srcReports := validate(src, cfg.Repair)
+	cleanDst, dstReports := validate(dst, cfg.Repair)
 	d := &uc1Data{
 		rep:     rep,
 		dataset: &ml.Dataset{},
@@ -116,7 +116,7 @@ func buildUC2(src, dst *measure.SystemData, cfg UC2Config) (*uc1Data, error) {
 // case 2 (source system → target system) and returns per-benchmark
 // scores in benchmark order.
 func EvaluateUC2(src, dst *measure.SystemData, cfg UC2Config) ([]BenchScore, error) {
-	data, err := buildUC2(src, dst, cfg)
+	data, err := buildUC2(src, dst, cfg, validateFresh)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +128,7 @@ func EvaluateUC2(src, dst *measure.SystemData, cfg UC2Config) ([]BenchScore, err
 // (the paper's Figure 9 overlays). It returns the predicted and measured
 // target-system relative-time samples.
 func PredictUC2(src, dst *measure.SystemData, benchmarkID string, cfg UC2Config) (predicted, actual []float64, err error) {
-	data, err := buildUC2(src, dst, cfg)
+	data, err := buildUC2(src, dst, cfg, validateFresh)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,12 +1,120 @@
 package faults
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/perfsim"
 )
+
+// BatchInjector is the streaming counterpart of the campaign injector,
+// kept as test code: transport-level faults of a measurement stream
+// (POST /v1/measurements batches) rather than corrupt run contents. A
+// collector that replays on retry duplicates runs, a fan-in of
+// per-node shippers reorders them, and a connection cut mid-batch
+// truncates the tail. No server wires it in; a test that needs a
+// faulted stream applies it to the batches it sends.
+
+// BatchConfig parameterizes streaming-batch fault injection. Each rate
+// is an independent probability in [0, 1]; the zero value injects
+// nothing.
+type BatchConfig struct {
+	// Seed drives every decision through the same per-stream FNV
+	// derivation as the campaign injector: identical seeds fault
+	// identical batches, independent of which other streams exist.
+	Seed uint64
+
+	// DuplicateRate is the per-run probability of a replayed
+	// (duplicated) run — the at-least-once delivery failure mode.
+	DuplicateRate float64
+	// ReorderRate is the per-batch probability of a deterministic
+	// shuffle — out-of-order arrival from a fan-in of shippers.
+	ReorderRate float64
+	// TruncateRate is the per-batch probability of dropping a random
+	// non-empty prefix-preserving tail — a connection cut mid-batch.
+	TruncateRate float64
+}
+
+func (c BatchConfig) validate() error {
+	for _, r := range []float64{c.DuplicateRate, c.ReorderRate, c.TruncateRate} {
+		if r < 0 || r > 1 || math.IsNaN(r) {
+			return fmt.Errorf("faults: batch rate outside [0,1] in %+v", c)
+		}
+	}
+	return nil
+}
+
+// BatchReport tallies what the batch injector actually did.
+type BatchReport struct {
+	// Batches is the number of batches examined; the rest count
+	// affected batches (Duplicated counts duplicated runs).
+	Batches    int
+	Duplicated int
+	Reordered  int
+	Truncated  int
+	// Dropped is the total number of runs cut by truncation.
+	Dropped int
+}
+
+// BatchInjector applies one BatchConfig to measurement batches.
+// Methods are not safe for concurrent use; callers serialize or derive
+// one injector per goroutine.
+type BatchInjector struct {
+	cfg    BatchConfig
+	report BatchReport
+}
+
+// NewBatch returns a streaming-batch injector for the configuration.
+func NewBatch(cfg BatchConfig) (*BatchInjector, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	return &BatchInjector{cfg: cfg}, nil
+}
+
+// Report returns the accumulated tally.
+func (b *BatchInjector) Report() *BatchReport { return &b.report }
+
+// Apply returns a faulted deep copy of one batch; the input is never
+// mutated. stream names the batch (e.g. "intel/npb/bt/batch/17") and,
+// with the seed, fully determines the outcome. Faults compose in a
+// fixed order — truncate, then duplicate, then reorder — mirroring a
+// real pipeline: the wire cuts the tail, the retry layer replays, and
+// the fan-in scrambles arrival order.
+func (b *BatchInjector) Apply(stream string, runs []perfsim.Run) []perfsim.Run {
+	rng := StreamRNG(b.cfg.Seed, stream)
+	b.report.Batches++
+	out := perfsim.CloneRuns(runs)
+	if len(out) > 1 && rng.Float64() < b.cfg.TruncateRate {
+		keep := 1 + rng.IntN(len(out)-1) // always keep a non-empty prefix
+		b.report.Dropped += len(out) - keep
+		b.report.Truncated++
+		out = out[:keep]
+	}
+	if b.cfg.DuplicateRate > 0 {
+		dup := make([]perfsim.Run, 0, len(out))
+		for i := range out {
+			dup = append(dup, out[i])
+			if rng.Float64() < b.cfg.DuplicateRate {
+				dup = append(dup, out[i].Clone())
+				b.report.Duplicated++
+			}
+		}
+		out = dup
+	}
+	if len(out) > 1 && rng.Float64() < b.cfg.ReorderRate {
+		// Deterministic Fisher–Yates on the stream RNG.
+		for i := len(out) - 1; i > 0; i-- {
+			j := rng.IntN(i + 1)
+			out[i], out[j] = out[j], out[i]
+		}
+		b.report.Reordered++
+	}
+	return out
+}
 
 func TestBatchConfigValidation(t *testing.T) {
 	for _, cfg := range []BatchConfig{

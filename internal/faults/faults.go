@@ -140,7 +140,7 @@ func (inj *Injector) Report() *Report { return &inj.report }
 // StreamRNG derives the deterministic per-stream RNG: the seed hashed
 // with the stream's identity (e.g. "intel/npb/bt/runs"), so injection
 // outcomes do not depend on which other streams were processed. The
-// campaign injector, the streaming-batch injector, and the cluster
+// campaign injector, the streaming-batch test injector, and the cluster
 // simulation's per-replica latency/outage schedules all share this
 // derivation, which is what lets a single scenario seed fault every
 // stream identically regardless of replica count or request order.

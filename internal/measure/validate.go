@@ -162,13 +162,17 @@ func ValidateRun(r perfsim.Run, nMetrics int) []string {
 // corrupt counter values are repaired in a copy (median imputation
 // clamped to the valid runs' p1–p99 range) and kept; when no fully
 // valid run exists to repair against, they are quarantined like
-// everything else.
+// everything else. When every run is valid, the survivors are runs
+// itself, capacity clipped, so a clean run set costs no copy; callers
+// treat the survivors as read-only either way.
 func ValidateRuns(runs []perfsim.Run, nMetrics, expected int, pol ValidationPolicy) ([]perfsim.Run, QuarantineReport) {
 	rep := QuarantineReport{Total: len(runs)}
 	if expected > len(runs) {
 		rep.Missing = expected - len(runs)
 	}
-	valid := make([]perfsim.Run, 0, len(runs))
+	// valid stays nil until the first defective run: up to it, the
+	// survivors are a prefix of runs.
+	var valid []perfsim.Run
 	type repairable struct {
 		at  int // insertion position among survivors, for stable order
 		run perfsim.Run
@@ -177,8 +181,13 @@ func ValidateRuns(runs []perfsim.Run, nMetrics, expected int, pol ValidationPoli
 	for i := range runs {
 		classes, counterOnly := classifyRun(&runs[i], nMetrics)
 		if len(classes) == 0 {
-			valid = append(valid, runs[i])
+			if valid != nil {
+				valid = append(valid, runs[i])
+			}
 			continue
+		}
+		if valid == nil {
+			valid = append(make([]perfsim.Run, 0, len(runs)), runs[:i]...)
 		}
 		for _, c := range classes {
 			rep.addClass(c)
@@ -188,6 +197,10 @@ func ValidateRuns(runs []perfsim.Run, nMetrics, expected int, pol ValidationPoli
 			continue
 		}
 		rep.Quarantined++
+	}
+	if valid == nil {
+		rep.Kept = len(runs)
+		return runs[:len(runs):len(runs)], rep
 	}
 	if len(toRepair) > 0 && len(valid) > 0 {
 		med, lo, hi := repairBounds(valid, nMetrics)
@@ -278,10 +291,12 @@ func ValidateBenchmark(b *BenchmarkData, nMetrics, expectedRuns, expectedProbes 
 
 // Validate checks every benchmark of the system against its metric
 // schema and returns a cleaned copy plus the per-benchmark quarantine
-// reports (aligned with s.Benchmarks). Benchmarks left without enough
-// valid data are retained in the copy but flagged Unusable — consumers
-// must exclude them from training and error on direct requests rather
-// than emit an empty distribution. expectedRuns/expectedProbes are the
+// reports (aligned with s.Benchmarks). A run set that validation left
+// whole is shared with s rather than copied (see ValidateRuns), so the
+// copy is read-only. Benchmarks left without enough valid data are
+// retained in the copy but flagged Unusable — consumers must exclude
+// them from training and error on direct requests rather than emit an
+// empty distribution. expectedRuns/expectedProbes are the
 // campaign parameters (0 when unknown).
 func (s *SystemData) Validate(expectedRuns, expectedProbes int, pol ValidationPolicy) (*SystemData, []BenchmarkQuarantine) {
 	clean := &SystemData{

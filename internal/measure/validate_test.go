@@ -73,6 +73,23 @@ func TestValidateRunsQuarantine(t *testing.T) {
 	}
 }
 
+// TestValidateRunsCleanSetIsNotCopied checks that a run set with no
+// defect comes back as the input itself, capacity clipped so an append
+// to the survivors cannot write into the input.
+func TestValidateRunsCleanSetIsNotCopied(t *testing.T) {
+	runs := make([]perfsim.Run, 3, 8)
+	for i := range runs {
+		runs[i] = run(1 + float64(i)/10)
+	}
+	valid, rep := ValidateRuns(runs, 3, 0, ValidationPolicy{Repair: true})
+	if rep.Kept != 3 || rep.Quarantined != 0 || len(valid) != 3 {
+		t.Fatalf("kept %d of a clean set (%+v)", len(valid), rep)
+	}
+	if &valid[0] != &runs[0] || cap(valid) != 3 {
+		t.Errorf("clean set copied or not clipped: cap %d", cap(valid))
+	}
+}
+
 func TestValidateRunsRepair(t *testing.T) {
 	runs := []perfsim.Run{
 		run(1.0, 100, 200, 300),

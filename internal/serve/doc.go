@@ -27,6 +27,10 @@
 // a worker semaphore and a per-request timeout, and the server drains
 // gracefully on context cancellation (SIGTERM in cmd/varserve).
 //
+// Request bodies are capped at wire.MaxBodyBytes (413 past it) and
+// decoded in one pass by internal/wire, which declines anything but the
+// common shape to json.Unmarshal; decode.go holds the read functions.
+//
 // The package only serves. Load generation lives in perfbench, which
 // bit-checks every answer, and the streaming-drift experiment is ext7
 // of cmd/experiments, which drives two servers through Handler.

@@ -17,11 +17,8 @@ import (
 	"repro/internal/distrep"
 	"repro/internal/perfsim"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
-
-// maxBodyBytes bounds request bodies; a raw probe profile of 100 runs
-// with dozens of metrics fits comfortably.
-const maxBodyBytes = 4 << 20
 
 // maxBatchProfiles bounds one batch request so a single client cannot
 // monopolize the worker pool with an arbitrarily large fan-out.
@@ -34,11 +31,11 @@ const statusClientClosedRequest = 499
 // bufPool holds request-scoped byte buffers for body reads and response
 // encoding, so the steady-state request path reuses one warm buffer per
 // worker instead of allocating per call. Buffers are returned only
-// after their bytes are fully consumed (json.Unmarshal copies what it
-// keeps; responses are flushed before release).
+// after their bytes are fully consumed (the request decoders copy what
+// they keep; responses are flushed before release).
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// readBody reads at most maxBodyBytes of r's body into a pooled
+// readBody reads at most wire.MaxBodyBytes of r's body into a pooled
 // buffer. The cap is enforced with http.MaxBytesReader rather than a
 // silent LimitReader truncation: an oversized body surfaces as a
 // *http.MaxBytesError (rendered as a structured 413 by
@@ -50,7 +47,7 @@ func readBody(w http.ResponseWriter, r *http.Request) (body []byte, release func
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	release = func() { bufPool.Put(buf) }
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)
 	if _, err := buf.ReadFrom(r.Body); err != nil {
 		release()
 		return nil, nil, err
@@ -63,8 +60,7 @@ func readBody(w http.ResponseWriter, r *http.Request) (body []byte, release func
 func writeBodyError(w http.ResponseWriter, err error) {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("request body exceeds the %d-byte limit", mbe.Limit))
+		writeError(w, http.StatusRequestEntityTooLarge, wire.TooLarge(mbe.Limit))
 		return
 	}
 	writeError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
@@ -116,7 +112,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, useCase i
 		return
 	}
 	var req PredictRequest
-	err = json.Unmarshal(body, &req)
+	err = decodePredict(body, &req)
 	release()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON: %v", err))
@@ -191,7 +187,7 @@ func (s *Server) handleUC1Batch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchPredictRequest
-	err = json.Unmarshal(body, &req)
+	err = decodeBatch(body, &req)
 	release()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON: %v", err))

@@ -2,10 +2,8 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -32,7 +30,7 @@ func (s *Server) handleMeasurements(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MeasurementsRequest
-	err = json.Unmarshal(body, &req)
+	err = decodeMeasurements(body, &req)
 	release()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON: %v", err))
@@ -60,9 +58,7 @@ func (s *Server) handleMeasurements(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := drift.Key{System: req.System, Benchmark: req.Benchmark}
-	runs := s.faultBatch(key, toRuns(req.Runs))
-
-	res, err := s.drift.Ingest(r.Context(), key, runs, len(sd.MetricNames))
+	res, err := s.drift.Ingest(r.Context(), key, toRuns(req.Runs), len(sd.MetricNames))
 	if err != nil {
 		// The cell exists in the database (checked above), so this is
 		// an internal inconsistency, not a caller mistake.
@@ -97,21 +93,6 @@ func (s *Server) handleMeasurements(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// faultBatch routes the decoded batch through the streaming-batch
-// fault injector when one is configured (tests and drills), deriving
-// the per-batch stream name from the cell and a per-cell sequence
-// number so identical request sequences fault identically.
-func (s *Server) faultBatch(key drift.Key, runs []perfsim.Run) []perfsim.Run {
-	if s.cfg.IngestFaults == nil {
-		return runs
-	}
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	seq := s.ingestSeq[key]
-	s.ingestSeq[key] = seq + 1
-	return s.cfg.IngestFaults.Apply(key.String()+"/batch/"+strconv.FormatUint(seq, 10), runs)
 }
 
 // driftBaseline supplies a cell's training-time distribution: the

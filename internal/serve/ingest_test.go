@@ -12,11 +12,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/drift"
-	"repro/internal/faults"
 	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/perfsim"
 	"repro/internal/randx"
+	"repro/internal/wire"
 )
 
 // benchProbeRuns converts one benchmark's measurement runs into the
@@ -114,7 +114,7 @@ func TestMeasurementsHappyPathAndQuarantine(t *testing.T) {
 
 func TestBodyCap413(t *testing.T) {
 	s := newTestServer(t)
-	huge := `{"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	huge := `{"pad":"` + strings.Repeat("x", wire.MaxBodyBytes) + `"}`
 	for _, path := range []string{"/v1/measurements", "/v1/predict/uc1", "/v1/predict/uc2", "/v1/predict/uc1/batch"} {
 		rec, resp := post(t, s, path, huge)
 		if rec.Code != http.StatusRequestEntityTooLarge {
@@ -128,38 +128,9 @@ func TestBodyCap413(t *testing.T) {
 	}
 	// A body just under the cap still parses (as a 400, not a 413: the
 	// padding field is not a valid request, but it was read in full).
-	almost := `{"pad":"` + strings.Repeat("x", maxBodyBytes/2) + `"}`
+	almost := `{"pad":"` + strings.Repeat("x", wire.MaxBodyBytes/2) + `"}`
 	if rec, _ := post(t, s, "/v1/measurements", almost); rec.Code != http.StatusBadRequest {
 		t.Errorf("under-cap body: status %d, want 400", rec.Code)
-	}
-}
-
-func TestIngestFaultInjectorWiring(t *testing.T) {
-	inj, err := faults.NewBatch(faults.BatchConfig{Seed: 42, TruncateRate: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(testCampaign(t), Config{Workers: 2, RequestTimeout: time.Minute, IngestFaults: inj})
-	bench := firstBench(testDB)
-	runs := benchProbeRuns(testDB, "intel", bench, 1)[:10]
-	rec, resp := post(t, s, "/v1/measurements", measurementsBody(t, "intel", bench, runs))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("faulted batch: %d %v", rec.Code, resp)
-	}
-	if got := int(resp["accepted"].(float64)); got >= len(runs) || got < 1 {
-		t.Errorf("forced truncation accepted %d of %d runs", got, len(runs))
-	}
-	rep := inj.Report()
-	if rep.Batches != 1 || rep.Truncated != 1 {
-		t.Errorf("injector report: %+v", rep)
-	}
-	// Same seed, fresh server: the same request sequence faults
-	// identically (per-cell batch sequence numbers in the stream name).
-	inj2, _ := faults.NewBatch(faults.BatchConfig{Seed: 42, TruncateRate: 1})
-	s2 := New(testCampaign(t), Config{Workers: 2, RequestTimeout: time.Minute, IngestFaults: inj2})
-	_, resp2 := post(t, s2, "/v1/measurements", measurementsBody(t, "intel", bench, runs))
-	if resp2["accepted"].(float64) != resp["accepted"].(float64) {
-		t.Errorf("replayed request faulted differently: %v vs %v", resp2["accepted"], resp["accepted"])
 	}
 }
 

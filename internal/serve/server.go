@@ -8,13 +8,11 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/drift"
-	"repro/internal/faults"
 	"repro/internal/measure"
 	"repro/internal/modelstore"
 	"repro/internal/obs"
@@ -57,11 +55,6 @@ type Config struct {
 	// Drift tunes the streaming-ingest drift detector and background
 	// refit loop behind POST /v1/measurements (zero value = defaults).
 	Drift drift.Config
-	// IngestFaults, when set, routes every decoded measurement batch
-	// through the streaming-batch fault injector (duplicate replay,
-	// reordering, truncation) — the deterministic drill lever for the
-	// ingest path. Production leaves it nil.
-	IngestFaults *faults.BatchInjector
 }
 
 func (c Config) withDefaults() Config {
@@ -102,11 +95,6 @@ type Server struct {
 	metrics   *obs.Registry
 	inFlight  *obs.Gauge
 	saturated *obs.Counter
-
-	// ingestMu serializes the (not concurrency-safe) batch fault
-	// injector and the per-cell batch sequence numbers behind it.
-	ingestMu  sync.Mutex
-	ingestSeq map[drift.Key]uint64
 }
 
 // New builds a server over a loaded measurement database.
@@ -128,7 +116,6 @@ func New(db *measure.Database, cfg Config) *Server {
 		BufferSize:    s.cfg.TraceBufferSize,
 		SlowThreshold: s.cfg.SlowTraceThreshold,
 	})
-	s.ingestSeq = map[drift.Key]uint64{}
 	s.drift = drift.NewManager(s.cfg.Drift, drift.Hooks{
 		// Route through the package clock variable like the tracer.
 		Clock:    func() time.Time { return clock() },
