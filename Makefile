@@ -63,7 +63,7 @@ persistence:
 # bypassing the test cache.
 drift:
 	$(GO) test -race -count=1 ./internal/drift/
-	$(GO) test -race -count=1 -run 'Measurements|Drift|Refit|Ingest|BodyCap|Batch' ./internal/serve/ ./internal/core/ ./internal/faults/
+	$(GO) test -race -count=1 -run 'Measurements|Drift|Refit|Ingest|BodyCap|Batch' ./internal/serve/ ./internal/core/
 
 # cluster mirrors the CI sharded-serving shard: consistent-hash ring
 # property tests, router failover under concurrent probe churn with
@@ -108,6 +108,7 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzBatchPredictRequestDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzMeasurementsRequestDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzRoutingKey$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/modelstore -run '^$$' -fuzz '^FuzzModelDecode$$' -fuzztime $(FUZZTIME)
 
 # cover prints per-package coverage and enforces the internal/obs gate
 # (the observability layer must stay >= 80% covered).

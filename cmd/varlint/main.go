@@ -24,9 +24,8 @@
 // (including //lint:allow directives without a reason).
 //
 // Suppressions: `//lint:allow <analyzer> <reason>` on the finding's
-// line or the line above. The reason is mandatory. Legacy debt can be
-// parked in the baseline file (-baseline, default varlint.baseline; see
-// -write-baseline), which this repository keeps empty.
+// line or the line above. The reason is mandatory. There is no baseline
+// of tolerated findings: every finding that is not suppressed fails.
 package main
 
 import (
@@ -48,14 +47,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("varlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		baseline      = fs.String("baseline", "varlint.baseline", "baseline file of tolerated legacy findings (missing file = empty)")
-		writeBaseline = fs.Bool("write-baseline", false, "rewrite the baseline with the current findings and exit 0")
-		cacheDir      = fs.String("cache", "", "directory for the per-package findings cache (empty = no cache)")
-		names         = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		list          = fs.Bool("list", false, "list the analyzers and exit")
-		format        = fs.String("format", "text", "output format: text, json, or github")
-		fix           = fs.Bool("fix", false, "print mechanical suggested rewrites (dry run; nothing is applied)")
-		hotreport     = fs.Bool("hotreport", false, "print the //perf:hotpath reachability report and exit")
+		cacheDir  = fs.String("cache", "", "directory for the per-package findings cache (empty = no cache)")
+		names     = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
+		list      = fs.Bool("list", false, "list the analyzers and exit")
+		format    = fs.String("format", "text", "output format: text, json, or github")
+		fix       = fs.Bool("fix", false, "print mechanical suggested rewrites (dry run; nothing is applied)")
+		hotreport = fs.Bool("hotreport", false, "print the //perf:hotpath reachability report and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -95,12 +92,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	n, err := lint.Run(stdout, patterns, lint.Config{
-		Analyzers:     suite,
-		Baseline:      *baseline,
-		CacheDir:      *cacheDir,
-		WriteBaseline: *writeBaseline,
-		Format:        *format,
-		Fix:           *fix,
+		Analyzers: suite,
+		CacheDir:  *cacheDir,
+		Format:    *format,
+		Fix:       *fix,
 	})
 	if err != nil {
 		_, _ = fmt.Fprintf(stderr, "varlint: %v\n", err)

@@ -10,7 +10,7 @@ import (
 
 // TestRepositoryIsClean is the smoke test the CI lint shard mirrors:
 // the full analyzer suite over the whole module must produce zero
-// findings with an empty baseline. If this fails, either fix the code
+// findings. If this fails, either fix the code
 // or add a //lint:allow with a reason where the invariant is enforced
 // elsewhere.
 func TestRepositoryIsClean(t *testing.T) {

@@ -122,24 +122,21 @@ func (f *Frontend) forwardKeyed(derive func(keyedBody) (string, error)) http.Han
 		if err != nil {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
-				writeJSON(w, http.StatusRequestEntityTooLarge, tooLarge{
-					Error: wire.TooLarge(mbe.Limit),
-					Code:  http.StatusRequestEntityTooLarge,
-				})
+				writeError(w, http.StatusRequestEntityTooLarge, wire.TooLarge(mbe.Limit))
 				return
 			}
-			writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+			writeError(w, http.StatusBadRequest, "read body: "+err.Error())
 			return
 		}
 		body := buf.Bytes()
 		var kb keyedBody
 		if err := decodeKeyedBody(body, &kb); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
+			writeError(w, http.StatusBadRequest, "decode body: "+err.Error())
 			return
 		}
 		key, err := derive(kb)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		f.relay(w, r, Request{Method: r.Method, Path: r.URL.Path, Key: key, Body: body})
@@ -156,7 +153,7 @@ func (f *Frontend) forwardUnkeyed(w http.ResponseWriter, r *http.Request) {
 func (f *Frontend) relay(w http.ResponseWriter, r *http.Request, req Request) {
 	resp, err := f.router.Do(r.Context(), req)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err)
+		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	if resp.RetryAfter > 0 {
@@ -202,13 +199,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// tooLarge is the replicas' 413 body (serve.ErrorResponse), field for
-// field, so a client sees the same answer from either hop.
-type tooLarge struct {
+// errorBody is the replicas' error body (serve.ErrorResponse), field
+// for field, so a client reads the same shape, with code equal to the
+// status, from either hop.
+type errorBody struct {
 	Error string `json:"error"`
 	Code  int    `json:"code"`
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+func writeError(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, errorBody{Error: msg, Code: status})
 }

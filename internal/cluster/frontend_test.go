@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -60,4 +61,42 @@ func TestFrontendMetricsAndIngestKey(t *testing.T) {
 	if rec := do(http.MethodPost, "/v1/measurements", `{"benchmark":"npb/bt"}`); rec.Code != http.StatusBadRequest {
 		t.Errorf("ingest without system = %d, want 400", rec.Code)
 	}
+}
+
+// TestFrontendErrorsCarryCode checks that the router's own errors have
+// the replicas' error shape: a missing key, a body that does not decode
+// and a tier with no live replica each answer {"error":…,"code":N}
+// with code equal to the status.
+func TestFrontendErrorsCarryCode(t *testing.T) {
+	r, backs := testRouter(t, 1, nil)
+	f := NewFrontend(r, nil)
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		f.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict/uc1", strings.NewReader(body)))
+		return rec
+	}
+	check := func(name string, rec *httptest.ResponseRecorder, status int) {
+		t.Helper()
+		if rec.Code != status {
+			t.Fatalf("%s: status %d, want %d (%s)", name, rec.Code, status, rec.Body)
+		}
+		var body struct {
+			Error string `json:"error"`
+			Code  *int   `json:"code"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: body %q: %v", name, rec.Body, err)
+		}
+		if body.Error == "" || body.Code == nil || *body.Code != status {
+			t.Errorf("%s: body %s, want an error with code %d", name, rec.Body, status)
+		}
+	}
+	check("missing key", post(`{"benchmark":"npb/bt"}`), http.StatusBadRequest)
+	check("bad body", post(`{"system":`), http.StatusBadRequest)
+
+	backs[0].set(false, "down", true)
+	for i := 0; i < 3; i++ {
+		r.ProbeAll(context.Background())
+	}
+	check("no live replica", post(`{"system":"intel","benchmark":"npb/bt"}`), http.StatusServiceUnavailable)
 }

@@ -5,8 +5,8 @@
 // Pass — but is built entirely on the standard library so the module
 // stays dependency-free. Analyzers receive fully type-checked syntax
 // for one package at a time and report Diagnostics through the Pass;
-// drivers (cmd/varlint, internal/lint/linttest) own loading, suppression,
-// baselines, and exit codes.
+// drivers (cmd/varlint, internal/lint/linttest) own loading, suppression
+// and exit codes.
 package analysis
 
 import (

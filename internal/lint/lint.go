@@ -1,6 +1,6 @@
 // Package lint is the varlint driver: it loads packages, runs the
-// analyzer suite, applies //lint:allow suppressions, subtracts the
-// baseline, and renders findings.
+// analyzer suite, applies //lint:allow suppressions, and renders every
+// finding that remains.
 //
 // The suite machine-checks the invariants this repository's results
 // rest on — bit-reproducible randomness and clocks (nondeterminism),
@@ -64,19 +64,12 @@ type Config struct {
 	Analyzers []*analysis.Analyzer
 	// Dir is the module root to run `go list` in ("" = cwd).
 	Dir string
-	// Baseline is the path of the baseline file; missing files mean an
-	// empty baseline. Entries match findings by package, analyzer, and
-	// message (not line numbers, so unrelated edits do not churn it).
-	Baseline string
 	// CacheDir, when non-empty, caches post-suppression findings:
 	// per-package analyzers under a content hash of the package and its
 	// module-internal dependencies, graph analyzers under one
 	// program-wide hash. Keys include each analyzer's Name@Version, so
 	// bumping an analyzer's Version invalidates its stale entries.
 	CacheDir string
-	// WriteBaseline rewrites Baseline with the current findings instead
-	// of failing on them.
-	WriteBaseline bool
 	// Format selects the rendering: "text" (default), "json" (the
 	// Finding array), or "github" (GitHub Actions workflow commands, one
 	// ::error per finding).
@@ -100,10 +93,6 @@ type Finding struct {
 	// one (report-only; printed by varlint -fix).
 	Fix string `json:"fix,omitempty"`
 }
-
-// key is the baseline identity of a finding: stable across line-number
-// churn.
-func (f Finding) key() string { return f.Pkg + " :: " + f.Analyzer + " :: " + f.Message }
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s/%s:%d:%d: %s: %s", f.Pkg, f.File, f.Line, f.Col, f.Analyzer, f.Message)
@@ -133,9 +122,9 @@ func analyzerLabels(analyzers []*analysis.Analyzer) []string {
 }
 
 // Run executes the suite over the packages matching patterns, printing
-// findings to w. It returns the number of unsuppressed, non-baselined
-// findings; err is reserved for operational failures (load errors,
-// malformed directives, unreadable baseline).
+// findings to w. It returns the number of unsuppressed findings; err is
+// reserved for operational failures (load errors, malformed
+// directives).
 func Run(w io.Writer, patterns []string, cfg Config) (int, error) {
 	analyzers := cfg.Analyzers
 	if len(analyzers) == 0 {
@@ -205,30 +194,10 @@ func Run(w io.Writer, patterns []string, cfg Config) (int, error) {
 		return a.Message < b.Message
 	})
 
-	if cfg.WriteBaseline {
-		if err := writeBaseline(cfg.Baseline, all); err != nil {
-			return 0, err
-		}
-		_, _ = fmt.Fprintf(w, "varlint: wrote %d finding(s) to %s\n", len(all), cfg.Baseline)
-		return 0, nil
-	}
-
-	baseline, err := readBaseline(cfg.Baseline)
-	if err != nil {
+	if err := render(w, all, cfg); err != nil {
 		return 0, err
 	}
-	kept := all[:0]
-	for _, f := range all {
-		if baseline[f.key()] > 0 {
-			baseline[f.key()]--
-			continue
-		}
-		kept = append(kept, f)
-	}
-	if err := render(w, kept, cfg); err != nil {
-		return 0, err
-	}
-	return len(kept), nil
+	return len(all), nil
 }
 
 // render writes the kept findings in the configured format.

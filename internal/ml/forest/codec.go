@@ -30,7 +30,9 @@ func (f *Regressor) AppendWire(e *ml.WireEnc) error {
 	return nil
 }
 
-// DecodeWire reconstructs a fitted forest written by AppendWire.
+// DecodeWire reconstructs a fitted forest written by AppendWire. Every
+// tree must have the forest's output width and the first tree's input
+// width.
 func DecodeWire(d *ml.WireDec) (*Regressor, error) {
 	f := &Regressor{}
 	f.cfg.NumTrees = d.Int()
@@ -55,6 +57,12 @@ func DecodeWire(d *ml.WireDec) (*Regressor, error) {
 			return nil, fmt.Errorf("forest: tree %d: %w", t, err)
 		}
 		f.trees[t] = tr
+		if tr.NumOutputs() != f.nOut {
+			return nil, fmt.Errorf("%w: forest tree %d has %d outputs, want %d", ml.ErrWire, t, tr.NumOutputs(), f.nOut)
+		}
+		if w := f.trees[0].NumFeatures(); tr.NumFeatures() != w {
+			return nil, fmt.Errorf("%w: forest tree %d has %d features, tree 0 has %d", ml.ErrWire, t, tr.NumFeatures(), w)
+		}
 	}
 	return f, nil
 }

@@ -168,6 +168,9 @@ func (f *Regressor) PredictInto(x, out []float64) {
 // NumOutputs implements ml.BatchIntoPredictor.
 func (f *Regressor) NumOutputs() int { return f.nOut }
 
+// NumFeatures returns the input width the forest was fitted at.
+func (f *Regressor) NumFeatures() int { return f.trees[0].NumFeatures() }
+
 // PredictBatchInto implements ml.BatchIntoPredictor: rows fan out
 // across the shared worker pool (bounded by GOMAXPROCS) and each is
 // filled in place by the allocation-free kernel. Row results are
@@ -180,25 +183,4 @@ func (f *Regressor) PredictBatchInto(ctx context.Context, X, out [][]float64) {
 		f.PredictInto(X[i], out[i])
 		return nil
 	})
-}
-
-// PredictReference averages the trees' pointer-walking reference
-// kernels — the implementation the flat-vs-pointer equivalence suite
-// compares against Predict bit for bit.
-func (f *Regressor) PredictReference(x []float64) []float64 {
-	if len(f.trees) == 0 {
-		panic("forest: Predict before Fit")
-	}
-	out := make([]float64, f.nOut)
-	for _, tr := range f.trees {
-		p := tr.PredictReference(x)
-		for j, v := range p {
-			out[j] += v
-		}
-	}
-	inv := 1 / float64(len(f.trees))
-	for j := range out {
-		out[j] *= inv
-	}
-	return out
 }

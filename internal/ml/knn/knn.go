@@ -245,6 +245,9 @@ func (r *Regressor) Predict(x []float64) []float64 {
 // NumOutputs implements ml.BatchIntoPredictor.
 func (r *Regressor) NumOutputs() int { return r.nOut }
 
+// NumFeatures returns the input width the model was fitted at.
+func (r *Regressor) NumFeatures() int { return len(r.x[0]) }
+
 // PredictBatchInto implements ml.BatchIntoPredictor: rows fan out
 // across the shared worker pool (bounded by GOMAXPROCS), each filled in
 // place with pooled scratch. Row results are independent, so the output

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -162,5 +163,18 @@ func TestSortColumns(t *testing.T) {
 				t.Fatalf("Vals[%d][%d] = %v, want X[%d][%d] = %v", f, k, got, i, f, X[i][f])
 			}
 		}
+	}
+}
+
+// TestWireDecLenRejectsOverflow checks that a length prefix whose byte
+// count overflows int is refused, not handed to make: 1<<61 eight-byte
+// floats multiply to 0 and once passed the remaining-bytes bound.
+func TestWireDecLenRejectsOverflow(t *testing.T) {
+	var e WireEnc
+	e.Int(1 << 61)
+	e.F64(1)
+	d := NewWireDec(e.Bytes())
+	if got := d.Floats(); got != nil || !errors.Is(d.Err(), ErrWire) {
+		t.Fatalf("Floats() = %d values, err %v; want ErrWire", len(got), d.Err())
 	}
 }

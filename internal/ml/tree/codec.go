@@ -6,18 +6,14 @@ import (
 	"repro/internal/ml"
 )
 
-// maxWireDepth bounds recursion when decoding node structures, so a
-// corrupt buffer that somehow passes the outer checksum cannot exhaust
-// the stack. Real trees are depth-bounded by MaxDepth (tens at most).
-const maxWireDepth = 10_000
-
 // AppendWire serializes the fitted tree: growth configuration,
-// bookkeeping, feature importances, and the node structure in preorder.
-// The feature-subsampling RNG is deliberately not serialized — a
-// decoded tree predicts bit-identically but cannot be refitted with
+// bookkeeping, feature importances, and the node table in preorder,
+// each row a tag byte (0 internal, 1 leaf) and its fields. The
+// feature-subsampling RNG is deliberately not serialized — a decoded
+// tree predicts bit-identically but cannot be refitted with
 // MaxFeatures in effect.
 func (t *Tree) AppendWire(e *ml.WireEnc) error {
-	if t.root == nil {
+	if t.flat == nil {
 		return fmt.Errorf("tree: encode before Fit")
 	}
 	e.Int(t.cfg.MaxDepth)
@@ -27,24 +23,24 @@ func (t *Tree) AppendWire(e *ml.WireEnc) error {
 	e.Int(t.depth)
 	e.Int(t.leaves)
 	e.Floats(t.importance)
-	appendNode(e, t.root)
+	f := t.flat
+	for i, feat := range f.feature {
+		if feat == flatLeaf {
+			e.U8(1)
+			e.Floats(f.leafValues(i))
+			continue
+		}
+		e.U8(0)
+		e.Int(int(feat))
+		e.F64(f.threshold[i])
+	}
 	return nil
 }
 
-func appendNode(e *ml.WireEnc, n *node) {
-	if n.value != nil {
-		e.U8(1)
-		e.Floats(n.value)
-		return
-	}
-	e.U8(0)
-	e.Int(n.feature)
-	e.F64(n.threshold)
-	appendNode(e, n.left)
-	appendNode(e, n.right)
-}
-
-// DecodeWire reconstructs a fitted tree written by AppendWire.
+// DecodeWire reconstructs a fitted tree written by AppendWire. It
+// rejects a table the kernel could not walk: a split on a negative
+// feature or on one beyond the importance vector, or leaves of unequal
+// width.
 func DecodeWire(d *ml.WireDec) (*Tree, error) {
 	t := &Tree{}
 	t.cfg.MaxDepth = d.Int()
@@ -54,40 +50,46 @@ func DecodeWire(d *ml.WireDec) (*Tree, error) {
 	t.depth = d.Int()
 	t.leaves = d.Int()
 	t.importance = d.Floats()
-	t.root = decodeNode(d, 0)
+	f := &flatTree{}
+	// open holds the internal rows whose right child is still to come:
+	// each leaf ends a left subtree, and the next row is the right child
+	// of the innermost open row. The tree ends at a leaf with none open.
+	var open []int32
+	for d.Err() == nil {
+		switch tag := d.U8(); tag {
+		case 0:
+			feat := d.Int()
+			if feat < 0 || feat >= len(t.importance) {
+				d.Failf("node %d splits on feature %d of %d", len(f.feature), feat, len(t.importance))
+			}
+			open = append(open, f.split(int32(feat), d.F64()))
+			continue
+		case 1:
+			n := d.Len(8)
+			if f.nOut == 0 {
+				f.nOut = n
+			}
+			if n == 0 || n != f.nOut {
+				d.Failf("leaf %d has %d outputs, want %d", len(f.feature), n, f.nOut)
+				break
+			}
+			vals := f.addLeaf()
+			for k := range vals {
+				vals[k] = d.F64()
+			}
+		default:
+			d.Failf("bad node tag %d", tag)
+		}
+		if len(open) == 0 {
+			break
+		}
+		last := len(open) - 1
+		f.right[open[last]] = int32(len(f.feature))
+		open = open[:last]
+	}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("tree: decode: %w", err)
 	}
-	// Warm-loaded trees serve through the same flattened kernel as
-	// freshly fitted ones.
-	t.finalize()
+	t.flat = f
 	return t, nil
-}
-
-func decodeNode(d *ml.WireDec, depth int) *node {
-	if d.Err() != nil {
-		return nil
-	}
-	if depth > maxWireDepth {
-		d.Failf("tree deeper than %d nodes", maxWireDepth)
-		return nil
-	}
-	switch tag := d.U8(); tag {
-	case 1:
-		n := &node{feature: -1, value: d.Floats()}
-		if n.value == nil && d.Err() == nil {
-			d.Failf("leaf without a target vector")
-		}
-		return n
-	case 0:
-		n := &node{feature: d.Int(), threshold: d.F64()}
-		n.left = decodeNode(d, depth+1)
-		n.right = decodeNode(d, depth+1)
-		return n
-	default:
-		if d.Err() == nil {
-			d.Failf("bad node tag %d", tag)
-		}
-		return nil
-	}
 }

@@ -7,7 +7,6 @@ package tree
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/ml"
 	"repro/internal/numeric"
@@ -43,19 +42,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// node is one tree node; leaves carry the mean target vector.
-type node struct {
-	feature   int
-	threshold float64
-	left      *node
-	right     *node
-	value     []float64 // leaf payload (nil for internal nodes)
-}
-
-// flatTree is the struct-of-arrays node table the serving kernel
-// traverses: one preorder-indexed entry per node, leaf payloads packed
-// into a single contiguous block. It is built once at fit/decode time;
-// traversal is iterative with no pointer chasing and no allocation.
+// flatTree is the fitted tree: a struct-of-arrays node table with one
+// preorder-indexed row per node and the leaf payloads packed into a
+// single contiguous block. Fit grows it and DecodeWire reads it
+// straight into this form, and the serving kernel walks it iteratively
+// with no pointer chasing and no allocation. Preorder keeps the hot
+// left spine cache-adjacent: an internal row's left child is the next
+// row.
 //
 // Encoding: feature[i] >= 0 marks an internal node whose children are
 // left[i]/right[i]; feature[i] == flatLeaf marks a leaf whose payload
@@ -72,38 +65,38 @@ type flatTree struct {
 // flatLeaf is the feature sentinel marking a leaf row in the table.
 const flatLeaf = int32(-1)
 
-// buildFlat lowers the pointer tree into its node table. Node indices
-// are preorder, so the hot left spine stays cache-adjacent.
-func buildFlat(root *node) *flatTree {
-	f := &flatTree{}
-	var walk func(n *node) int32
-	walk = func(n *node) int32 {
-		i := int32(len(f.feature))
-		f.feature = append(f.feature, 0)
-		f.threshold = append(f.threshold, 0)
-		f.left = append(f.left, 0)
-		f.right = append(f.right, 0)
-		if n.value != nil {
-			f.feature[i] = flatLeaf
-			f.left[i] = int32(len(f.values))
-			f.values = append(f.values, n.value...)
-			f.nOut = len(n.value)
-			return i
-		}
-		f.feature[i] = int32(n.feature)
-		f.threshold[i] = n.threshold
-		f.left[i] = walk(n.left)
-		f.right[i] = walk(n.right)
-		return i
-	}
-	walk(root)
-	return f
+// split appends an internal row splitting on feature at threshold; its
+// left child is the next row, and the caller sets right once the left
+// subtree is in the table.
+func (f *flatTree) split(feature int32, threshold float64) int32 {
+	i := int32(len(f.feature))
+	f.feature = append(f.feature, feature)
+	f.threshold = append(f.threshold, threshold)
+	f.left = append(f.left, i+1)
+	f.right = append(f.right, 0)
+	return i
+}
+
+// addLeaf appends a leaf row and returns its payload, nOut zeros for
+// the caller to fill.
+func (f *flatTree) addLeaf() []float64 {
+	i := f.split(flatLeaf, 0)
+	off := len(f.values)
+	f.left[i] = int32(off)
+	f.values = append(f.values, make([]float64, f.nOut)...)
+	return f.values[off:]
+}
+
+// leafValues returns row i's payload (do not mutate).
+func (f *flatTree) leafValues(i int) []float64 {
+	off := int(f.left[i])
+	return f.values[off : off+f.nOut]
 }
 
 // leaf routes x to its leaf and returns a view of the payload (do not
 // mutate). The comparison `x <= threshold` is false for NaN, so a NaN
-// feature follows the right branch — the same explicit NaN-routing
-// contract PredictReference implements with math.IsNaN.
+// feature follows the right branch: that is the tree's NaN-routing
+// contract.
 func (f *flatTree) leaf(x []float64) []float64 {
 	ft, th, lt, rt := f.feature, f.threshold, f.left, f.right
 	i := int32(0)
@@ -121,8 +114,7 @@ func (f *flatTree) leaf(x []float64) []float64 {
 // Tree is a fitted regression tree.
 type Tree struct {
 	cfg  Config
-	root *node
-	flat *flatTree // serving kernel, built by finalize
+	flat *flatTree // nil until fitted or decoded
 	// depth and leaves are bookkeeping for tests and reports.
 	depth  int
 	leaves int
@@ -130,11 +122,6 @@ type Tree struct {
 	// attributed to each feature — the classic "gain" importance.
 	importance []float64
 }
-
-// finalize builds the flattened kernel from the pointer tree. Fit and
-// DecodeWire both call it, so fresh and warm-loaded trees share one
-// serving kernel.
-func (t *Tree) finalize() { t.flat = buildFlat(t.root) }
 
 // FeatureImportance returns the per-feature impurity-reduction shares of
 // the fitted tree, normalized to sum to 1 (all zeros when the tree is a
@@ -162,6 +149,10 @@ func (t *Tree) Depth() int { return t.depth }
 
 // Leaves returns the number of leaves of the fitted tree.
 func (t *Tree) Leaves() int { return t.leaves }
+
+// NumFeatures returns the input width the tree was fitted at; every
+// split tests a feature below it.
+func (t *Tree) NumFeatures() int { return len(t.importance) }
 
 // Fit grows the tree on d.
 func (t *Tree) Fit(d *ml.Dataset) error {
@@ -203,6 +194,7 @@ func (t *Tree) fit(d *ml.Dataset, seg *ml.Segments, idx []int) error {
 	g := &grower{
 		t:           t,
 		d:           d,
+		flat:        &flatTree{nOut: d.NumOutputs()},
 		seg:         seg,
 		allFeatures: make([]int, nf),
 		count:       make([]int32, d.NumExamples()),
@@ -222,8 +214,8 @@ func (t *Tree) fit(d *ml.Dataset, seg *ml.Segments, idx []int) error {
 	t.depth = 0
 	t.leaves = 0
 	t.importance = make([]float64, nf)
-	t.root = g.grow(idx, 0, m, 0)
-	t.finalize()
+	g.grow(idx, 0, m, 0)
+	t.flat = g.flat
 	return nil
 }
 
@@ -267,6 +259,7 @@ func sse(d *ml.Dataset, idx []int, mean []float64) float64 {
 type grower struct {
 	t           *Tree
 	d           *ml.Dataset
+	flat        *flatTree // the table the tree grows into, in preorder
 	seg         *ml.Segments
 	allFeatures []int // 0..p-1, the candidates when MaxFeatures is off
 	sampler     randx.Sampler
@@ -276,25 +269,22 @@ type grower struct {
 	mean        []float64 // per-output target mean of the node
 }
 
-// grow grows the subtree of the node whose row list is idx and whose
-// segment range is [lo, hi); idx is reordered in place.
-func (g *grower) grow(idx []int, lo, hi, depth int) *node {
-	t, d := g.t, g.d
+// grow appends the subtree of the node whose row list is idx and whose
+// segment range is [lo, hi) to the table in preorder; idx is reordered
+// in place.
+func (g *grower) grow(idx []int, lo, hi, depth int) {
+	t := g.t
 	if depth > t.depth {
 		t.depth = depth
 	}
-	leaf := func() *node {
-		t.leaves++
-		value := make([]float64, d.NumOutputs())
-		meanInto(value, d, idx)
-		return &node{feature: -1, value: value}
-	}
 	if len(idx) < t.cfg.MinSamplesSplit || (t.cfg.MaxDepth > 0 && depth >= t.cfg.MaxDepth) {
-		return leaf()
+		g.leaf(idx)
+		return
 	}
 	feat, thr, gain, ok := g.bestSplit(idx, lo, hi)
 	if !ok {
-		return leaf()
+		g.leaf(idx)
+		return
 	}
 	mid := g.seg.MarkLeft(feat, lo, hi, thr)
 	nLeft := 0
@@ -302,17 +292,22 @@ func (g *grower) grow(idx []int, lo, hi, depth int) *node {
 		nLeft += int(g.count[i])
 	}
 	if nLeft < t.cfg.MinSamplesLeaf || len(idx)-nLeft < t.cfg.MinSamplesLeaf {
-		return leaf()
+		g.leaf(idx)
+		return
 	}
 	g.seg.PartitionRows(idx)
 	g.seg.Partition(lo, hi)
 	t.importance[feat] += gain
-	return &node{
-		feature:   feat,
-		threshold: thr,
-		left:      g.grow(idx[:nLeft], lo, mid, depth+1),
-		right:     g.grow(idx[nLeft:], mid, hi, depth+1),
-	}
+	i := g.flat.split(int32(feat), thr)
+	g.grow(idx[:nLeft], lo, mid, depth+1)
+	g.flat.right[i] = int32(len(g.flat.feature))
+	g.grow(idx[nLeft:], mid, hi, depth+1)
+}
+
+// leaf appends a leaf holding the mean target vector over idx.
+func (g *grower) leaf(idx []int) {
+	g.t.leaves++
+	meanInto(g.flat.addLeaf(), g.d, idx)
 }
 
 // bestSplit scans (a subsample of) features for the split that maximally
@@ -425,34 +420,4 @@ func (t *Tree) NumOutputs() int {
 		panic("tree: NumOutputs before Fit")
 	}
 	return t.flat.nOut
-}
-
-// PredictReference is the original pointer-chasing kernel, kept as the
-// independent reference implementation the equivalence suite compares
-// against the flattened kernel bit for bit.
-//
-// NaN routing contract: a NaN feature value always follows the right
-// (greater-than) branch. The flattened kernel realizes the same
-// contract through IEEE comparison semantics (`NaN <= t` is false);
-// here it is spelled out with math.IsNaN so the behavior is explicit
-// rather than an artifact of comparison order.
-func (t *Tree) PredictReference(x []float64) []float64 {
-	if t.root == nil {
-		panic("tree: Predict before Fit")
-	}
-	n := t.root
-	for n.value == nil {
-		xv := x[n.feature]
-		switch {
-		case math.IsNaN(xv):
-			n = n.right
-		case xv <= n.threshold:
-			n = n.left
-		default:
-			n = n.right
-		}
-	}
-	out := make([]float64, len(n.value))
-	copy(out, n.value)
-	return out
 }

@@ -255,7 +255,7 @@ func TestTreeNaNRoutesRight(t *testing.T) {
 	if got := tr.Predict(q); got[0] != 5 {
 		t.Errorf("flattened kernel routed NaN to %v, want right branch (5)", got[0])
 	}
-	if got := tr.PredictReference(q); got[0] != 5 {
+	if got := referenceTree(t, tr).predict(q); got[0] != 5 {
 		t.Errorf("reference walker routed NaN to %v, want right branch (5)", got[0])
 	}
 }
@@ -275,6 +275,7 @@ func TestTreeFlatMatchesReferenceWithNaNs(t *testing.T) {
 	if err := tr.Fit(d); err != nil {
 		t.Fatal(err)
 	}
+	ref := referenceTree(t, tr)
 	for i := 0; i < 200; i++ {
 		q := make([]float64, p)
 		for j := range q {
@@ -284,7 +285,7 @@ func TestTreeFlatMatchesReferenceWithNaNs(t *testing.T) {
 		if i%3 == 0 {
 			q[i%p] = math.NaN()
 		}
-		got, want := tr.Predict(q), tr.PredictReference(q)
+		got, want := tr.Predict(q), ref.predict(q)
 		for j := range want {
 			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 				t.Fatalf("probe %d out %d: flattened %v != reference %v", i, j, got[j], want[j])

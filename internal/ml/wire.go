@@ -144,13 +144,15 @@ func (d *WireDec) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // Len reads a length prefix for elements of at least elemSize bytes,
 // rejecting negative counts and counts that cannot fit in the remaining
-// buffer (so corrupt data cannot trigger huge allocations).
+// buffer (so corrupt data cannot trigger huge allocations). The bound
+// divides rather than multiplies, so a huge count cannot overflow past
+// it.
 func (d *WireDec) Len(elemSize int) int {
 	n := d.Int()
 	if d.err != nil {
 		return 0
 	}
-	if n < 0 || n*elemSize > d.Remaining() {
+	if n < 0 || n > d.Remaining()/elemSize {
 		d.fail("implausible length %d at offset %d (%d bytes remain)", n, d.off-8, d.Remaining())
 		return 0
 	}

@@ -2,21 +2,19 @@ package xgb
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ml"
 )
 
-// maxWireDepth bounds recursion when decoding node structures (real
-// boosting trees are MaxDepth-bounded, single digits).
-const maxWireDepth = 10_000
-
 // AppendWire serializes the fitted booster: the (defaulted)
 // configuration, per-output base scores, and every ensemble's trees in
-// boosting order. Prediction accumulates LearningRate-scaled leaf
-// weights in that order, so a decoded booster predicts bit-identically
-// to the original.
+// boosting order, each tree's rows in preorder as a tag byte (0
+// internal, 1 leaf) and its fields. Prediction accumulates
+// LearningRate-scaled leaf weights in that order, so a decoded booster
+// predicts bit-identically to the original.
 func (x *Regressor) AppendWire(e *ml.WireEnc) error {
-	if x.ensembles == nil {
+	if x.flat == nil {
 		return fmt.Errorf("xgb: encode before Fit")
 	}
 	e.Int(x.cfg.NumRounds)
@@ -29,30 +27,28 @@ func (x *Regressor) AppendWire(e *ml.WireEnc) error {
 	e.F64(x.cfg.ColSample)
 	e.U64(x.cfg.Seed)
 	e.Floats(x.baseScore)
-	e.Int(len(x.ensembles))
-	for _, trees := range x.ensembles {
-		e.Int(len(trees))
-		for _, t := range trees {
-			appendBNode(e, t)
+	e.Int(len(x.flat))
+	for _, fe := range x.flat {
+		// The rounds' trees are consecutive in the table, so its rows in
+		// order are the trees in boosting order.
+		e.Int(len(fe.roots))
+		for i, feat := range fe.feature {
+			if feat == flatLeaf {
+				e.U8(1)
+				e.F64(fe.threshold[i])
+				continue
+			}
+			e.U8(0)
+			e.Int(int(feat))
+			e.F64(fe.threshold[i])
 		}
 	}
 	return nil
 }
 
-func appendBNode(e *ml.WireEnc, n *bnode) {
-	if n.leaf {
-		e.U8(1)
-		e.F64(n.weight)
-		return
-	}
-	e.U8(0)
-	e.Int(n.feature)
-	e.F64(n.threshold)
-	appendBNode(e, n.left)
-	appendBNode(e, n.right)
-}
-
-// DecodeWire reconstructs a fitted booster written by AppendWire.
+// DecodeWire reconstructs a fitted booster written by AppendWire. It
+// rejects a split on a negative feature, which the kernel would read
+// as a leaf.
 func DecodeWire(d *ml.WireDec) (*Regressor, error) {
 	x := &Regressor{}
 	x.cfg.NumRounds = d.Int()
@@ -72,47 +68,46 @@ func DecodeWire(d *ml.WireDec) (*Regressor, error) {
 	if nOut == 0 || nOut != len(x.baseScore) {
 		return nil, fmt.Errorf("%w: booster with %d ensembles, %d base scores", ml.ErrWire, nOut, len(x.baseScore))
 	}
-	x.ensembles = make([][]*bnode, nOut)
-	for out := range x.ensembles {
-		n := d.Len(1)
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("xgb: decode ensemble %d: %w", out, err)
-		}
-		trees := make([]*bnode, n)
-		for t := range trees {
-			trees[t] = decodeBNode(d, 0)
+	x.flat = make([]flatEnsemble, nOut)
+	for out := range x.flat {
+		fe := &x.flat[out]
+		fe.roots = make([]int32, d.Len(1))
+		for r := range fe.roots {
+			fe.roots[r] = int32(len(fe.feature))
+			decodeTree(d, fe)
 		}
 		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("xgb: decode ensemble %d: %w", out, err)
 		}
-		x.ensembles[out] = trees
 	}
-	// Warm-loaded boosters serve through the same flattened kernel as
-	// freshly fitted ones.
-	x.finalize()
 	return x, nil
 }
 
-func decodeBNode(d *ml.WireDec, depth int) *bnode {
-	if d.Err() != nil {
-		return nil
-	}
-	if depth > maxWireDepth {
-		d.Failf("boosting tree deeper than %d nodes", maxWireDepth)
-		return nil
-	}
-	switch tag := d.U8(); tag {
-	case 1:
-		return &bnode{leaf: true, weight: d.F64()}
-	case 0:
-		n := &bnode{feature: d.Int(), threshold: d.F64()}
-		n.left = decodeBNode(d, depth+1)
-		n.right = decodeBNode(d, depth+1)
-		return n
-	default:
-		if d.Err() == nil {
+// decodeTree appends one tree, read in preorder, to fe. open holds the
+// internal rows whose right child is still to come: each leaf ends a
+// left subtree, and the next row is the right child of the innermost
+// open row. The tree ends at a leaf with none open.
+func decodeTree(d *ml.WireDec, fe *flatEnsemble) {
+	var open []int32
+	for d.Err() == nil {
+		switch tag := d.U8(); tag {
+		case 0:
+			feat := d.Int()
+			if feat < 0 || feat > math.MaxInt32 {
+				d.Failf("node %d splits on feature %d", len(fe.feature), feat)
+			}
+			open = append(open, fe.add(int32(feat), d.F64()))
+			continue
+		case 1:
+			fe.add(flatLeaf, d.F64())
+		default:
 			d.Failf("bad boosting node tag %d", tag)
 		}
-		return nil
+		if len(open) == 0 {
+			return
+		}
+		last := len(open) - 1
+		fe.right[open[last]] = int32(len(fe.feature))
+		open = open[:last]
 	}
 }

@@ -16,7 +16,6 @@ package xgb
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/ml"
 	"repro/internal/numeric"
@@ -77,19 +76,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// bnode is a boosting tree node.
-type bnode struct {
-	feature   int
-	threshold float64
-	left      *bnode
-	right     *bnode
-	leaf      bool
-	weight    float64
-}
-
-// flatEnsemble is one output's flattened boosting ensemble: every
-// round's tree packed into a single struct-of-arrays node table,
-// traversed iteratively with no pointer chasing and no allocation.
+// flatEnsemble is one output's fitted boosting ensemble: every round's
+// tree in preorder, packed into a single struct-of-arrays node table.
+// Fit grows the trees straight into it and DecodeWire reads them back
+// into it; the kernel walks it iteratively with no pointer chasing and
+// no allocation. An internal row's left child is the next row.
 //
 // Encoding: feature[i] >= 0 marks an internal node with children
 // left[i]/right[i]; feature[i] == flatLeaf marks a leaf whose weight is
@@ -107,46 +98,39 @@ type flatEnsemble struct {
 // flatLeaf is the feature sentinel marking a leaf row in the table.
 const flatLeaf = int32(-1)
 
-// appendFlat lowers one pointer tree into the table in preorder and
-// returns its root index.
-func (f *flatEnsemble) appendFlat(n *bnode) int32 {
+// add appends a row — a split on feature at threshold, or a leaf
+// (feature flatLeaf) of weight threshold — and returns its index. The
+// caller sets a split's right child once its left subtree is in the
+// table.
+func (f *flatEnsemble) add(feature int32, threshold float64) int32 {
 	i := int32(len(f.feature))
-	f.feature = append(f.feature, 0)
-	f.threshold = append(f.threshold, 0)
-	f.left = append(f.left, 0)
+	f.feature = append(f.feature, feature)
+	f.threshold = append(f.threshold, threshold)
+	f.left = append(f.left, i+1)
 	f.right = append(f.right, 0)
-	if n.leaf {
-		f.feature[i] = flatLeaf
-		f.threshold[i] = n.weight
-		return i
-	}
-	f.feature[i] = int32(n.feature)
-	f.threshold[i] = n.threshold
-	f.left[i] = f.appendFlat(n.left)
-	f.right[i] = f.appendFlat(n.right)
 	return i
+}
+
+// leafWeight routes x from row i to its leaf and returns the leaf's
+// weight. `x <= threshold` is false for NaN, so a NaN feature follows
+// the right branch: that is the ensemble's NaN-routing contract.
+func (f *flatEnsemble) leafWeight(i int32, x []float64) float64 {
+	ft, th, lt, rt := f.feature, f.threshold, f.left, f.right
+	for ft[i] >= 0 {
+		if x[ft[i]] <= th[i] {
+			i = lt[i]
+		} else {
+			i = rt[i]
+		}
+	}
+	return th[i]
 }
 
 // Regressor is a fitted gradient-boosting model.
 type Regressor struct {
 	cfg       Config
 	baseScore []float64      // per-output initial prediction
-	ensembles [][]*bnode     // [output][round]
-	flat      []flatEnsemble // serving kernel, built by finalize
-}
-
-// finalize builds the flattened serving kernel from the pointer
-// ensembles. Fit and DecodeWire both call it, so fresh and warm-loaded
-// boosters share one kernel.
-func (x *Regressor) finalize() {
-	x.flat = make([]flatEnsemble, len(x.ensembles))
-	for out, trees := range x.ensembles {
-		fe := &x.flat[out]
-		fe.roots = make([]int32, len(trees))
-		for r, t := range trees {
-			fe.roots[r] = fe.appendFlat(t)
-		}
-	}
+	flat      []flatEnsemble // [output]; nil until fitted or decoded
 }
 
 // New returns an unfitted booster.
@@ -163,7 +147,7 @@ func (x *Regressor) Name() string {
 // fitted model is bit-identical to a sequential fit regardless of
 // worker count. On error the regressor is reset to its unfitted state.
 func (x *Regressor) Fit(d *ml.Dataset) error {
-	x.baseScore, x.ensembles = nil, nil
+	x.baseScore, x.flat = nil, nil
 	if err := d.Validate(); err != nil {
 		return fmt.Errorf("xgb: %w", err)
 	}
@@ -175,7 +159,7 @@ func (x *Regressor) Fit(d *ml.Dataset) error {
 	// never on what the other workers consume.
 	outRNGs := rng.SplitN(nOut)
 	baseScore := make([]float64, nOut)
-	ensembles := make([][]*bnode, nOut)
+	flat := make([]flatEnsemble, nOut)
 	allCols := make([]int, nf)
 	for f := range allCols {
 		allCols[f] = f
@@ -204,8 +188,11 @@ func (x *Regressor) Fit(d *ml.Dataset) error {
 		for i := range pred {
 			pred[i] = base
 		}
+		fe := &flat[out]
+		fe.roots = make([]int32, 0, x.cfg.NumRounds)
 		g := &grower{
 			cfg:  &x.cfg,
+			fe:   fe,
 			seg:  seg,
 			grad: make([]float64, n),
 			hess: make([]float64, n),
@@ -213,7 +200,6 @@ func (x *Regressor) Fit(d *ml.Dataset) error {
 		outRNG := outRNGs[out]
 		rowBuf := make([]int, n)
 		var rowSampler, colSampler randx.Sampler
-		trees := make([]*bnode, 0, x.cfg.NumRounds)
 		for round := 0; round < x.cfg.NumRounds; round++ {
 			for i := range g.grad {
 				g.grad[i] = pred[i] - y[i] // squared loss
@@ -222,21 +208,20 @@ func (x *Regressor) Fit(d *ml.Dataset) error {
 			g.rows = x.sampleRows(outRNG, &rowSampler, rowBuf)
 			g.cols = x.sampleCols(outRNG, &colSampler, allCols)
 			seg.Load(g.cols, g.rows)
-			root := g.buildTree(0, len(g.rows), 0)
-			trees = append(trees, root)
+			root := int32(len(fe.feature))
+			fe.roots = append(fe.roots, root)
+			g.buildTree(0, len(g.rows), 0)
 			for i := 0; i < n; i++ {
-				pred[i] += x.cfg.LearningRate * evalTree(root, d.X[i])
+				pred[i] += x.cfg.LearningRate * fe.leafWeight(root, d.X[i])
 			}
 		}
-		ensembles[out] = trees
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 	x.baseScore = baseScore
-	x.ensembles = ensembles
-	x.finalize()
+	x.flat = flat
 	return nil
 }
 
@@ -277,34 +262,36 @@ func (x *Regressor) sampleCols(rng *randx.RNG, s *randx.Sampler, all []int) []in
 // of every segment column.
 type grower struct {
 	cfg        *Config
+	fe         *flatEnsemble // the table the round's tree grows into
 	seg        *ml.Segments
 	cols       []int // the tree's columns; segment column c is feature cols[c]
 	rows       []int // the tree's rows; a node's rows are rows[lo:hi], in index order
 	grad, hess []float64
 }
 
-// buildTree grows one regularized tree on the gradient statistics of
-// the node holding rows[lo:hi].
-func (g *grower) buildTree(lo, hi, depth int) *bnode {
+// buildTree appends one regularized tree, grown on the gradient
+// statistics of the node holding rows[lo:hi], to the table in preorder.
+func (g *grower) buildTree(lo, hi, depth int) {
 	cfg := g.cfg
 	var gSum, hSum float64
 	for _, i := range g.rows[lo:hi] {
 		gSum += g.grad[i]
 		hSum += g.hess[i]
 	}
-	leaf := func() *bnode {
-		return &bnode{leaf: true, weight: -gSum / (hSum + cfg.Lambda)}
-	}
+	leaf := func() { g.fe.add(flatLeaf, -gSum/(hSum+cfg.Lambda)) }
 	if depth >= cfg.MaxDepth || hi-lo < 2 {
-		return leaf()
+		leaf()
+		return
 	}
 	c, thr := g.bestSplit(lo, hi, gSum, hSum)
 	if c < 0 {
-		return leaf()
+		leaf()
+		return
 	}
 	mid := g.seg.MarkLeft(c, lo, hi, thr)
 	if mid == lo || mid == hi {
-		return leaf()
+		leaf()
+		return
 	}
 	g.seg.PartitionRows(g.rows[lo:hi])
 	// Leaves never search, so the columns are split only for children
@@ -312,12 +299,10 @@ func (g *grower) buildTree(lo, hi, depth int) *bnode {
 	if depth+1 < cfg.MaxDepth {
 		g.seg.Partition(lo, hi)
 	}
-	return &bnode{
-		feature:   g.cols[c],
-		threshold: thr,
-		left:      g.buildTree(lo, mid, depth+1),
-		right:     g.buildTree(mid, hi, depth+1),
-	}
+	i := g.fe.add(int32(g.cols[c]), thr)
+	g.buildTree(lo, mid, depth+1)
+	g.fe.right[i] = int32(len(g.fe.feature))
+	g.buildTree(mid, hi, depth+1)
 }
 
 // bestSplit returns the segment column and threshold of the
@@ -356,25 +341,6 @@ func (g *grower) bestSplit(lo, hi int, gSum, hSum float64) (int, float64) {
 	return bestCol, bestThr
 }
 
-// evalTree walks one pointer tree to its leaf weight, routing NaN
-// features explicitly right (the ensemble-wide NaN contract; Dataset
-// validation keeps NaN out of training, so the branch only matters for
-// serving-time inputs).
-func evalTree(n *bnode, x []float64) float64 {
-	for !n.leaf {
-		xv := x[n.feature]
-		switch {
-		case math.IsNaN(xv):
-			n = n.right
-		case xv <= n.threshold:
-			n = n.left
-		default:
-			n = n.right
-		}
-	}
-	return n.weight
-}
-
 // Predict implements ml.Regressor via the flattened kernel.
 func (x *Regressor) Predict(in []float64) []float64 {
 	//lint:allow alloccheck row API allocates only the returned vector by contract; the batch path fills caller buffers via PredictBatchInto
@@ -384,13 +350,9 @@ func (x *Regressor) Predict(in []float64) []float64 {
 }
 
 // PredictInto writes the prediction for in into out (len NumOutputs)
-// without allocating. Leaf weights accumulate in boosting order with
-// the same shrinkage multiply as the pointer kernel, so the result is
-// bit-identical to PredictReference.
-//
-// NaN routing contract: a NaN feature fails the `<=` comparison and
-// follows the right branch, identical to the explicit math.IsNaN branch
-// in PredictReference.
+// without allocating. Leaf weights accumulate in boosting order, each
+// times the learning rate, as Fit accumulated its training
+// predictions; a NaN feature follows the right branch.
 func (x *Regressor) PredictInto(in, out []float64) {
 	if x.flat == nil {
 		panic("xgb: Predict before Fit")
@@ -398,18 +360,9 @@ func (x *Regressor) PredictInto(in, out []float64) {
 	eta := x.cfg.LearningRate
 	for j := range x.flat {
 		fe := &x.flat[j]
-		ft, th, lt, rt := fe.feature, fe.threshold, fe.left, fe.right
 		p := x.baseScore[j]
 		for _, root := range fe.roots {
-			i := root
-			for ft[i] >= 0 {
-				if in[ft[i]] <= th[i] {
-					i = lt[i]
-				} else {
-					i = rt[i]
-				}
-			}
-			p += eta * th[i]
+			p += eta * fe.leafWeight(root, in)
 		}
 		out[j] = p
 	}
@@ -417,6 +370,19 @@ func (x *Regressor) PredictInto(in, out []float64) {
 
 // NumOutputs implements ml.BatchIntoPredictor.
 func (x *Regressor) NumOutputs() int { return len(x.flat) }
+
+// NumFeatures returns the narrowest input Predict accepts: one past the
+// highest feature any split tests. The wire format does not carry the
+// fitted width, so this is what a decoded booster can know.
+func (x *Regressor) NumFeatures() int {
+	n := 0
+	for _, fe := range x.flat {
+		for _, f := range fe.feature {
+			n = max(n, int(f)+1)
+		}
+	}
+	return n
+}
 
 // PredictBatchInto implements ml.BatchIntoPredictor: rows fan out
 // across the shared worker pool (bounded by GOMAXPROCS) and each is
@@ -430,23 +396,4 @@ func (x *Regressor) PredictBatchInto(ctx context.Context, X, out [][]float64) {
 		x.PredictInto(X[i], out[i])
 		return nil
 	})
-}
-
-// PredictReference is the original pointer-chasing kernel, kept as the
-// independent reference implementation the equivalence suite compares
-// against the flattened kernel bit for bit. NaN features explicitly
-// route right at every split.
-func (x *Regressor) PredictReference(in []float64) []float64 {
-	if x.ensembles == nil {
-		panic("xgb: Predict before Fit")
-	}
-	out := make([]float64, len(x.ensembles))
-	for j, trees := range x.ensembles {
-		p := x.baseScore[j]
-		for _, t := range trees {
-			p += x.cfg.LearningRate * evalTree(t, in)
-		}
-		out[j] = p
-	}
-	return out
 }

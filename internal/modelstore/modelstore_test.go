@@ -1,6 +1,8 @@
 package modelstore
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -38,7 +40,7 @@ func testDataset(seed uint64) *ml.Dataset {
 }
 
 // fitKind trains one model of the given kind on d.
-func fitKind(t *testing.T, kind Kind, d *ml.Dataset, seed uint64) ml.Regressor {
+func fitKind(t testing.TB, kind Kind, d *ml.Dataset, seed uint64) ml.Regressor {
 	t.Helper()
 	var reg ml.Regressor
 	switch kind {
@@ -61,8 +63,9 @@ var allKinds = []Kind{KindForest, KindXGB, KindKNN}
 
 // TestLoadedPredictsBitIdentical is the core persistence contract: for
 // every storable family and several seeds, an encode/decode round trip
-// yields a model whose predictions match the fitted original bit for
-// bit.
+// yields the fitted model itself. It re-encodes to the same bytes, and
+// its row and batch kernels answer bit for bit as the fitted model's
+// do, on probes with NaN features.
 func TestLoadedPredictsBitIdentical(t *testing.T) {
 	for _, kind := range allKinds {
 		for _, seed := range []uint64{1, 2, 3} {
@@ -79,21 +82,36 @@ func TestLoadedPredictsBitIdentical(t *testing.T) {
 			if h.Kind != kind || h.Version != FormatVersion || h.Fingerprint != FingerprintDataset(d) {
 				t.Fatalf("%v seed %d: header %+v", kind, seed, h)
 			}
+			again, err := Encode(loaded, FingerprintDataset(d))
+			if err != nil {
+				t.Fatalf("%v seed %d: re-encode: %v", kind, seed, err)
+			}
+			if !bytes.Equal(again, data) {
+				t.Fatalf("%v seed %d: re-encoded model differs from the stored bytes", kind, seed)
+			}
 			probe := randx.New(seed ^ 0xBEEF)
-			for q := 0; q < 20; q++ {
-				x := make([]float64, len(d.X[0]))
-				for j := range x {
-					x[j] = probe.Uniform(-2.5, 2.5)
+			X := make([][]float64, 20)
+			for q := range X {
+				X[q] = make([]float64, len(d.X[0]))
+				for j := range X[q] {
+					X[q][j] = probe.Uniform(-2.5, 2.5)
 				}
-				want := reg.Predict(x)
-				got := loaded.Predict(x)
-				if len(got) != len(want) {
-					t.Fatalf("%v seed %d: output arity %d vs %d", kind, seed, len(got), len(want))
+				if q%2 == 1 {
+					X[q][(q/2)%len(X[q])] = math.NaN()
 				}
-				for j := range want {
-					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-						t.Fatalf("%v seed %d probe %d out %d: loaded %v != fitted %v",
-							kind, seed, q, j, got[j], want[j])
+			}
+			want := ml.PredictBatch(context.Background(), reg, X)
+			got := ml.PredictBatch(context.Background(), loaded, X)
+			for q, x := range X {
+				row := loaded.Predict(x)
+				if len(row) != len(want[q]) {
+					t.Fatalf("%v seed %d: output arity %d vs %d", kind, seed, len(row), len(want[q]))
+				}
+				for j := range want[q] {
+					w := math.Float64bits(want[q][j])
+					if math.Float64bits(got[q][j]) != w || math.Float64bits(row[j]) != w {
+						t.Fatalf("%v seed %d probe %d out %d: loaded batch %v, row %v != fitted %v",
+							kind, seed, q, j, got[q][j], row[j], want[q][j])
 					}
 				}
 			}
@@ -304,51 +322,5 @@ func TestStoreLoadRejectsCorruptFile(t *testing.T) {
 	}
 	if _, err := st.Load(key, 0); !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("corrupt file: %v", err)
-	}
-}
-
-// referencePredictor is the pointer-walking fallback every storable
-// family keeps alongside its flattened serving kernel.
-type referencePredictor interface {
-	PredictReference(x []float64) []float64
-}
-
-// TestLoadedFlatMatchesPointerReference pins the warm-load contract for
-// the flattened kernels: a model decoded from the store serves with its
-// struct-of-arrays kernel, and that kernel must agree bit for bit with
-// the original pointer-based reference walker — per family, per seed.
-func TestLoadedFlatMatchesPointerReference(t *testing.T) {
-	for _, kind := range allKinds {
-		for _, seed := range []uint64{1, 2, 3} {
-			d := testDataset(seed)
-			reg := fitKind(t, kind, d, seed)
-			data, err := Encode(reg, FingerprintDataset(d))
-			if err != nil {
-				t.Fatalf("%v seed %d: encode: %v", kind, seed, err)
-			}
-			loaded, _, err := Decode(data)
-			if err != nil {
-				t.Fatalf("%v seed %d: decode: %v", kind, seed, err)
-			}
-			ref, ok := reg.(referencePredictor)
-			if !ok {
-				t.Fatalf("%v: fitted model has no reference kernel", kind)
-			}
-			probe := randx.New(seed ^ 0xF1A7)
-			for q := 0; q < 25; q++ {
-				x := make([]float64, len(d.X[0]))
-				for j := range x {
-					x[j] = probe.Uniform(-2.5, 2.5)
-				}
-				want := ref.PredictReference(x)
-				got := loaded.Predict(x)
-				for j := range want {
-					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-						t.Fatalf("%v seed %d probe %d out %d: warm flat %v != pointer reference %v",
-							kind, seed, q, j, got[j], want[j])
-					}
-				}
-			}
-		}
 	}
 }
