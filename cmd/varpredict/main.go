@@ -104,7 +104,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			registry = modelstore.NewRegistry(store, 16)
+			registry = modelstore.NewRegistry(store)
 			p.SetModelStore(registry)
 		}
 		return p

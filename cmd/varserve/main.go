@@ -9,7 +9,6 @@
 //	varserve -addr :9090 -workers 16 -timeout 10s     # tuned
 //	varserve -warm                                    # pre-train default models
 //	varserve -modeldir models/ -warm                  # warm start from the model store
-//	varserve -modeldir models/ -refresh 10m           # with breaker-aware refresh
 //
 // Endpoints: POST /v1/predict/uc1, POST /v1/predict/uc1/batch,
 // POST /v1/predict/uc2, POST /v1/measurements (streaming ingest with
@@ -65,9 +64,7 @@ func main() {
 		driftHyst   = flag.Int("drifthyst", 0, "consecutive breaching evaluations before a cell trips (0 = default 3)")
 		driftRefits = flag.Int("driftrefits", 0, "max concurrent background refits (0 = default 2)")
 
-		modelDir   = flag.String("modeldir", "", "persistent model store directory: fitted models are saved there and loaded on restart (empty = off)")
-		modelCache = flag.Int("modelcache", 256, "max models resident in memory with -modeldir (LRU beyond that)")
-		refresh    = flag.Duration("refresh", 0, "periodically drop caches so models refit from fresh data, keeping stale models as breaker-guarded fallbacks (0 = off)")
+		modelDir = flag.String("modeldir", "", "persistent model store directory: fitted models are saved there and loaded on restart (empty = off)")
 
 		pprofOn = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes heap/stack contents; opt-in)")
 		slow    = flag.Duration("slowtrace", time.Second, "log requests slower than this as span trees (0 disables)")
@@ -88,12 +85,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		registry = modelstore.NewRegistry(store, *modelCache)
+		registry = modelstore.NewRegistry(store)
 		keys, err := store.Keys()
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("model store %s: %d models on disk, %d resident max", store.Dir(), len(keys), *modelCache)
+		log.Printf("model store %s: %d models on disk", store.Dir(), len(keys))
 	}
 	srv := serve.New(db, serve.Config{
 		Addr:               *addr,
@@ -114,28 +111,6 @@ func main() {
 			Seed:         *seed,
 		},
 	})
-	if *refresh > 0 {
-		// Breaker-aware background refresh: Predictor.Refresh drops the
-		// fitted models but keeps them as stale fallbacks, so the next
-		// request per key refits under its breaker — while a refit fails
-		// or its breaker is open, the stale model keeps serving. With
-		// -modeldir the refit resolves through the content-addressed
-		// store: unchanged data loads the same bits back instead of
-		// retraining, changed data gets a new address and a real refit.
-		ticker := time.NewTicker(*refresh)
-		go func() {
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					srv.Predictor().Refresh()
-					log.Printf("refresh: caches dropped, models will refit (or reload) on demand")
-				}
-			}
-		}()
-	}
 	if *warm {
 		warmStart := randx.SystemClock()
 		if err := srv.Predictor().Warm(ctx,

@@ -7,11 +7,11 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is the router's virtual-node count per replica. 128
-// points per replica keeps the pure-hash spread of 1k keys over 8
-// replicas within ~1.3x of the mean; the bounded-load walk tightens
-// that to the configured factor.
-const DefaultVNodes = 128
+// vnodes is the ring's virtual-node count per replica. 128 points per
+// replica keeps the pure-hash spread of 1k keys over 8 replicas within
+// ~1.3x of the mean; the bounded-load walk tightens that to the
+// configured factor.
+const vnodes = 128
 
 // Hash64 is the ring's key hash: FNV-1a over the dataset-key bytes.
 // It matches the derivation style modelstore and faults use, and is
@@ -41,11 +41,8 @@ type Ring struct {
 }
 
 // NewRing builds a ring over the replica IDs (order-insensitive;
-// duplicates collapse). vnodes <= 0 selects DefaultVNodes.
-func NewRing(ids []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// duplicates collapse).
+func NewRing(ids []string) *Ring {
 	sorted := append([]string(nil), ids...)
 	sort.Strings(sorted)
 	// Collapse duplicates so a repeated ID cannot double its share.

@@ -42,7 +42,7 @@ func replicaIDs(n int) []string {
 // share.
 func TestAssignBoundedBalance(t *testing.T) {
 	keys := testKeys(1000)
-	ring := NewRing(replicaIDs(8), DefaultVNodes)
+	ring := NewRing(replicaIDs(8))
 	assign, err := AssignBounded(ring, keys, 1.25)
 	if err != nil {
 		t.Fatalf("AssignBounded: %v", err)
@@ -76,7 +76,7 @@ func TestAssignBoundedBalance(t *testing.T) {
 // map.
 func TestAssignBoundedOrderIndependent(t *testing.T) {
 	keys := testKeys(400)
-	ring := NewRing(replicaIDs(5), 64)
+	ring := NewRing(replicaIDs(5))
 	want, err := AssignBounded(ring, keys, 1.25)
 	if err != nil {
 		t.Fatalf("AssignBounded: %v", err)
@@ -103,9 +103,9 @@ func TestAssignBoundedOrderIndependent(t *testing.T) {
 // the fallback sequence.
 func TestRingDeterministicAcrossConstruction(t *testing.T) {
 	ids := replicaIDs(6)
-	ring := NewRing(ids, 64)
+	ring := NewRing(ids)
 	perm := []string{ids[3], ids[0], ids[5], ids[1], ids[4], ids[2], ids[3]}
-	ring2 := NewRing(perm, 64)
+	ring2 := NewRing(perm)
 	if !reflect.DeepEqual(ring.IDs(), ring2.IDs()) {
 		t.Fatalf("IDs diverge: %v vs %v", ring.IDs(), ring2.IDs())
 	}
@@ -124,7 +124,7 @@ func TestRingDeterministicAcrossConstruction(t *testing.T) {
 // every surviving key keeps its owner.
 func TestRingMinimalRemapOnRemove(t *testing.T) {
 	keys := testKeys(1000)
-	ring := NewRing(replicaIDs(8), DefaultVNodes)
+	ring := NewRing(replicaIDs(8))
 	victim := "replica-3"
 	after := ring.Without(victim)
 	moved := 0
@@ -151,7 +151,7 @@ func TestRingMinimalRemapOnRemove(t *testing.T) {
 // only pulls keys onto the newcomer.
 func TestRingMinimalRemapOnAdd(t *testing.T) {
 	keys := testKeys(1000)
-	ring := NewRing(replicaIDs(7), DefaultVNodes)
+	ring := NewRing(replicaIDs(7))
 	after := ring.With("replica-7")
 	gained := 0
 	for _, key := range keys {
@@ -173,7 +173,7 @@ func TestRingMinimalRemapOnAdd(t *testing.T) {
 // TestRingRemoveAddRoundTrips pins that remove-then-add restores the
 // original ownership exactly (the ring is memoryless).
 func TestRingRemoveAddRoundTrips(t *testing.T) {
-	ring := NewRing(replicaIDs(5), 64)
+	ring := NewRing(replicaIDs(5))
 	round := ring.Without("replica-2").With("replica-2")
 	for _, key := range testKeys(300) {
 		if a, b := ring.Owner(key), round.Owner(key); a != b {
@@ -185,7 +185,7 @@ func TestRingRemoveAddRoundTrips(t *testing.T) {
 // TestRingSequenceCoversAllReplicas pins that the fallback chain
 // starts at the owner and visits every replica exactly once.
 func TestRingSequenceCoversAllReplicas(t *testing.T) {
-	ring := NewRing(replicaIDs(6), 64)
+	ring := NewRing(replicaIDs(6))
 	for _, key := range testKeys(100) {
 		seq := ring.Sequence(key)
 		if len(seq) != ring.Len() {
@@ -206,7 +206,7 @@ func TestRingSequenceCoversAllReplicas(t *testing.T) {
 
 // TestRingEmptyAndSingle pins the degenerate topologies.
 func TestRingEmptyAndSingle(t *testing.T) {
-	empty := NewRing(nil, 64)
+	empty := NewRing(nil)
 	if got := empty.Owner("k"); got != "" {
 		t.Fatalf("empty ring owner = %q, want empty", got)
 	}
@@ -216,7 +216,7 @@ func TestRingEmptyAndSingle(t *testing.T) {
 	if _, err := AssignBounded(empty, []string{"k"}, 1.25); err == nil {
 		t.Fatal("AssignBounded over empty ring did not error")
 	}
-	solo := NewRing([]string{"only"}, 64)
+	solo := NewRing([]string{"only"})
 	for _, key := range testKeys(20) {
 		if solo.Owner(key) != "only" {
 			t.Fatalf("single-replica ring routed %q elsewhere", key)
@@ -249,17 +249,13 @@ func (r *Ring) Without(id string) *Ring {
 			ids = append(ids, x)
 		}
 	}
-	return NewRing(ids, r.vnodesPerReplica())
+	return NewRing(ids)
 }
 
 // With returns a derived ring with id added.
 func (r *Ring) With(id string) *Ring {
-	return NewRing(append(r.IDs(), id), r.vnodesPerReplica())
+	return NewRing(append(r.IDs(), id))
 }
-
-// vnodesPerReplica recovers the virtual-node count the ring was built
-// with.
-func (r *Ring) vnodesPerReplica() int { return len(r.points) / len(r.ids) }
 
 // AssignBounded assigns every key to a replica by walking its ring
 // sequence under the bounded-load cap BoundedCap(factor, len(keys),

@@ -122,7 +122,7 @@ func New(cfg Config) (*Router, error) {
 		r.ids = append(r.ids, id)
 	}
 	sort.Strings(r.ids)
-	r.ring = NewRing(r.ids, DefaultVNodes)
+	r.ring = NewRing(r.ids)
 	scope := cfg.Metrics.Scope("cluster.")
 	r.requests = scope.Counter("requests")
 	r.retries = scope.Counter("retries")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/modelstore"
@@ -42,7 +43,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 				t.Fatal(err)
 			}
 			warm := NewPredictor(db)
-			warm.SetModelStore(modelstore.NewRegistry(store, 8))
+			warm.SetModelStore(modelstore.NewRegistry(store))
 			golden, err := warm.PredictUC1(ctx, system, bench, cfg)
 			if err != nil {
 				t.Fatalf("warm fit: %v", err)
@@ -57,7 +58,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 				t.Fatal(err)
 			}
 			cold := NewPredictor(db)
-			cold.SetModelStore(modelstore.NewRegistry(store2, 8))
+			cold.SetModelStore(modelstore.NewRegistry(store2))
 			cold.SetFitHook(func(info FitInfo) error {
 				t.Errorf("fit ran on the warm-store hot path: %+v", info)
 				return fmt.Errorf("unexpected fit")
@@ -103,7 +104,7 @@ func TestPersistenceMatchesStorelessPredictor(t *testing.T) {
 	// second loads from disk; both must match the storeless answer.
 	for round := 0; round < 2; round++ {
 		p := NewPredictor(db)
-		p.SetModelStore(modelstore.NewRegistry(store, 8))
+		p.SetModelStore(modelstore.NewRegistry(store))
 		got, err := p.PredictUC1(ctx, system, bench, cfg)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -132,7 +133,7 @@ func TestPersistenceUC2AndFingerprintInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewPredictor(db)
-	p.SetModelStore(modelstore.NewRegistry(store, 8))
+	p.SetModelStore(modelstore.NewRegistry(store))
 	cfg := UC2Config{Model: RandomForest, Seed: 5, Models: ModelOptions{ForestTrees: 10}}
 	if _, err := p.PredictUC2(ctx, src, dst, bench, cfg); err != nil {
 		t.Fatal(err)
@@ -156,5 +157,52 @@ func TestPersistenceUC2AndFingerprintInvalidation(t *testing.T) {
 	}
 	if len(keys) != 2 {
 		t.Fatalf("store holds %d models, want 2 distinct addresses", len(keys))
+	}
+}
+
+// TestPersistenceRefitSurvivesSaveFailure pins that a failed save does
+// not fail a drift refit: the fit succeeded, so the refitted model
+// serves, the breaker stays closed and the store counts one save
+// error.
+func TestPersistenceRefitSurvivesSaveFailure(t *testing.T) {
+	db := testCampaign(t)
+	ctx := context.Background()
+	sd := db.Systems[0]
+	sys, bench := sd.SystemName, sd.Benchmarks[0].Workload.ID()
+	cfg := UC1Config{Model: KNN, NumSamples: 5, Seed: 11}
+
+	dir := t.TempDir()
+	store, err := modelstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPredictor(db)
+	p.SetModelStore(modelstore.NewRegistry(store))
+	if _, err := p.PredictUC1(ctx, sys, bench, cfg); err != nil {
+		t.Fatal(err)
+	}
+	other := sd.Benchmarks[1]
+	if err := p.SetBenchmarkRuns(sys, other.Workload.ID(), widenRuns(other.Runs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RefitSystem(ctx, sys); err != nil {
+		t.Fatalf("refit with an unwritable store: %v", err)
+	}
+	got, err := p.PredictUC1(ctx, sys, bench, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Degraded || !got.CacheHit {
+		t.Errorf("post-refit prediction {Degraded:%v Fallback:%q CacheHit:%v}, want the refitted model",
+			got.Degraded, got.Fallback, got.CacheHit)
+	}
+	if s := p.ModelStore().Stats(); s.SaveErrors != 1 || s.Refreshes != 1 {
+		t.Errorf("store stats %+v, want 1 save error and 1 refresh", s)
+	}
+	if d := p.Degraded(); d.BreakersOpen != 0 {
+		t.Errorf("breakers open after a refit whose fit succeeded: %+v", p.Breakers())
 	}
 }

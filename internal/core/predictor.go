@@ -55,7 +55,7 @@ var (
 //
 // Fit failures degrade rather than fail: each (system, config) pair is
 // guarded by a circuit breaker, and while fits are failing or the
-// breaker is open, requests fall back first to the stale pre-Refresh
+// breaker is open, requests fall back first to the stale pre-refit
 // model (if one exists) and then to a kNN model fitted on the same
 // data — both flagged Degraded in the Prediction. Configuration errors
 // (unknown system/benchmark, quarantined data) never trip the breaker
@@ -70,7 +70,7 @@ type Predictor struct {
 	datasets    sync.Map // datasetKey -> *dataCell
 	validations sync.Map // validKey -> *validCell
 	models      sync.Map // modelKey -> *modelCell
-	stale       sync.Map // modelKey -> *fittedModel (pre-Refresh models, until refitted)
+	stale       sync.Map // modelKey -> *fittedModel (pre-refit models, until refitted)
 	fallbacks   sync.Map // modelKey -> *modelCell (kNN fallback models)
 	breakers    sync.Map // datasetKey -> *breaker
 
@@ -155,7 +155,7 @@ func (p *Predictor) CacheStats() CacheStats {
 // DegradedStats counts predictions served by fallbacks and breakers
 // currently open — the server's degraded-mode gauge.
 type DegradedStats struct {
-	// StaleServed counts predictions served from a pre-Refresh model.
+	// StaleServed counts predictions served from a pre-refit model.
 	StaleServed uint64
 	// KNNServed counts predictions served by the kNN fallback.
 	KNNServed uint64
@@ -207,38 +207,6 @@ func (p *Predictor) QuarantineReports() map[string]measure.SystemQuarantine {
 		return true
 	})
 	return out
-}
-
-// Refresh drops every fitted model, assembled dataset and validated
-// view so the next request re-validates the data and refits, keeping
-// the dropped models as stale fallbacks: while a refit is failing or
-// its breaker is open, requests are answered by the pre-Refresh model
-// flagged Degraded instead of erroring. A key's stale model is
-// released as soon as a fresh fit for it succeeds.
-func (p *Predictor) Refresh() {
-	p.models.Range(func(key, value any) bool {
-		c := value.(*modelCell)
-		c.mu.Lock()
-		fitted := c.fitted
-		c.mu.Unlock()
-		if fitted != nil {
-			p.stale.Store(key, fitted)
-		}
-		p.models.Delete(key)
-		return true
-	})
-	p.datasets.Range(func(key, _ any) bool {
-		p.datasets.Delete(key)
-		return true
-	})
-	p.validations.Range(func(key, _ any) bool {
-		p.validations.Delete(key)
-		return true
-	})
-	p.fallbacks.Range(func(key, _ any) bool {
-		p.fallbacks.Delete(key)
-		return true
-	})
 }
 
 // Prediction is the outcome of one online prediction request.
@@ -329,7 +297,7 @@ type dataCell struct {
 }
 
 // fittedModel is one trained regressor bound to the dataset it was
-// trained on (so stale models survive a dataset Refresh intact).
+// trained on (so stale models survive a system refit intact).
 type fittedModel struct {
 	data *uc1Data
 	reg  ml.Regressor
@@ -433,7 +401,7 @@ type validCell struct {
 // snapshot once per Repair setting and hands every dataset built on
 // that snapshot — all model families and decoders, both use cases —
 // the same read-only view. A view of an older snapshot of the system
-// is replaced, and Refresh and a system refit drop the system's views.
+// is replaced, and a system refit drops the system's views.
 func (p *Predictor) validated(sd *measure.SystemData, repair bool) (*measure.SystemData, []measure.BenchmarkQuarantine) {
 	k := validKey{system: sd.SystemName, repair: repair}
 	v, _ := p.validations.LoadOrStore(k, &validCell{sd: sd})
@@ -485,15 +453,14 @@ func resolveHoldout(data *uc1Data, holdout string) (test int, train []int, err e
 // fitResolved obtains one regressor of the key's model family (or the
 // kNN fallback family) for the training rows, under a "model.fit" span
 // naming the family. Without a model store it always trains. With one,
-// storable primary models resolve through the registry — resident copy,
-// then disk, then fit-and-persist — and the span's "store" attribute
-// records which tier answered; only an actual fit runs the fit hook, so
-// a warm store serves without touching the fit path at all. Fallback
-// models never go through the store: they are cheap memorization whose
-// job is to work when everything else is broken. refresh forces the
-// registry's atomic-swap path (always fit, persist, replace the
-// resident copy) — the drift refitter's contract, where the stored
-// model is known-stale by construction.
+// storable primary models resolve through the registry — disk, then
+// fit-and-persist — and the span's "store" attribute records which
+// answered; only an actual fit runs the fit hook, so a warm store
+// serves without touching the fit path at all. Fallback models never
+// go through the store: they are cheap memorization whose job is to
+// work when everything else is broken. refresh skips the disk copy
+// (always fit and persist) — the drift refitter's contract, where the
+// stored model is known-stale by construction.
 func (p *Predictor) fitResolved(ctx context.Context, data *uc1Data, k modelKey, test int, train []int, fallback, refresh bool) (*fittedModel, error) {
 	model, opts, seed := k.data.params()
 	if fallback {
@@ -531,23 +498,15 @@ func (p *Predictor) fitResolved(ctx context.Context, data *uc1Data, k modelKey, 
 	var reg ml.Regressor
 	var err error
 	switch {
-	case p.registry != nil && !fallback && storable(model) && refresh:
-		// Drift refit: never trust memory or disk — fit on the merged
-		// data, persist, and atomically swap the resident entry.
-		err = p.registry.Refresh(storeSpec(k, model, seed, opts, data.fingerprint()).Key(), data.fingerprint(), func() (ml.Regressor, error) {
-			r, ferr := fit()
-			if ferr == nil {
-				reg = r
-			}
-			return r, ferr
-		})
+	case p.registry == nil || fallback || !storable(model):
+		reg, err = fit()
+	case refresh:
+		reg, err = p.registry.Refresh(storeSpec(k, model, seed, opts, data.fingerprint()).Key(), data.fingerprint(), fit)
 		span.SetAttr("store", "refresh")
-	case p.registry != nil && !fallback && storable(model):
+	default:
 		var src modelstore.Source
 		reg, src, err = p.registry.GetOrFit(storeSpec(k, model, seed, opts, data.fingerprint()).Key(), data.fingerprint(), fit)
 		span.SetAttr("store", src.String())
-	default:
-		reg, err = fit()
 	}
 	if err != nil {
 		return nil, err
@@ -622,7 +581,7 @@ func (p *Predictor) fallbackKNN(ctx context.Context, k modelKey) (*fittedModel, 
 }
 
 // modelServe is the request path: the strict model when healthy,
-// otherwise the degraded fallback chain — the stale pre-Refresh model
+// otherwise the degraded fallback chain — the stale pre-refit model
 // first, then the kNN fallback. Only fit failures and open breakers
 // degrade; configuration errors propagate.
 func (p *Predictor) modelServe(ctx context.Context, k modelKey) (*servedModel, error) {

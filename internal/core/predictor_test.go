@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/distrep"
+	"repro/internal/modelstore"
 	"repro/internal/perfsim"
 )
 
@@ -112,42 +113,70 @@ func TestPredictorUnknownIDs(t *testing.T) {
 	}
 }
 
+// TestPredictorConcurrentIdenticalRequests requires one fit for N
+// concurrent requests of one key, with and without a model store: the
+// key's cell serializes them, so the store sees one miss and one file.
 func TestPredictorConcurrentIdenticalRequests(t *testing.T) {
-	db := testCampaign(t)
-	p := NewPredictor(db)
-	cfg := predictorConfig()
-	sys := db.Systems[0].SystemName
-	bench := db.Systems[0].Benchmarks[3].Workload.ID()
-
-	const goroutines = 8
-	preds := make([]*Prediction, goroutines)
-	errs := make([]error, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			preds[g], errs[g] = p.PredictUC1(context.Background(), sys, bench, cfg)
-		}(g)
-	}
-	wg.Wait()
-	for g := 0; g < goroutines; g++ {
-		if errs[g] != nil {
-			t.Fatalf("goroutine %d: %v", g, errs[g])
+	for _, withStore := range []bool{false, true} {
+		name := "storeless"
+		if withStore {
+			name = "store"
 		}
-		for i := range preds[0].Predicted {
-			if preds[g].Predicted[i] != preds[0].Predicted[i] {
-				t.Fatalf("goroutine %d diverges at sample %d", g, i)
+		t.Run(name, func(t *testing.T) {
+			db := testCampaign(t)
+			p := NewPredictor(db)
+			var store *modelstore.Store
+			if withStore {
+				var err error
+				if store, err = modelstore.Open(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
+				p.SetModelStore(modelstore.NewRegistry(store))
 			}
-		}
-	}
-	// Singleflight: exactly one build regardless of contention.
-	s := p.CacheStats()
-	if s.Misses != 1 {
-		t.Errorf("concurrent identical requests trained %d times, want 1", s.Misses)
-	}
-	if s.Hits != goroutines-1 {
-		t.Errorf("hits = %d, want %d", s.Hits, goroutines-1)
+			cfg := predictorConfig()
+			sys := db.Systems[0].SystemName
+			bench := db.Systems[0].Benchmarks[3].Workload.ID()
+
+			const goroutines = 8
+			preds := make([]*Prediction, goroutines)
+			errs := make([]error, goroutines)
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					preds[g], errs[g] = p.PredictUC1(context.Background(), sys, bench, cfg)
+				}(g)
+			}
+			wg.Wait()
+			for g := 0; g < goroutines; g++ {
+				if errs[g] != nil {
+					t.Fatalf("goroutine %d: %v", g, errs[g])
+				}
+				for i := range preds[0].Predicted {
+					if preds[g].Predicted[i] != preds[0].Predicted[i] {
+						t.Fatalf("goroutine %d diverges at sample %d", g, i)
+					}
+				}
+			}
+			// Singleflight: exactly one build regardless of contention.
+			s := p.CacheStats()
+			if s.Misses != 1 {
+				t.Errorf("concurrent identical requests trained %d times, want 1", s.Misses)
+			}
+			if s.Hits != goroutines-1 {
+				t.Errorf("hits = %d, want %d", s.Hits, goroutines-1)
+			}
+			if !withStore {
+				return
+			}
+			if ss := p.ModelStore().Stats(); ss.Misses != 1 || ss.DiskHits != 0 {
+				t.Errorf("store stats %+v, want 1 miss and no disk hit", ss)
+			}
+			if keys, err := store.Keys(); err != nil || len(keys) != 1 {
+				t.Errorf("store holds %v (err %v), want one file", keys, err)
+			}
+		})
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // the same merge yields the same snapshot, not a double append.
 //
 // Only the database changes; cached datasets and models still hold the
-// old snapshot until RefitSystem (or Refresh) drops them.
+// old snapshot until RefitSystem drops them.
 func (p *Predictor) SetBenchmarkRuns(system, benchmark string, runs []perfsim.Run) error {
 	if len(runs) < 2 {
 		return fmt.Errorf("core: benchmark %s/%s needs >= 2 runs, got %d", system, benchmark, len(runs))
@@ -120,13 +120,6 @@ func (p *Predictor) refreshSystem(system string) []modelKey {
 	return dropped
 }
 
-// RefreshSystem is the exported single-system variant of Refresh: it
-// drops the system's cached state (keeping stale fallbacks) without
-// refitting, and reports how many models were dropped.
-func (p *Predictor) RefreshSystem(system string) int {
-	return len(p.refreshSystem(system))
-}
-
 // RefitSystem re-validates and strictly refits every model that was
 // resident for the named system against the current database snapshot
 // — the drift refitter's entry point after SetBenchmarkRuns swaps the
@@ -151,10 +144,10 @@ func (p *Predictor) RefitSystem(ctx context.Context, system string) error {
 }
 
 // refitOne strictly refits one model key on the current snapshot,
-// bypassing the memory/disk model-store tiers (registry Refresh:
-// fit, persist, atomic swap). Shares the breaker and cache cells with
-// the request path, so a concurrent request that already refitted the
-// key is simply reused.
+// bypassing the model store's disk copy (registry Refresh: fit and
+// persist). Shares the breaker and cache cells with the request path,
+// so a concurrent request that already refitted the key is simply
+// reused.
 func (p *Predictor) refitOne(ctx context.Context, k modelKey) error {
 	data, err := p.dataset(ctx, k.data)
 	if err != nil {

@@ -230,7 +230,7 @@ func TestPredictorStaleFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Refresh()
+	p.refreshSystem("intel")
 	p.SetFitHook(func(FitInfo) error { return errors.New("refit killed") })
 	got, err := p.PredictUC1(context.Background(), "intel", id, cfg)
 	if err != nil {
@@ -239,9 +239,9 @@ func TestPredictorStaleFallback(t *testing.T) {
 	if !got.Degraded || got.Fallback != "stale" {
 		t.Fatalf("prediction = {Degraded:%v Fallback:%q}, want degraded stale", got.Degraded, got.Fallback)
 	}
-	// The stale model is the pre-Refresh model: identical output.
+	// The stale model is the pre-refit model: identical output.
 	if !reflect.DeepEqual(want.Predicted, got.Predicted) {
-		t.Error("stale fallback must reproduce the pre-Refresh prediction bit-for-bit")
+		t.Error("stale fallback must reproduce the pre-refit prediction bit-for-bit")
 	}
 	if p.Degraded().StaleServed == 0 {
 		t.Error("stale_served counter not incremented")

@@ -90,6 +90,7 @@ func DecodeWire(d *ml.WireDec) (*Tree, error) {
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("tree: decode: %w", err)
 	}
+	f.trim()
 	t.flat = f
 	return t, nil
 }

@@ -7,6 +7,7 @@ package tree
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ml"
 	"repro/internal/numeric"
@@ -85,6 +86,16 @@ func (f *flatTree) addLeaf() []float64 {
 	f.left[i] = int32(off)
 	f.values = append(f.values, make([]float64, f.nOut)...)
 	return f.values[off:]
+}
+
+// trim copies each column to its length, so a finished table does not
+// keep append's growth slack for the model's lifetime.
+func (f *flatTree) trim() {
+	f.feature = slices.Clone(f.feature)
+	f.threshold = slices.Clone(f.threshold)
+	f.left = slices.Clone(f.left)
+	f.right = slices.Clone(f.right)
+	f.values = slices.Clone(f.values)
 }
 
 // leafValues returns row i's payload (do not mutate).
@@ -215,6 +226,7 @@ func (t *Tree) fit(d *ml.Dataset, seg *ml.Segments, idx []int) error {
 	t.leaves = 0
 	t.importance = make([]float64, nf)
 	g.grow(idx, 0, m, 0)
+	g.flat.trim()
 	t.flat = g.flat
 	return nil
 }

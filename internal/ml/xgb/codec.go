@@ -79,6 +79,7 @@ func DecodeWire(d *ml.WireDec) (*Regressor, error) {
 		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("xgb: decode ensemble %d: %w", out, err)
 		}
+		fe.trim()
 	}
 	return x, nil
 }

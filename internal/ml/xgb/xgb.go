@@ -16,6 +16,7 @@ package xgb
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/ml"
 	"repro/internal/numeric"
@@ -109,6 +110,15 @@ func (f *flatEnsemble) add(feature int32, threshold float64) int32 {
 	f.left = append(f.left, i+1)
 	f.right = append(f.right, 0)
 	return i
+}
+
+// trim copies each column to its length, so a finished table does not
+// keep append's growth slack for the model's lifetime.
+func (f *flatEnsemble) trim() {
+	f.feature = slices.Clone(f.feature)
+	f.threshold = slices.Clone(f.threshold)
+	f.left = slices.Clone(f.left)
+	f.right = slices.Clone(f.right)
 }
 
 // leafWeight routes x from row i to its leaf and returns the leaf's
@@ -215,6 +225,7 @@ func (x *Regressor) Fit(d *ml.Dataset) error {
 				pred[i] += x.cfg.LearningRate * fe.leafWeight(root, d.X[i])
 			}
 		}
+		fe.trim()
 		return nil
 	})
 	if err != nil {

@@ -22,11 +22,11 @@
 //     impossible: if anything changed, the key changed and the old file
 //     is simply never read again.
 //
-//   - Registry: an in-memory front for the store with LRU-bounded
-//     residency, per-key singleflight (concurrent requests for the same
-//     model share one load-or-fit), and atomic swap on Refresh. It
-//     counts hits, disk hits, misses, evictions, and load/save errors
-//     for the serving layer's gauges.
+//   - Registry: a load-or-fit front for the store. GetOrFit loads the
+//     disk copy or fits and persists; Refresh always fits and persists.
+//     It holds no models — core.Predictor's per-key cells are their one
+//     in-memory home — and counts disk hits, misses, refreshes, and
+//     load/save/fit errors for the serving layer's gauges.
 //
 // The package sits below internal/core: it knows about ml.Regressor
 // implementations but nothing about predictors, breakers, or HTTP.

@@ -1,10 +1,8 @@
 package modelstore
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/ml"
@@ -13,18 +11,15 @@ import (
 // Source reports where GetOrFit found a model.
 type Source int
 
-// Cheapest first: already resident, loaded from disk, freshly fitted.
+// Cheapest first: loaded from disk, freshly fitted.
 const (
-	SourceMemory Source = iota
-	SourceDisk
+	SourceDisk Source = iota
 	SourceFit
 )
 
 // String names the source for spans and logs.
 func (s Source) String() string {
 	switch s {
-	case SourceMemory:
-		return "memory"
 	case SourceDisk:
 		return "disk"
 	case SourceFit:
@@ -34,114 +29,30 @@ func (s Source) String() string {
 	}
 }
 
-// DefaultMaxResident bounds in-memory residency when NewRegistry is
-// given no limit.
-const DefaultMaxResident = 256
-
-// Registry fronts a Store with bounded in-memory residency. GetOrFit
-// resolves a key through three tiers — resident model, disk file, fresh
-// fit (persisted back) — with per-key singleflight so concurrent
-// requests for the same model share one resolution. Refresh atomically
-// swaps a resident entry for a refit without ever leaving the key
-// empty. All methods are safe for concurrent use.
+// Registry is a counting load-or-fit front of a Store. It holds no
+// models: the caller keeps what it resolves, and serializes the
+// resolutions of one key itself (core.Predictor holds a per-key mutex
+// across the call). Calls for keys that share a content address may
+// run at once; they write identical bytes through the store's atomic
+// rename. All methods are safe for concurrent use.
 type Registry struct {
 	store *Store
-	max   int
 
-	mu       sync.Mutex
-	resident map[string]*list.Element
-	lru      *list.List // of *entry; front = most recently used
-	flights  map[string]*flight
-
-	hits, diskHits, misses            atomic.Uint64
-	evictions, refreshes              atomic.Uint64
+	diskHits, misses, refreshes       atomic.Uint64
 	loadErrors, saveErrors, fitErrors atomic.Uint64
 }
 
-// entry is one resident model.
-type entry struct {
-	key string
-	reg ml.Regressor
-}
-
-// flight is one in-progress load-or-fit that late arrivals wait on.
-type flight struct {
-	done chan struct{}
-	reg  ml.Regressor
-	src  Source
-	err  error
-}
-
-// NewRegistry wraps a store; maxResident <= 0 selects
-// DefaultMaxResident.
-func NewRegistry(store *Store, maxResident int) *Registry {
-	if maxResident <= 0 {
-		maxResident = DefaultMaxResident
-	}
-	return &Registry{
-		store:    store,
-		max:      maxResident,
-		resident: map[string]*list.Element{},
-		lru:      list.New(),
-		flights:  map[string]*flight{},
-	}
-}
+// NewRegistry wraps a store.
+func NewRegistry(store *Store) *Registry { return &Registry{store: store} }
 
 // Store exposes the backing store.
 func (r *Registry) Store() *Store { return r.store }
 
-// GetOrFit returns the model for key: the resident copy, else the disk
-// copy (fingerprint-checked against fp), else the result of fit —
-// persisted back so the next process starts warm. A failed fit resolves
-// every waiting caller with the same error and leaves the key absent,
-// so a later request retries.
+// GetOrFit returns the model for key: the disk copy (fingerprint-
+// checked against fp), else the result of fit, persisted back so the
+// next process starts warm. A failed fit persists nothing, so a later
+// call retries.
 func (r *Registry) GetOrFit(key string, fp uint64, fit func() (ml.Regressor, error)) (ml.Regressor, Source, error) {
-	reg, fl, leader := r.acquire(key)
-	if reg != nil {
-		r.hits.Add(1)
-		return reg, SourceMemory, nil
-	}
-	if !leader {
-		<-fl.done
-		return fl.reg, fl.src, fl.err
-	}
-	fl.reg, fl.src, fl.err = r.loadOrFit(key, fp, fit)
-	r.settle(key, fl)
-	return fl.reg, fl.src, fl.err
-}
-
-// acquire resolves the fast paths under one lock hold: a resident model
-// (reg non-nil), an in-progress flight to wait on (leader false), or
-// leadership of a new flight (leader true).
-func (r *Registry) acquire(key string) (reg ml.Regressor, fl *flight, leader bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if el, ok := r.resident[key]; ok {
-		r.lru.MoveToFront(el)
-		return el.Value.(*entry).reg, nil, false
-	}
-	if fl, ok := r.flights[key]; ok {
-		return nil, fl, false
-	}
-	fl = &flight{done: make(chan struct{})}
-	r.flights[key] = fl
-	return nil, fl, true
-}
-
-// settle publishes a finished flight — resident on success, absent on
-// failure so a later request retries — and wakes its waiters.
-func (r *Registry) settle(key string, fl *flight) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.flights, key)
-	if fl.err == nil {
-		r.insertLocked(key, fl.reg)
-	}
-	close(fl.done)
-}
-
-// loadOrFit is the slow path: disk, then fit + persist.
-func (r *Registry) loadOrFit(key string, fp uint64, fit func() (ml.Regressor, error)) (ml.Regressor, Source, error) {
 	reg, err := r.store.Load(key, fp)
 	if err == nil {
 		r.diskHits.Add(1)
@@ -152,114 +63,59 @@ func (r *Registry) loadOrFit(key string, fp uint64, fit func() (ml.Regressor, er
 		// fall through to a refit that overwrites it.
 		r.loadErrors.Add(1)
 	}
-	reg, err = fit()
+	reg, err = r.fitAndSave(key, fp, fit)
 	if err != nil {
-		r.fitErrors.Add(1)
 		return nil, SourceFit, err
 	}
 	r.misses.Add(1)
-	if err := r.store.Save(key, reg, fp); err != nil {
-		// Persistence is an optimization; serving the fitted model
-		// matters more than the disk write.
-		r.saveErrors.Add(1)
-	}
 	return reg, SourceFit, nil
 }
 
-// insertLocked makes key resident (most recently used), evicting from
-// the LRU tail past the residency bound. Callers hold r.mu.
-func (r *Registry) insertLocked(key string, reg ml.Regressor) {
-	if el, ok := r.resident[key]; ok {
-		el.Value.(*entry).reg = reg
-		r.lru.MoveToFront(el)
-		return
+// Refresh fits key without consulting the disk copy and persists the
+// result — the drift refitter's entry point, where the stored model is
+// known to be stale. A failed fit leaves the file as it was.
+func (r *Registry) Refresh(key string, fp uint64, fit func() (ml.Regressor, error)) (ml.Regressor, error) {
+	reg, err := r.fitAndSave(key, fp, fit)
+	if err != nil {
+		return nil, fmt.Errorf("modelstore: refresh %s: %w", key, err)
 	}
-	r.resident[key] = r.lru.PushFront(&entry{key: key, reg: reg})
-	for r.lru.Len() > r.max {
-		back := r.lru.Back()
-		r.lru.Remove(back)
-		delete(r.resident, back.Value.(*entry).key)
-		r.evictions.Add(1)
-	}
+	r.refreshes.Add(1)
+	return reg, nil
 }
 
-// Refresh refits key via fit, persists the result, and atomically swaps
-// it into residency: readers see the old model until the single map
-// update publishes the new one, never an empty slot. Unlike GetOrFit it
-// always fits — it is the background-refresh entry point, so the caller
-// decides when (and whether, e.g. consulting its breakers) a refit is
-// due.
-func (r *Registry) Refresh(key string, fp uint64, fit func() (ml.Regressor, error)) error {
+// fitAndSave runs fit and persists its model. A failed save is counted
+// and the model still returned: persistence is an optimization, and
+// serving the fitted model matters more than the disk write.
+func (r *Registry) fitAndSave(key string, fp uint64, fit func() (ml.Regressor, error)) (ml.Regressor, error) {
 	reg, err := fit()
 	if err != nil {
 		r.fitErrors.Add(1)
-		return fmt.Errorf("modelstore: refresh %s: %w", key, err)
+		return nil, err
 	}
 	if err := r.store.Save(key, reg, fp); err != nil {
 		r.saveErrors.Add(1)
-		return err
 	}
-	r.mu.Lock()
-	r.insertLocked(key, reg)
-	r.mu.Unlock()
-	r.refreshes.Add(1)
-	return nil
-}
-
-// Invalidate drops the resident copy of key (the disk file stays; the
-// next GetOrFit reloads it).
-func (r *Registry) Invalidate(key string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if el, ok := r.resident[key]; ok {
-		r.lru.Remove(el)
-		delete(r.resident, key)
-	}
-}
-
-// ResidentKeys returns the resident content addresses, most recently
-// used first — the observable LRU order (deterministic given the
-// operation order, which the eviction tests rely on).
-func (r *Registry) ResidentKeys() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, r.lru.Len())
-	for el := r.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*entry).key)
-	}
-	return out
+	return reg, nil
 }
 
 // Stats is a snapshot of the registry counters.
 type Stats struct {
-	// Hits served from memory; DiskHits loaded from the store; Misses
-	// resolved by fitting.
-	Hits, DiskHits, Misses uint64
-	// Evictions counts models dropped past the residency bound;
-	// Refreshes successful atomic swaps.
-	Evictions, Refreshes uint64
+	// DiskHits loaded from the store; Misses resolved by fitting;
+	// Refreshes forced refits.
+	DiskHits, Misses, Refreshes uint64
 	// LoadErrors counts rejected files (corrupt, skewed, mismatched);
 	// SaveErrors failed persists; FitErrors failed fits.
 	LoadErrors, SaveErrors, FitErrors uint64
-	// Resident and MaxResident describe current memory residency.
-	Resident, MaxResident int
 }
 
 // Stats returns a snapshot of the counters.
 func (r *Registry) Stats() Stats {
-	r.mu.Lock()
-	resident := r.lru.Len()
-	r.mu.Unlock()
 	return Stats{
-		Hits:        r.hits.Load(),
-		DiskHits:    r.diskHits.Load(),
-		Misses:      r.misses.Load(),
-		Evictions:   r.evictions.Load(),
-		Refreshes:   r.refreshes.Load(),
-		LoadErrors:  r.loadErrors.Load(),
-		SaveErrors:  r.saveErrors.Load(),
-		FitErrors:   r.fitErrors.Load(),
-		Resident:    resident,
-		MaxResident: r.max,
+		DiskHits:   r.diskHits.Load(),
+		Misses:     r.misses.Load(),
+		Refreshes:  r.refreshes.Load(),
+		LoadErrors: r.loadErrors.Load(),
+		SaveErrors: r.saveErrors.Load(),
+		FitErrors:  r.fitErrors.Load(),
 	}
 }

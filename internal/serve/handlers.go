@@ -568,15 +568,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	if reg := s.pred.ModelStore(); reg != nil {
 		ss := reg.Stats()
 		resp.ModelStore = &ModelStoreJSON{
-			Hits:        ss.Hits,
-			DiskHits:    ss.DiskHits,
-			Misses:      ss.Misses,
-			Evictions:   ss.Evictions,
-			Refreshes:   ss.Refreshes,
-			LoadErrors:  ss.LoadErrors,
-			SaveErrors:  ss.SaveErrors,
-			Resident:    ss.Resident,
-			MaxResident: ss.MaxResident,
+			DiskHits:   ss.DiskHits,
+			Misses:     ss.Misses,
+			Refreshes:  ss.Refreshes,
+			LoadErrors: ss.LoadErrors,
+			SaveErrors: ss.SaveErrors,
 		}
 	}
 	for _, b := range s.pred.Breakers() {

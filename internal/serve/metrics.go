@@ -34,11 +34,11 @@ func (s *Server) handleObsMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.metrics.Gauge("predictor.cache.misses").Set(float64(cs.Misses))
 	if reg := s.pred.ModelStore(); reg != nil {
 		ss := reg.Stats()
-		s.metrics.Gauge("modelstore.hits").Set(float64(ss.Hits))
 		s.metrics.Gauge("modelstore.disk_hits").Set(float64(ss.DiskHits))
 		s.metrics.Gauge("modelstore.misses").Set(float64(ss.Misses))
-		s.metrics.Gauge("modelstore.evictions").Set(float64(ss.Evictions))
-		s.metrics.Gauge("modelstore.resident").Set(float64(ss.Resident))
+		s.metrics.Gauge("modelstore.refreshes").Set(float64(ss.Refreshes))
+		s.metrics.Gauge("modelstore.load_errors").Set(float64(ss.LoadErrors))
+		s.metrics.Gauge("modelstore.save_errors").Set(float64(ss.SaveErrors))
 	}
 	if cells := s.drift.Snapshot(); len(cells) > 0 {
 		now := clock()

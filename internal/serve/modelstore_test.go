@@ -1,14 +1,17 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/modelstore"
+	"repro/internal/obs"
 )
 
 // newStoreServer builds a server over a shared model-store directory,
@@ -22,7 +25,7 @@ func newStoreServer(t *testing.T, dir string) *Server {
 	return New(testCampaign(t), Config{
 		Workers:        4,
 		RequestTimeout: time.Minute,
-		ModelRegistry:  modelstore.NewRegistry(store, 8),
+		ModelRegistry:  modelstore.NewRegistry(store),
 	})
 }
 
@@ -67,8 +70,10 @@ func TestWarmStartAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestStatusReportsModelStore checks the /v1/status wiring: the
-// model_store block appears exactly when a registry is configured.
+// TestStatusReportsModelStore checks the /v1/status wiring — the
+// model_store block appears exactly when a registry is configured —
+// and that /v1/metrics mirrors exactly its counters as modelstore.*
+// gauges.
 func TestStatusReportsModelStore(t *testing.T) {
 	s := newStoreServer(t, t.TempDir())
 	db := testCampaign(t)
@@ -86,6 +91,24 @@ func TestStatusReportsModelStore(t *testing.T) {
 	}
 	if ms["misses"].(float64) != 1 {
 		t.Fatalf("model_store misses = %v, want 1", ms["misses"])
+	}
+	var snap obs.RegistrySnapshot
+	if err := json.Unmarshal(getRec(t, s, "/v1/metrics").Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	mirrored := 0
+	for name, v := range snap.Gauges {
+		field, ok := strings.CutPrefix(name, "modelstore.")
+		if !ok {
+			continue
+		}
+		mirrored++
+		if want, ok := ms[field]; !ok || want.(float64) != v {
+			t.Errorf("gauge %s = %v, status model_store.%s = %v", name, v, field, want)
+		}
+	}
+	if mirrored != len(ms) {
+		t.Errorf("/v1/metrics mirrors %d modelstore gauges, /v1/status reports %d counters: %v", mirrored, len(ms), ms)
 	}
 
 	plain := newTestServer(t)

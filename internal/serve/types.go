@@ -300,22 +300,15 @@ type DriftEvalJSON struct {
 
 // ModelStoreJSON is the model registry's posture in GET /v1/status.
 type ModelStoreJSON struct {
-	// Hits were served from memory, DiskHits loaded from the store
-	// directory, Misses fitted (and persisted).
-	Hits     uint64 `json:"hits"`
-	DiskHits uint64 `json:"disk_hits"`
-	Misses   uint64 `json:"misses"`
-	// Evictions counts models dropped past the residency bound,
-	// Refreshes background atomic swaps.
-	Evictions uint64 `json:"evictions"`
+	// DiskHits were loaded from the store directory, Misses fitted
+	// (and persisted), Refreshes drift refits (fitted and persisted).
+	DiskHits  uint64 `json:"disk_hits"`
+	Misses    uint64 `json:"misses"`
 	Refreshes uint64 `json:"refreshes"`
 	// LoadErrors counts rejected files (corrupt/version-skewed/
 	// fingerprint-mismatched), SaveErrors failed persists.
 	LoadErrors uint64 `json:"load_errors"`
 	SaveErrors uint64 `json:"save_errors"`
-	// Resident of MaxResident models are in memory right now.
-	Resident    int `json:"resident"`
-	MaxResident int `json:"max_resident"`
 }
 
 // BreakerJSON is one fit breaker's state.
