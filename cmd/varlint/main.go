@@ -6,7 +6,6 @@
 // Usage:
 //
 //	go run ./cmd/varlint ./...
-//	go run ./cmd/varlint -cache .varlint-cache ./...
 //	go run ./cmd/varlint -analyzers nondeterminism,floatcheck ./internal/stats
 //	go run ./cmd/varlint -format github ./...
 //	go run ./cmd/varlint -fix ./...
@@ -47,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("varlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		cacheDir  = fs.String("cache", "", "directory for the per-package findings cache (empty = no cache)")
 		names     = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 		list      = fs.Bool("list", false, "list the analyzers and exit")
 		format    = fs.String("format", "text", "output format: text, json, or github")
@@ -93,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	n, err := lint.Run(stdout, patterns, lint.Config{
 		Analyzers: suite,
-		CacheDir:  *cacheDir,
 		Format:    *format,
 		Fix:       *fix,
 	})

@@ -26,11 +26,11 @@ import (
 	"runtime"
 
 	"repro/internal/core"
+	"repro/internal/distrep"
 	"repro/internal/measure"
 	"repro/internal/modelstore"
 	"repro/internal/obs"
 	"repro/internal/perfsim"
-	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/viz"
 )
@@ -43,8 +43,8 @@ func main() {
 		bench   = flag.String("bench", "specomp/376", "benchmark to predict (suite/name)")
 		usecase = flag.Int("usecase", 1, "1 = few runs on the same system; 2 = cross-system")
 		samples = flag.Int("samples", 10, "profile runs for use case 1")
-		repName = flag.String("rep", "pearsonrnd", "distribution representation (histogram | pymaxent | pearsonrnd)")
-		mdlName = flag.String("model", "knn", "prediction model (knn | rf | xgboost)")
+		repName = flag.String("rep", "pearsonrnd", "distribution representation (pearsonrnd | histogram | pymaxent | quantile)")
+		mdlName = flag.String("model", "knn", "prediction model (knn | rf | xgboost | ridge)")
 		src     = flag.String("src", "amd", "use case 2 source system")
 		dst     = flag.String("dst", "intel", "use case 2 target system")
 		runs    = flag.Int("runs", 400, "on-the-fly campaign size when -db is not given")
@@ -58,11 +58,11 @@ func main() {
 		runtime.GOMAXPROCS(*procs)
 	}
 
-	rep, err := report.ParseRep(*repName)
+	rep, err := distrep.ParseKind(*repName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, err := report.ParseModel(*mdlName)
+	model, err := core.ParseModel(*mdlName)
 	if err != nil {
 		log.Fatal(err)
 	}

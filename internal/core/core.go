@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/distrep"
 	"repro/internal/ml"
@@ -36,6 +37,23 @@ func (m Model) String() string {
 		return "Ridge"
 	default:
 		return fmt.Sprintf("Model(%d)", int(m))
+	}
+}
+
+// ParseModel resolves a model name from a request or a command line
+// ("" = the paper's kNN), case-insensitively.
+func ParseModel(name string) (Model, error) {
+	switch strings.ToLower(name) {
+	case "", "knn":
+		return KNN, nil
+	case "rf", "randomforest", "forest":
+		return RandomForest, nil
+	case "xgboost", "xgb":
+		return XGBoost, nil
+	case "ridge", "linear":
+		return Ridge, nil
+	default:
+		return 0, fmt.Errorf("unknown model %q (want knn, rf, xgboost, or ridge)", name)
 	}
 }
 

@@ -57,6 +57,25 @@ func TestModelAndConfigStrings(t *testing.T) {
 	}
 }
 
+func TestParseModel(t *testing.T) {
+	cases := map[string]Model{
+		"": KNN, "knn": KNN, "KNN": KNN,
+		"rf": RandomForest, "randomforest": RandomForest, "forest": RandomForest,
+		"xgboost": XGBoost, "xgb": XGBoost,
+		"ridge": Ridge, "linear": Ridge,
+	}
+	for in, want := range cases {
+		got, err := ParseModel(in)
+		if err != nil || got != want {
+			t.Errorf("ParseModel(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	_, err := ParseModel("svm")
+	if want := `unknown model "svm" (want knn, rf, xgboost, or ridge)`; err == nil || err.Error() != want {
+		t.Errorf("ParseModel(svm) error = %v, want %q", err, want)
+	}
+}
+
 func TestNewModelUnknown(t *testing.T) {
 	if _, err := newModel(Model(42), 1, ModelOptions{}); err == nil {
 		t.Error("unknown model should fail")

@@ -188,7 +188,11 @@ func EvaluateUC1(sd *measure.SystemData, cfg UC1Config) ([]BenchScore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return evaluateLOGO(data.dataset, data.rel, data.ids, data.rep, cfg.Model, cfg.Models, cfg.Seed)
+	scores, _, err := evaluateLOGO(data.dataset, data.rel, data.ids, data.rep, cfg.Model, cfg.Models, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return scores, nil
 }
 
 // PredictUC1 predicts the distribution of one benchmark from its few-run
@@ -224,16 +228,25 @@ func EvaluateUC1Tolerant(sd *measure.SystemData, cfg UC1Config) ([]BenchScore, [
 	if err != nil {
 		return nil, nil, err
 	}
-	return evaluateLOGOTolerant(data.dataset, data.rel, data.ids, data.rep, cfg.Model, cfg.Models, cfg.Seed)
+	scores, failed, err := evaluateLOGO(data.dataset, data.rel, data.ids, data.rep, cfg.Model, cfg.Models, cfg.Seed)
+	if err != nil && len(failed) == 0 {
+		return nil, nil, err // no fold ran
+	}
+	return scores, failed, nil
 }
 
-// evaluateLOGO is the shared LOGO evaluation loop for both use cases.
+// evaluateLOGO is the LOGO evaluation loop for both use cases: every
+// fold runs, scores cover the folds that succeeded, and failed folds
+// come back as FoldErrors in fold order. err is either a failure before
+// any fold ran (failed is then empty) or the failed fold with the
+// lowest index, wrapped as "cv: split <benchmark>: ...", for the
+// callers that fail the whole evaluation on any fold.
 func evaluateLOGO(dataset *ml.Dataset, rel [][]float64, ids []string,
-	rep distrep.Representation, model Model, opts ModelOptions, seed uint64) ([]BenchScore, error) {
+	rep distrep.Representation, model Model, opts ModelOptions, seed uint64) ([]BenchScore, []FoldError, error) {
 
 	splits, err := cv.LeaveOneGroupOut(ids)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Pre-derive one RNG per fold so parallel evaluation stays
 	// deterministic.
@@ -245,19 +258,14 @@ func evaluateLOGO(dataset *ml.Dataset, rel [][]float64, ids []string,
 		seeds[i] = seed + uint64(i)*0x9E3779B97F4A7C15
 	}
 	scores := make([]BenchScore, len(splits))
-	idx := make(map[string]int, len(splits))
-	for i, s := range splits {
-		idx[s.Group] = i
-	}
 	//lint:allow ctxflow LOGO evaluation is a synchronous CLI workload; the fold pool owns its lifetime and no caller deadline exists
-	_, err = cv.EvaluateParallel(context.Background(), splits, func(split cv.Split) ([]float64, error) {
-		i := idx[split.Group]
+	errs, err := cv.EvaluateParallel(context.Background(), splits, func(i int, split cv.Split) error {
 		reg, err := newModel(model, seeds[i], opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := reg.Fit(dataset.Subset(split.Train)); err != nil {
-			return nil, err
+			return err
 		}
 		test := split.Test[0]
 		//lint:allow ctxflow per-fold batch predict in a synchronous CLI evaluation; no caller deadline exists to propagate
@@ -265,68 +273,18 @@ func evaluateLOGO(dataset *ml.Dataset, rel [][]float64, ids []string,
 		actualRel := rel[test]
 		predRel := rep.Decode(predVec, len(actualRel), rngs[i])
 		scores[i] = score(split.Group, predRel, actualRel)
-		return nil, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return scores, nil
-}
-
-// evaluateLOGOTolerant mirrors evaluateLOGO but tolerates per-fold
-// failures: every fold runs, failed folds come back as FoldErrors, and
-// scores cover the survivors only. Successful folds score identically
-// to evaluateLOGO (same pre-split RNG streams and per-fold seeds).
-func evaluateLOGOTolerant(dataset *ml.Dataset, rel [][]float64, ids []string,
-	rep distrep.Representation, model Model, opts ModelOptions, seed uint64) ([]BenchScore, []FoldError, error) {
-
-	splits, err := cv.LeaveOneGroupOut(ids)
-	if err != nil {
-		return nil, nil, err
-	}
-	root := randx.New(seed)
-	rngs := make([]*randx.RNG, len(splits))
-	seeds := make([]uint64, len(splits))
-	for i := range splits {
-		rngs[i] = root.Split()
-		seeds[i] = seed + uint64(i)*0x9E3779B97F4A7C15
-	}
-	scores := make([]BenchScore, len(splits))
-	ok := make([]bool, len(splits))
-	idx := make(map[string]int, len(splits))
-	for i, s := range splits {
-		idx[s.Group] = i
-	}
-	//lint:allow ctxflow LOGO evaluation is a synchronous CLI workload; the fold pool owns its lifetime and no caller deadline exists
-	results := cv.EvaluateTolerant(context.Background(), splits, func(split cv.Split) ([]float64, error) {
-		i := idx[split.Group]
-		reg, err := newModel(model, seeds[i], opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := reg.Fit(dataset.Subset(split.Train)); err != nil {
-			return nil, err
-		}
-		test := split.Test[0]
-		//lint:allow ctxflow per-fold batch predict in a synchronous CLI evaluation; no caller deadline exists to propagate
-		predVec := ml.PredictBatch(context.Background(), reg, [][]float64{dataset.X[test]})[0]
-		actualRel := rel[test]
-		predRel := rep.Decode(predVec, len(actualRel), rngs[i])
-		scores[i] = score(split.Group, predRel, actualRel)
-		ok[i] = true
-		return nil, nil
+		return nil
 	})
 	var kept []BenchScore
 	var failed []FoldError
-	for i, r := range results {
-		switch {
-		case r.Err != nil:
-			failed = append(failed, FoldError{Benchmark: r.Group, Err: r.Err})
-		case ok[i]:
+	for i, e := range errs {
+		if e != nil {
+			failed = append(failed, FoldError{Benchmark: splits[i].Group, Err: e})
+		} else {
 			kept = append(kept, scores[i])
 		}
 	}
-	return kept, failed, nil
+	return kept, failed, err
 }
 
 // predictHoldout trains on every benchmark except benchmarkID and

@@ -120,7 +120,11 @@ func EvaluateUC2(src, dst *measure.SystemData, cfg UC2Config) ([]BenchScore, err
 	if err != nil {
 		return nil, err
 	}
-	return evaluateLOGO(data.dataset, data.rel, data.ids, data.rep, cfg.Model, cfg.Models, cfg.Seed)
+	scores, _, err := evaluateLOGO(data.dataset, data.rel, data.ids, data.rep, cfg.Model, cfg.Models, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return scores, nil
 }
 
 // PredictUC2 predicts one benchmark's distribution on the target system

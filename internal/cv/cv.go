@@ -1,14 +1,13 @@
-// Package cv provides the cross-validation splitters used by the
+// Package cv provides the cross-validation splitter used by the
 // paper's evaluation: leave-one-group-out (each benchmark is a group, so
 // a model is always tested on an application it never saw during
-// training) and k-fold, plus a parallel fold-evaluation driver.
+// training), plus a parallel fold-evaluation driver.
 // It replaces scikit-learn's LeaveOneGroupOut machinery.
 package cv
 
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -16,7 +15,7 @@ import (
 
 // Split is one train/test partition of example indices.
 type Split struct {
-	// Group labels the held-out group (empty for k-fold splits).
+	// Group labels the held-out group.
 	Group string
 	// Train and Test hold row indices into the original dataset.
 	Train, Test []int
@@ -56,124 +55,33 @@ func LeaveOneGroupOut(groups []string) ([]Split, error) {
 	return splits, nil
 }
 
-// KFold returns k contiguous-fold splits over n examples (no shuffling;
-// shuffle indices beforehand if needed). Fold sizes differ by at most 1.
-func KFold(n, k int) ([]Split, error) {
-	if k < 2 || k > n {
-		return nil, fmt.Errorf("cv: need 2 <= k <= n, got k=%d n=%d", k, n)
-	}
-	splits := make([]Split, k)
-	base := n / k
-	rem := n % k
-	start := 0
-	for f := 0; f < k; f++ {
-		size := base
-		if f < rem {
-			size++
-		}
-		end := start + size
-		for i := 0; i < n; i++ {
-			if i >= start && i < end {
-				splits[f].Test = append(splits[f].Test, i)
-			} else {
-				splits[f].Train = append(splits[f].Train, i)
-			}
-		}
-		start = end
-	}
-	return splits, nil
-}
-
-// Result pairs a split's group with the per-test-example outputs the
-// evaluation function produced. Err is set only by EvaluateTolerant,
-// for splits whose evaluation failed.
-type Result struct {
-	Group  string
-	Values []float64
-	Err    error
-}
-
-// EvaluateParallel runs eval on every split concurrently on the shared
-// worker pool (at most GOMAXPROCS goroutines exist at any moment, no
-// matter how many splits there are) and returns results in split order.
-// eval receives the split and must return one value per test example
-// (or any summary slice). The first error cancels the evaluation:
-// splits that have not started are never run, and the error is returned
-// once in-flight splits finish. When ctx carries an obs span, every
-// fold records a "cv.fold" child span tagged with its group.
-func EvaluateParallel(ctx context.Context, splits []Split, eval func(Split) ([]float64, error)) ([]Result, error) {
-	results := make([]Result, len(splits))
-	err := parallel.ForEach(ctx, len(splits), 0, func(ctx context.Context, i int) error {
-		s := splits[i]
-		_, span := obs.Start(ctx, "cv.fold")
-		span.SetAttr("group", s.Group)
-		defer span.End()
-		vals, err := eval(s)
-		if err != nil {
-			return fmt.Errorf("cv: split %q: %w", s.Group, err)
-		}
-		results[i] = Result{Group: s.Group, Values: vals}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// EvaluateTolerant runs eval on every split concurrently like
-// EvaluateParallel, but a failing split does not cancel the others:
-// its error is recorded in the corresponding Result.Err and evaluation
-// continues. This is the driver for robustness sweeps over dirty
-// campaigns, where one poisoned fold should cost one score rather than
-// the whole evaluation.
-func EvaluateTolerant(ctx context.Context, splits []Split, eval func(Split) ([]float64, error)) []Result {
-	results := make([]Result, len(splits))
+// EvaluateParallel runs eval(i, splits[i]) for every split concurrently
+// on the shared worker pool (at most GOMAXPROCS goroutines exist at any
+// moment, no matter how many splits there are). Every split runs to
+// completion: a failing split does not cancel the others, and ctx
+// contributes only its obs span, under which every fold records a
+// "cv.fold" child span tagged with its group.
+//
+// errs[i] is split i's error as eval returned it, nil when the split
+// succeeded. err is the failure with the lowest split index, wrapped as
+// "cv: split <group>: ...", so which error a caller sees does not
+// depend on scheduling; it is nil when every split succeeded.
+func EvaluateParallel(ctx context.Context, splits []Split, eval func(i int, s Split) error) (errs []error, err error) {
+	errs = make([]error, len(splits))
 	// The item function never returns an error and cancellation is
-	// stripped from the context (only the obs span rides along), so
-	// every split runs to completion.
+	// stripped from the context, so every split runs.
 	_ = parallel.ForEach(context.WithoutCancel(ctx), len(splits), 0, func(ctx context.Context, i int) error {
 		s := splits[i]
 		_, span := obs.Start(ctx, "cv.fold")
 		span.SetAttr("group", s.Group)
 		defer span.End()
-		vals, err := eval(s)
-		results[i] = Result{Group: s.Group, Values: vals, Err: err}
+		errs[i] = eval(i, s)
 		return nil
 	})
-	return results
-}
-
-// Failures counts results carrying an error.
-func Failures(results []Result) int {
-	n := 0
-	for _, r := range results {
-		if r.Err != nil {
-			n++
+	for i, e := range errs {
+		if e != nil {
+			return errs, fmt.Errorf("cv: split %q: %w", splits[i].Group, e)
 		}
 	}
-	return n
-}
-
-// Flatten concatenates all result values, preserving split order.
-func Flatten(results []Result) []float64 {
-	var out []float64
-	for _, r := range results {
-		out = append(out, r.Values...)
-	}
-	return out
-}
-
-// GroupNames returns the sorted distinct group labels.
-func GroupNames(groups []string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, g := range groups {
-		if !seen[g] {
-			seen[g] = true
-			out = append(out, g)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return errs, nil
 }

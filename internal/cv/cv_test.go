@@ -53,90 +53,43 @@ func TestLeaveOneGroupOutErrors(t *testing.T) {
 	}
 }
 
-func TestKFold(t *testing.T) {
-	splits, err := KFold(10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(splits) != 3 {
-		t.Fatalf("got %d folds", len(splits))
-	}
-	sizes := []int{len(splits[0].Test), len(splits[1].Test), len(splits[2].Test)}
-	if sizes[0]+sizes[1]+sizes[2] != 10 {
-		t.Errorf("test sizes %v don't cover 10", sizes)
-	}
-	for _, s := range sizes {
-		if s < 3 || s > 4 {
-			t.Errorf("unbalanced folds: %v", sizes)
-		}
-	}
-	// Test sets are disjoint.
-	seen := make(map[int]bool)
-	for _, s := range splits {
-		for _, i := range s.Test {
-			if seen[i] {
-				t.Fatalf("index %d in two test folds", i)
-			}
-			seen[i] = true
-		}
-		if len(s.Train)+len(s.Test) != 10 {
-			t.Errorf("fold doesn't partition: %d + %d", len(s.Train), len(s.Test))
-		}
-	}
-}
-
-func TestKFoldErrors(t *testing.T) {
-	if _, err := KFold(5, 1); err == nil {
-		t.Error("k=1 should fail")
-	}
-	if _, err := KFold(3, 5); err == nil {
-		t.Error("k>n should fail")
-	}
-}
-
 func TestEvaluateParallelOrderAndValues(t *testing.T) {
 	splits, _ := LeaveOneGroupOut([]string{"a", "b", "c", "d"})
-	results, err := EvaluateParallel(context.Background(), splits, func(s Split) ([]float64, error) {
-		return []float64{float64(s.Test[0])}, nil
+	got := make([]string, len(splits))
+	errs, err := EvaluateParallel(context.Background(), splits, func(i int, s Split) error {
+		got[i] = fmt.Sprintf("%s:%d", s.Group, s.Test[0])
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 4 {
-		t.Fatalf("got %d results", len(results))
+	if len(errs) != 4 {
+		t.Fatalf("got %d errors, want one per split", len(errs))
 	}
-	for i, r := range results {
-		if r.Group != splits[i].Group {
-			t.Errorf("result %d group %q, want %q", i, r.Group, splits[i].Group)
-		}
-		if r.Values[0] != float64(i) {
-			t.Errorf("result %d value %v", i, r.Values[0])
+	for i, e := range errs {
+		if e != nil {
+			t.Errorf("split %d: error %v", i, e)
 		}
 	}
-	flat := Flatten(results)
-	if fmt.Sprint(flat) != "[0 1 2 3]" {
-		t.Errorf("Flatten = %v", flat)
+	if fmt.Sprint(got) != "[a:0 b:1 c:2 d:3]" {
+		t.Errorf("eval saw %v, want each split at its own index", got)
 	}
 }
 
 func TestEvaluateParallelPropagatesError(t *testing.T) {
-	splits, _ := KFold(6, 3)
+	splits, _ := LeaveOneGroupOut([]string{"a", "b", "c"})
 	boom := errors.New("boom")
-	_, err := EvaluateParallel(context.Background(), splits, func(s Split) ([]float64, error) {
-		if s.Test[0] == 2 {
-			return nil, boom
+	_, err := EvaluateParallel(context.Background(), splits, func(i int, s Split) error {
+		if s.Group == "b" {
+			return boom
 		}
-		return []float64{1}, nil
+		return nil
 	})
 	if err == nil || !errors.Is(err, boom) {
-		t.Errorf("err = %v, want wrapped boom", err)
+		t.Fatalf("err = %v, want wrapped boom", err)
 	}
-}
-
-func TestGroupNames(t *testing.T) {
-	got := GroupNames([]string{"z", "a", "z", "m"})
-	if fmt.Sprint(got) != "[a m z]" {
-		t.Errorf("GroupNames = %v", got)
+	if want := `cv: split "b": boom`; err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
 	}
 }
 
@@ -155,11 +108,11 @@ func TestEvaluateParallelBoundsGoroutines(t *testing.T) {
 	}
 	base := runtime.NumGoroutine()
 	var peak atomic.Int64
-	if _, err := EvaluateParallel(context.Background(), splits, func(s Split) ([]float64, error) {
+	if _, err := EvaluateParallel(context.Background(), splits, func(i int, s Split) error {
 		if g := int64(runtime.NumGoroutine()); g > peak.Load() {
 			peak.Store(g)
 		}
-		return []float64{1}, nil
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -168,63 +121,57 @@ func TestEvaluateParallelBoundsGoroutines(t *testing.T) {
 	}
 }
 
-// TestEvaluateParallelFirstErrorCancelsRemaining checks the other half
-// of the rebuild: a failed split stops the evaluation instead of
-// running every remaining split to completion.
-func TestEvaluateParallelFirstErrorCancelsRemaining(t *testing.T) {
-	groups := make([]string, 500)
-	for i := range groups {
-		groups[i] = fmt.Sprintf("g%04d", i)
-	}
-	splits, _ := LeaveOneGroupOut(groups)
-	boom := errors.New("boom")
-	var ran atomic.Int64
-	_, err := EvaluateParallel(context.Background(), splits, func(s Split) ([]float64, error) {
-		n := ran.Add(1)
-		if n == 1 {
-			return nil, boom
+// TestEvaluateParallelLowestIndexErrorWins pins which error a failed
+// evaluation returns: the pool observes split 3's failure first (split 1
+// sleeps before failing), yet the returned error is split 1's at every
+// worker count.
+func TestEvaluateParallelLowestIndexErrorWins(t *testing.T) {
+	splits, _ := LeaveOneGroupOut([]string{"a", "b", "c", "d", "e"})
+	errOne, errThree := errors.New("fold one"), errors.New("fold three")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		errs, err := EvaluateParallel(context.Background(), splits, func(i int, s Split) error {
+			switch i {
+			case 1:
+				time.Sleep(20 * time.Millisecond)
+				return errOne
+			case 3:
+				return errThree
+			}
+			return nil
+		})
+		if !errors.Is(err, errOne) || errors.Is(err, errThree) {
+			t.Errorf("GOMAXPROCS %d: err = %v, want split 1's error", procs, err)
 		}
-		time.Sleep(100 * time.Microsecond)
-		return []float64{1}, nil
-	})
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-	if got := ran.Load(); got > 100 {
-		t.Errorf("%d of 500 splits ran after the first error, want prompt cancellation", got)
+		if errs[1] != errOne || errs[3] != errThree || errs[0] != nil || errs[2] != nil || errs[4] != nil {
+			t.Errorf("GOMAXPROCS %d: errs = %v, want failures at 1 and 3 only", procs, errs)
+		}
 	}
 }
 
-func TestEvaluateTolerantRecordsFailuresAndContinues(t *testing.T) {
+func TestEvaluateParallelRecordsFailuresAndContinues(t *testing.T) {
 	splits, err := LeaveOneGroupOut([]string{"a", "b", "c", "d"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := EvaluateTolerant(context.Background(), splits, func(s Split) ([]float64, error) {
+	var ran atomic.Int64
+	errs, err := EvaluateParallel(context.Background(), splits, func(i int, s Split) error {
+		ran.Add(1)
 		if s.Group == "b" {
-			return nil, errors.New("poisoned fold")
+			return errors.New("poisoned fold")
 		}
-		return []float64{float64(len(s.Test))}, nil
+		return nil
 	})
-	if len(results) != 4 {
-		t.Fatalf("got %d results, want all 4 splits evaluated", len(results))
+	if err == nil {
+		t.Fatal("a failed split must fail the evaluation")
 	}
-	if Failures(results) != 1 {
-		t.Errorf("Failures = %d, want 1", Failures(results))
+	if got := ran.Load(); got != 4 {
+		t.Errorf("%d splits ran, want all 4", got)
 	}
-	for _, r := range results {
-		if r.Group == "b" {
-			if r.Err == nil || r.Values != nil {
-				t.Errorf("failed split: %+v, want recorded error and no values", r)
-			}
-			continue
+	for i, e := range errs {
+		if (e != nil) != (splits[i].Group == "b") {
+			t.Errorf("split %q: error %v, want one only on the poisoned split", splits[i].Group, e)
 		}
-		if r.Err != nil || len(r.Values) != 1 {
-			t.Errorf("healthy split %q harmed by a sibling failure: %+v", r.Group, r)
-		}
-	}
-	// Flatten skips the failed split's (nil) values.
-	if vals := Flatten(results); len(vals) != 3 {
-		t.Errorf("Flatten kept %d values, want 3", len(vals))
 	}
 }

@@ -14,6 +14,7 @@ package distrep
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/maxent"
 	"repro/internal/pearson"
@@ -46,6 +47,23 @@ func (k Kind) String() string {
 		return "Quantile"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
+	}
+}
+
+// ParseKind resolves a representation name from a request or a command
+// line ("" = the paper's best, PearsonRnd), case-insensitively.
+func ParseKind(name string) (Kind, error) {
+	switch strings.ToLower(name) {
+	case "", "pearsonrnd", "pearson":
+		return PearsonRnd, nil
+	case "histogram", "hist":
+		return Histogram, nil
+	case "pymaxent", "maxent":
+		return MaxEnt, nil
+	case "quantile":
+		return Quantile, nil
+	default:
+		return 0, fmt.Errorf("unknown representation %q (want pearsonrnd, histogram, pymaxent, or quantile)", name)
 	}
 }
 

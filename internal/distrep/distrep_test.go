@@ -21,6 +21,25 @@ func bimodalSample(rng *randx.RNG, n int) []float64 {
 	return stats.Normalize(out)
 }
 
+func TestParseKind(t *testing.T) {
+	cases := map[string]Kind{
+		"": PearsonRnd, "pearsonrnd": PearsonRnd, "pearson": PearsonRnd, "PEARSON": PearsonRnd,
+		"histogram": Histogram, "hist": Histogram,
+		"pymaxent": MaxEnt, "maxent": MaxEnt, "MaxEnt": MaxEnt,
+		"quantile": Quantile,
+	}
+	for in, want := range cases {
+		got, err := ParseKind(in)
+		if err != nil || got != want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	_, err := ParseKind("gaussian")
+	if want := `unknown representation "gaussian" (want pearsonrnd, histogram, pymaxent, or quantile)`; err == nil || err.Error() != want {
+		t.Errorf("ParseKind(gaussian) error = %v, want %q", err, want)
+	}
+}
+
 func TestNewAndNames(t *testing.T) {
 	for _, k := range Kinds() {
 		rep, err := New(k, DefaultBins)

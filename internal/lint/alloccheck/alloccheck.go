@@ -17,8 +17,7 @@ import (
 // an allocating construct anywhere in the hot call graph between those
 // benchmark runs.
 var Analyzer = &analysis.Analyzer{
-	Name:    "alloccheck",
-	Version: "v1",
+	Name: "alloccheck",
 	Doc: "flag allocation-inducing constructs (fmt calls, string concatenation, " +
 		"un-capped append growth, map/slice literals, make/new, interface boxing of " +
 		"scalars, escaping closures and method values) in functions reachable from " +

@@ -23,22 +23,13 @@ type Analyzer struct {
 	// Name identifies the analyzer in findings, //lint:allow directives,
 	// and the driver's -analyzers flag. It must be a valid identifier.
 	Name string
-	// Version fingerprints the analyzer's logic for the findings cache:
-	// cached findings are keyed on Name@Version, so bumping Version when
-	// the rules change invalidates every stale entry. Editing an
-	// analyzer without bumping it serves stale findings from warm
-	// caches.
-	Version string
 	// Doc is the one-paragraph description printed by varlint -list.
 	Doc string
 	// Run executes the check over one package. Exactly one of Run and
 	// RunGraph is set.
 	Run func(*Pass) error
 	// RunGraph executes a whole-program check over every loaded package
-	// plus the cross-package call graph. Graph analyzers cannot be
-	// cached per package (an edit anywhere can change reachability), so
-	// the driver caches their findings under one program-wide key
-	// instead.
+	// plus the cross-package call graph.
 	RunGraph func(*GraphPass) error
 }
 

@@ -15,8 +15,7 @@ import (
 // context.Background()/TODO() outside process entry points. Ambient
 // time.Sleep is forbidden in favor of the injectable randx.Clock.
 var Analyzer = &analysis.Analyzer{
-	Name:    "ctxflow",
-	Version: "v1",
+	Name: "ctxflow",
 	Doc: "flag context.Context parameters that are not first, context.Background()/TODO() " +
 		"outside package main, a caller with a ctx in scope re-rooting a context-aware " +
 		"callee with Background/TODO, callees that start spans but cannot receive the " +

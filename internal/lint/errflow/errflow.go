@@ -15,8 +15,7 @@ import (
 // should wrap with %w, and no == comparison against error sentinels
 // that errors.Is must see through wrapped chains.
 var Analyzer = &analysis.Analyzer{
-	Name:    "errflow",
-	Version: "v2",
+	Name: "errflow",
 	Doc: "flag dropped error returns, fmt.Errorf calls that carry an error argument " +
 		"without a %w verb (breaking errors.Is on sentinel paths like " +
 		"ErrBenchmarkQuarantined), and == / != comparisons between errors that bypass " +

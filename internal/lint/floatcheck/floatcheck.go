@@ -14,8 +14,7 @@ import (
 // between computed floats, and no bare summation loops that should use
 // the compensated numeric.Sum.
 var Analyzer = &analysis.Analyzer{
-	Name:    "floatcheck",
-	Version: "v1",
+	Name: "floatcheck",
 	Doc: "flag unchecked float division, math.Log/Sqrt on unvalidated inputs, " +
 		"float equality between computed values, and bare summation loops that " +
 		"should use the compensated numeric.Sum / numeric.Accumulator helpers",

@@ -22,8 +22,7 @@ import (
 // spawns no goroutine itself, and any it gains must show its bound
 // (its probe loop is WaitGroup-joined by cmd/varroute).
 var Analyzer = &analysis.Analyzer{
-	Name:    "goroutinecheck",
-	Version: "v1",
+	Name: "goroutinecheck",
 	Doc: "flag raw go statements that are not lifecycle-bound (no WaitGroup Done/Wait " +
 		"pair, no ctx.Done() bound, no channel join handle) outside internal/parallel " +
 		"and internal/drift; in server paths (internal/serve, internal/core) every raw " +

@@ -11,23 +11,17 @@
 // //perf:hotpath-reachable code (alloccheck), context propagation
 // (ctxflow), and goroutine lifecycle binding (goroutinecheck).
 //
-// Per-package analyzers run (and cache) package by package; graph
-// analyzers run once over the whole program after every package is
-// type-checked, and their findings cache under one program-wide key
-// (an edit anywhere can change reachability).
+// Per-package analyzers run package by package; graph analyzers run
+// once over the whole program after every package is type-checked.
 // See README "Static analysis" for the policy and cmd/varlint for the
 // CLI.
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -64,12 +58,6 @@ type Config struct {
 	Analyzers []*analysis.Analyzer
 	// Dir is the module root to run `go list` in ("" = cwd).
 	Dir string
-	// CacheDir, when non-empty, caches post-suppression findings:
-	// per-package analyzers under a content hash of the package and its
-	// module-internal dependencies, graph analyzers under one
-	// program-wide hash. Keys include each analyzer's Name@Version, so
-	// bumping an analyzer's Version invalidates its stale entries.
-	CacheDir string
 	// Format selects the rendering: "text" (default), "json" (the
 	// Finding array), or "github" (GitHub Actions workflow commands, one
 	// ::error per finding).
@@ -111,16 +99,6 @@ func splitSuite(analyzers []*analysis.Analyzer) (perPkg, graph []*analysis.Analy
 	return perPkg, graph
 }
 
-// analyzerLabels renders the cache identity of an analyzer set:
-// Name@Version per analyzer, in suite order.
-func analyzerLabels(analyzers []*analysis.Analyzer) []string {
-	labels := make([]string, len(analyzers))
-	for i, a := range analyzers {
-		labels[i] = a.Name + "@" + a.Version
-	}
-	return labels
-}
-
 // Run executes the suite over the packages matching patterns, printing
 // findings to w. It returns the number of unsuppressed findings; err is
 // reserved for operational failures (load errors, malformed
@@ -136,10 +114,6 @@ func Run(w io.Writer, patterns []string, cfg Config) (int, error) {
 		return 0, err
 	}
 	root := moduleRoot(cfg.Dir)
-	var cache *findingCache
-	if cfg.CacheDir != "" {
-		cache = newFindingCache(cfg.CacheDir, loader, analyzerLabels(perPkg))
-	}
 
 	var metas []*load.Meta
 	for _, m := range loader.Metas() {
@@ -152,28 +126,19 @@ func Run(w io.Writer, patterns []string, cfg Config) (int, error) {
 	var all []Finding
 	var directiveErrs []string
 	for _, m := range metas {
-		if cache != nil {
-			if fs, ok := cache.get(m); ok {
-				all = append(all, fs...)
-				continue
-			}
-		}
 		fs, derrs, err := analyzePackage(loader, m, perPkg, root)
 		if err != nil {
 			return 0, err
 		}
 		directiveErrs = append(directiveErrs, derrs...)
 		all = append(all, fs...)
-		if cache != nil && len(derrs) == 0 {
-			cache.put(m, fs)
-		}
 	}
 	if len(directiveErrs) > 0 {
 		return 0, fmt.Errorf("malformed //lint:allow directives (a reason is mandatory):\n  %s", strings.Join(directiveErrs, "\n  "))
 	}
 
 	if len(graph) > 0 {
-		fs, err := runGraphAnalyzers(loader, metas, graph, cache, root)
+		fs, err := runGraphAnalyzers(loader, metas, graph, root)
 		if err != nil {
 			return 0, err
 		}
@@ -315,15 +280,8 @@ func findingsFrom(loader *load.Loader, m *load.Meta, kept []analysis.Diagnostic,
 // runGraphAnalyzers type-checks every package, builds the program call
 // graph, and runs the whole-program analyzers. Findings are attributed
 // to packages by position and suppressed with each package's own
-// directives; the cache entry (when enabled) is program-wide.
-func runGraphAnalyzers(loader *load.Loader, metas []*load.Meta, graph []*analysis.Analyzer, cache *findingCache, root string) ([]Finding, error) {
-	var key string
-	if cache != nil {
-		key = cache.graphKey(metas, analyzerLabels(graph))
-		if fs, ok := cache.getKey(key); ok {
-			return fs, nil
-		}
-	}
+// directives.
+func runGraphAnalyzers(loader *load.Loader, metas []*load.Meta, graph []*analysis.Analyzer, root string) ([]Finding, error) {
 	pkgs, byPath, err := checkAll(loader, metas)
 	if err != nil {
 		return nil, err
@@ -360,13 +318,9 @@ func runGraphAnalyzers(loader *load.Loader, metas []*load.Meta, graph []*analysi
 			continue
 		}
 		// Malformed directives are ignored here: the per-package phase
-		// already surfaced them for every non-cached package, and cache
-		// entries are only written for clean ones.
+		// already surfaced them for every package.
 		kept, _ := FilterSuppressed(loader.Fset, byPath[m.Path].Files, diags)
 		out = append(out, findingsFrom(loader, m, kept, root)...)
-	}
-	if cache != nil {
-		cache.putKey(key, out)
 	}
 	return out, nil
 }
@@ -408,42 +362,4 @@ func HotReport(w io.Writer, patterns []string, cfg Config) error {
 	}
 	callgraph.Build(loader.Fset, pkgs).WriteHotReport(w)
 	return nil
-}
-
-// hashPackage computes the content identity of a package: its own file
-// contents plus the recursive hash of every module-internal import and
-// the Go version. Analyzer labels are deliberately NOT part of this
-// hash — each cache scope mixes its own analyzer set in on top, so a
-// per-package analyzer bump cannot roll the whole-program graph key.
-func hashPackage(loader *load.Loader, m *load.Meta, memo map[string]string) (string, error) {
-	if h, ok := memo[m.Path]; ok {
-		return h, nil
-	}
-	memo[m.Path] = "" // cycle guard; package cycles cannot compile anyway
-	h := sha256.New()
-	_, _ = fmt.Fprintf(h, "go=%s\n", runtime.Version())
-	for _, name := range m.GoFiles {
-		data, err := os.ReadFile(filepath.Join(m.Dir, name))
-		if err != nil {
-			return "", err
-		}
-		_, _ = fmt.Fprintf(h, "file=%s len=%d\n", name, len(data))
-		_, _ = h.Write(data)
-	}
-	imports := append([]string(nil), m.Imports...)
-	sort.Strings(imports)
-	for _, imp := range imports {
-		dep := loader.Meta(imp)
-		if dep == nil {
-			continue // standard library: covered by the Go version
-		}
-		dh, err := hashPackage(loader, dep, memo)
-		if err != nil {
-			return "", err
-		}
-		_, _ = fmt.Fprintf(h, "dep=%s hash=%s\n", imp, dh)
-	}
-	sum := hex.EncodeToString(h.Sum(nil))
-	memo[m.Path] = sum
-	return sum, nil
 }

@@ -27,113 +27,13 @@ func writeProbeModule(t *testing.T) string {
 	return dir
 }
 
-// TestCacheInvalidationOnVersionBump is the regression test for the
-// analyzer-version half of the cache key: a warm cache must keep
-// serving findings without re-running analyzers while nothing changed,
-// and bumping an analyzer's Version — per-package or whole-program —
-// must roll its key and force re-analysis, without disturbing the
-// other scope's entries.
-func TestCacheInvalidationOnVersionBump(t *testing.T) {
-	dir := writeProbeModule(t)
-	cacheDir := filepath.Join(dir, "cache")
-
-	var pkgRuns, graphRuns int
-	pkgProbe := &analysis.Analyzer{
-		Name:    "pkgprobe",
-		Version: "v1",
-		Doc:     "test per-package analyzer",
-		Run: func(pass *analysis.Pass) error {
-			pkgRuns++
-			pass.Reportf(pass.Files[0].Pos(), "per-package probe finding")
-			return nil
-		},
-	}
-	graphProbe := &analysis.Analyzer{
-		Name:    "graphprobe",
-		Version: "v1",
-		Doc:     "test whole-program analyzer",
-		RunGraph: func(gp *analysis.GraphPass) error {
-			graphRuns++
-			gp.Reportf(gp.Pkgs[0].Files[0].Pos(), "graph probe finding")
-			return nil
-		},
-	}
-
-	run := func() int {
-		var buf bytes.Buffer
-		n, err := lint.Run(&buf, []string{"./..."}, lint.Config{
-			Analyzers: []*analysis.Analyzer{pkgProbe, graphProbe},
-			Dir:       dir,
-			CacheDir:  cacheDir,
-		})
-		if err != nil {
-			t.Fatalf("lint.Run: %v\n%s", err, buf.String())
-		}
-		return n
-	}
-
-	if n := run(); n != 2 {
-		t.Fatalf("cold run: %d finding(s), want 2", n)
-	}
-	if pkgRuns != 1 || graphRuns != 1 {
-		t.Fatalf("cold run: pkgRuns=%d graphRuns=%d, want 1/1", pkgRuns, graphRuns)
-	}
-
-	// Warm cache, nothing changed: both scopes replay cached findings.
-	if n := run(); n != 2 {
-		t.Fatalf("warm run: %d finding(s), want 2 from cache", n)
-	}
-	if pkgRuns != 1 || graphRuns != 1 {
-		t.Fatalf("warm run re-analyzed: pkgRuns=%d graphRuns=%d, want 1/1", pkgRuns, graphRuns)
-	}
-
-	// Bumping the per-package analyzer's version rolls the per-package
-	// key (and with it the program-wide graph key, which hashes the same
-	// package entries only through its own labels — the graph scope keys
-	// on graph-analyzer labels, so it must stay cached).
-	pkgProbe.Version = "v2"
-	if n := run(); n != 2 {
-		t.Fatalf("after pkg version bump: %d finding(s), want 2", n)
-	}
-	if pkgRuns != 2 {
-		t.Fatalf("pkg version bump did not invalidate: pkgRuns=%d, want 2", pkgRuns)
-	}
-	if graphRuns != 1 {
-		t.Fatalf("pkg version bump rolled the graph key: graphRuns=%d, want 1", graphRuns)
-	}
-
-	// Bumping the graph analyzer's version rolls only the graph key.
-	graphProbe.Version = "v2"
-	if n := run(); n != 2 {
-		t.Fatalf("after graph version bump: %d finding(s), want 2", n)
-	}
-	if pkgRuns != 2 {
-		t.Fatalf("graph version bump invalidated per-package entries: pkgRuns=%d, want 2", pkgRuns)
-	}
-	if graphRuns != 2 {
-		t.Fatalf("graph version bump did not invalidate: graphRuns=%d, want 2", graphRuns)
-	}
-
-	// Editing a source file invalidates both scopes.
-	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte("package a\n\nfunc A() int { return 2 }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if n := run(); n != 2 {
-		t.Fatalf("after edit: %d finding(s), want 2", n)
-	}
-	if pkgRuns != 3 || graphRuns != 3 {
-		t.Fatalf("edit did not invalidate: pkgRuns=%d graphRuns=%d, want 3/3", pkgRuns, graphRuns)
-	}
-}
-
 // TestFormats pins the json and github renderings of a finding so the
 // CI consumer contract cannot drift silently.
 func TestFormats(t *testing.T) {
 	dir := writeProbeModule(t)
 	probe := &analysis.Analyzer{
-		Name:    "probe",
-		Version: "v1",
-		Doc:     "test analyzer",
+		Name: "probe",
+		Doc:  "test analyzer",
 		Run: func(pass *analysis.Pass) error {
 			pass.Reportf(pass.Files[0].Pos(), "%s", "message with 100% certainty")
 			return nil

@@ -35,7 +35,6 @@ type Meta struct {
 	Name    string // package name
 	Dir     string // directory on disk
 	GoFiles []string
-	Imports []string
 }
 
 // Package is a parsed, type-checked package ready for analysis.
@@ -83,10 +82,6 @@ func New(dir string, patterns ...string) (*Loader, error) {
 
 // Metas lists the matched packages, sorted by import path.
 func (l *Loader) Metas() []*Meta { return l.metas }
-
-// Meta returns the module package at path, matched or only imported;
-// nil when the patterns do not reach it or it is outside the module.
-func (l *Loader) Meta(path string) *Meta { return l.byPath[path] }
 
 // Check parses and type-checks the module package at path (matched or
 // only imported), memoized.
@@ -159,7 +154,7 @@ func (li *loaderImporter) ImportFrom(path, srcDir string, mode types.ImportMode)
 // only import. Standard-library packages are left to the source
 // importer.
 func goList(dir string, patterns []string) (matched, deps []*Meta, err error) {
-	args := append([]string{"list", "-deps", "-json=ImportPath,Name,Dir,GoFiles,Imports,Standard,DepOnly", "--"}, patterns...)
+	args := append([]string{"list", "-deps", "-json=ImportPath,Name,Dir,GoFiles,Standard,DepOnly", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var out, errb bytes.Buffer
@@ -175,7 +170,6 @@ func goList(dir string, patterns []string) (matched, deps []*Meta, err error) {
 			Name       string
 			Dir        string
 			GoFiles    []string
-			Imports    []string
 			Standard   bool
 			DepOnly    bool
 		}
@@ -191,7 +185,6 @@ func goList(dir string, patterns []string) (matched, deps []*Meta, err error) {
 			Name:    rec.Name,
 			Dir:     rec.Dir,
 			GoFiles: rec.GoFiles,
-			Imports: rec.Imports,
 		}
 		if rec.DepOnly {
 			deps = append(deps, m)

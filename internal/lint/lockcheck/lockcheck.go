@@ -14,8 +14,7 @@ import (
 // used to live here moved to goroutinecheck in v2, where it applies
 // repo-wide with call-graph-resolved lifecycle binding.)
 var Analyzer = &analysis.Analyzer{
-	Name:    "lockcheck",
-	Version: "v2",
+	Name: "lockcheck",
 	Doc: "flag copies of lock-bearing values (value receivers, value params, " +
 		"assignments, range values) and Lock/Unlock pairs where the critical section " +
 		"branches without a deferred Unlock",

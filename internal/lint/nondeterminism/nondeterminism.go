@@ -13,8 +13,7 @@ import (
 // project's bit-reproducibility contract: ambient clocks, the global
 // math/rand source, and order-sensitive iteration over maps.
 var Analyzer = &analysis.Analyzer{
-	Name:    "nondeterminism",
-	Version: "v1",
+	Name: "nondeterminism",
 	Doc: "forbid ambient clocks (time.Now/Since/Until), the global math/rand source, " +
 		"and map iteration that feeds order-sensitive output (slice append or float " +
 		"accumulation); the sanctioned escape hatches are internal/randx (RNG, Clock, " +

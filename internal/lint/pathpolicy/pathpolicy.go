@@ -11,8 +11,7 @@ import (
 // Analyzer confines destructive filesystem calls to the packages that
 // own an atomic write-rename helper.
 var Analyzer = &analysis.Analyzer{
-	Name:    "pathpolicy",
-	Version: "v1",
+	Name: "pathpolicy",
 	Doc: "flag os.Remove / os.RemoveAll / os.Rename outside internal/modelstore: " +
 		"file replacement must go through the model store's atomic " +
 		"write-temp-then-rename helper so a crash never leaves a half-written " +

@@ -185,16 +185,6 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	//lint:allow floatcheck s is a sum of squares, so it is always >= 0
-	return math.Sqrt(s)
-}
-
 // NormInf returns the maximum absolute entry of x (0 for an empty slice).
 func NormInf(x []float64) float64 {
 	var s float64

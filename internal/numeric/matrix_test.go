@@ -168,9 +168,6 @@ func TestDotNorms(t *testing.T) {
 	if got := Dot(x, x); got != 25 {
 		t.Errorf("Dot = %v, want 25", got)
 	}
-	if got := Norm2(x); got != 5 {
-		t.Errorf("Norm2 = %v, want 5", got)
-	}
 	if got := NormInf([]float64{-7, 2, 6.5}); got != 7 {
 		t.Errorf("NormInf = %v, want 7", got)
 	}

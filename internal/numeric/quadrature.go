@@ -47,15 +47,6 @@ func GaussLegendre(n int, a, b float64) (nodes, weights []float64) {
 	return nodes, weights
 }
 
-// Integrate applies a quadrature rule (nodes, weights) to f.
-func Integrate(f func(float64) float64, nodes, weights []float64) float64 {
-	var s float64
-	for i, x := range nodes {
-		s += weights[i] * f(x)
-	}
-	return s
-}
-
 // Simpson integrates f on [a, b] with n subintervals (n is rounded up to
 // the next even number). It is used as an independent cross-check of the
 // Gauss–Legendre rules in tests and for cheap CDF tabulation.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/distrep"
 	"repro/internal/measure"
-	"repro/internal/perfsim"
 	"repro/internal/stats"
 	"repro/internal/viz"
 )
@@ -78,17 +77,6 @@ func (o Options) modelOptions() core.ModelOptions {
 		XGBRounds:   o.XGBRounds,
 		XGBDepth:    o.XGBDepth,
 	}
-}
-
-// DefaultCampaign collects the paper-scale measurement campaign: all 60
-// Table I benchmarks on both systems, 1,000 distribution runs plus 120
-// probe runs each.
-func DefaultCampaign(seed uint64) (*measure.Database, error) {
-	return measure.Collect(
-		[]*perfsim.System{perfsim.NewIntelSystem(), perfsim.NewAMDSystem()},
-		perfsim.TableI(),
-		measure.Config{Runs: 1000, ProbeRuns: 120, Seed: seed},
-	)
 }
 
 // intelAMD fetches both systems or fails loudly.
@@ -521,20 +509,6 @@ func Figures() map[string]func(*measure.Database, Options) (*Result, error) {
 // FigureIDs lists the figure identifiers in paper order.
 func FigureIDs() []string {
 	return []string{"fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"}
-}
-
-// All regenerates every figure in paper order.
-func All(db *measure.Database, opts Options) ([]*Result, error) {
-	figs := Figures()
-	out := make([]*Result, 0, len(FigureIDs()))
-	for _, id := range FigureIDs() {
-		r, err := figs[id](db, opts)
-		if err != nil {
-			return nil, fmt.Errorf("report: %s: %w", id, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // Render formats one result for the terminal.

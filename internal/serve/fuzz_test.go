@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/distrep"
 	"repro/internal/measure"
 	"repro/internal/perfsim"
 	"repro/internal/wire"
@@ -171,13 +173,13 @@ func FuzzPredictRequestDecode(f *testing.F) {
 		for _, uc := range []int{1, 2} {
 			_ = validateRequest(&req, uc)
 		}
-		if m, err := parseModel(req.Model); err == nil && m.String() == "" {
-			t.Fatalf("parseModel(%q) accepted a nameless model", req.Model)
+		if m, err := core.ParseModel(req.Model); err == nil && m.String() == "" {
+			t.Fatalf("ParseModel(%q) accepted a nameless model", req.Model)
 		}
-		if _, err := parseRep(req.Representation); err == nil && req.Representation != "" {
+		if _, err := distrep.ParseKind(req.Representation); err == nil && req.Representation != "" {
 			// Accepted names must round-trip through the parser again.
-			if _, err2 := parseRep(req.Representation); err2 != nil {
-				t.Fatalf("parseRep(%q) not idempotent", req.Representation)
+			if _, err2 := distrep.ParseKind(req.Representation); err2 != nil {
+				t.Fatalf("ParseKind(%q) not idempotent", req.Representation)
 			}
 		}
 		runs := req.probeRuns()
@@ -213,8 +215,8 @@ func FuzzBatchPredictRequestDecode(f *testing.F) {
 			return
 		}
 		req := *p
-		_, _ = parseModel(req.Model)
-		_, _ = parseRep(req.Representation)
+		_, _ = core.ParseModel(req.Model)
+		_, _ = distrep.ParseKind(req.Representation)
 		for _, p := range req.Profiles {
 			if got := toRuns(p); len(got) != len(p) {
 				t.Fatalf("toRuns dropped profiles: %d != %d", len(got), len(p))

@@ -122,12 +122,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, useCase i
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	model, err := parseModel(req.Model)
+	model, err := core.ParseModel(req.Model)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	rep, err := parseRep(req.Representation)
+	rep, err := distrep.ParseKind(req.Representation)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -205,12 +205,12 @@ func (s *Server) handleUC1Batch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d profiles exceeds the limit of %d", len(req.Profiles), maxBatchProfiles))
 		return
 	}
-	model, err := parseModel(req.Model)
+	model, err := core.ParseModel(req.Model)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	rep, err := parseRep(req.Representation)
+	rep, err := distrep.ParseKind(req.Representation)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -328,8 +328,8 @@ func validateRequest(req *PredictRequest, useCase int) error {
 // The measured side comes precomputed in p.Measured.
 func buildResponse(req *PredictRequest, useCase int, p *core.Prediction) *PredictResponse {
 	sum, sorted := summarize(p.Predicted, req.Bins)
-	model, _ := parseModel(req.Model)
-	rep, _ := parseRep(req.Representation)
+	model, _ := core.ParseModel(req.Model)
+	rep, _ := distrep.ParseKind(req.Representation)
 	resp := &PredictResponse{
 		UseCase:        useCase,
 		System:         req.System,

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/distrep"
 	"repro/internal/stats"
 )
 
@@ -48,8 +49,8 @@ func predictMeasured(t *testing.T, s *Server, useCase int, body string) *core.Pr
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-	model, _ := parseModel(req.Model)
-	rep, _ := parseRep(req.Representation)
+	model, _ := core.ParseModel(req.Model)
+	rep, _ := distrep.ParseKind(req.Representation)
 	p, err := s.predict(context.Background(), &req, useCase, model, rep)
 	if err != nil {
 		t.Fatal(err)

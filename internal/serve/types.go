@@ -1,13 +1,6 @@
 package serve
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/core"
-	"repro/internal/distrep"
-	"repro/internal/perfsim"
-)
+import "repro/internal/perfsim"
 
 // ProbeRun is one caller-supplied probe execution: wall time plus raw
 // perf-counter totals aligned with the system's metric schema (exactly
@@ -347,39 +340,6 @@ type SystemJSON struct {
 	Name        string   `json:"name"`
 	MetricNames []string `json:"metric_names"`
 	Benchmarks  []string `json:"benchmarks"`
-}
-
-// parseModel resolves the request's model name ("" = the paper's kNN).
-func parseModel(name string) (core.Model, error) {
-	switch strings.ToLower(name) {
-	case "", "knn":
-		return core.KNN, nil
-	case "rf", "randomforest", "forest":
-		return core.RandomForest, nil
-	case "xgboost", "xgb":
-		return core.XGBoost, nil
-	case "ridge", "linear":
-		return core.Ridge, nil
-	default:
-		return 0, fmt.Errorf("unknown model %q (want knn, rf, xgboost, or ridge)", name)
-	}
-}
-
-// parseRep resolves the request's representation name ("" = the
-// paper's best, PearsonRnd).
-func parseRep(name string) (distrep.Kind, error) {
-	switch strings.ToLower(name) {
-	case "", "pearsonrnd", "pearson":
-		return distrep.PearsonRnd, nil
-	case "histogram", "hist":
-		return distrep.Histogram, nil
-	case "pymaxent", "maxent":
-		return distrep.MaxEnt, nil
-	case "quantile":
-		return distrep.Quantile, nil
-	default:
-		return 0, fmt.Errorf("unknown representation %q (want pearsonrnd, histogram, pymaxent, or quantile)", name)
-	}
 }
 
 // probeRuns converts the wire probe profile into simulator runs.
