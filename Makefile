@@ -17,8 +17,10 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # lint mirrors the CI lint shard: vet, gofmt, the repository's own
-# analyzer suite and the package-docs floor. varlint analyses the whole
-# module on every run (about 4 s on 2 vCPUs).
+# analyzer suite and the package-docs floor. vet is the gate for
+# copied locks (its copylocks pass); varlint's lockcheck checks only
+# critical sections. varlint analyses the whole module on every run
+# (about 4 s on 2 vCPUs).
 lint: vet fmtcheck varlint docscheck
 
 vet:

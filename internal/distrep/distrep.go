@@ -206,7 +206,7 @@ func (*MaxEntRep) Decode(vec []float64, n int, rng *randx.RNG) []float64 {
 		}
 		return out
 	}
-	d, err := maxent.ReconstructRaw(maxent.RawMomentsFromMoments4(m), DefaultLo, DefaultHi, nil)
+	d, err := maxent.ReconstructRaw(maxent.RawMomentsFromMoments4(m), DefaultLo, DefaultHi)
 	if err != nil {
 		out := make([]float64, n)
 		for i := range out {

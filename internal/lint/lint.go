@@ -5,7 +5,7 @@
 // The suite machine-checks the invariants this repository's results
 // rest on — bit-reproducible randomness and clocks (nondeterminism),
 // NaN-free numerics (floatcheck), wrapped error chains (errflow),
-// copy-free, branch-safe locking (lockcheck), and atomic-only file
+// branch-safe locking (lockcheck), and atomic-only file
 // replacement (pathpolicy) — plus three whole-program checks built on
 // the cross-package call graph: static zero-allocation discipline on
 // //perf:hotpath-reachable code (alloccheck), context propagation

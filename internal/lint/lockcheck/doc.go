@@ -1,18 +1,14 @@
-// Package lockcheck enforces the concurrency discipline the serving
-// and training paths rely on:
+// Package lockcheck enforces the lock discipline the serving and
+// training paths rely on: after a Lock or RLock, the critical section
+// must either be straight-line code ending in the matching release, or
+// be covered by a deferred release. A branch, loop, return, or go
+// statement between Lock and a non-deferred Unlock means one early
+// return or panic strands the lock.
 //
-//   - No copied locks: value receivers, value parameters, assignments,
-//     and range values whose type (transitively, through struct and
-//     array composition) carries a sync.Mutex, RWMutex, WaitGroup,
-//     Once, Cond, Map, or Pool are flagged — every copy forks the lock
-//     state. Pointer fields stop the walk, fresh composite literals and
-//     constructor results hand over never-locked values, and blank
-//     discards retain no copy.
-//   - Lock/Unlock shape: after a Lock or RLock, the critical section
-//     must either be straight-line code ending in the matching release,
-//     or be covered by a deferred release. A branch, loop, return, or
-//     go statement between Lock and a non-deferred Unlock means one
-//     early return or panic strands the lock.
+// Copied locks (value receivers, value parameters, assignments and
+// range values whose type carries a sync lock) are not checked here:
+// go vet's copylocks pass reports every such case, and vet runs in the
+// same lint gate.
 //
 // The raw-goroutine rule for server paths moved to goroutinecheck
 // (lockcheck v2), which enforces it repo-wide with call-graph-resolved

@@ -9,149 +9,25 @@ import (
 )
 
 // Analyzer enforces the lock discipline the serving and training
-// paths rely on: no copied locks and no critical section that branches
-// between Lock and a non-deferred Unlock. (The raw-goroutine rule that
-// used to live here moved to goroutinecheck in v2, where it applies
-// repo-wide with call-graph-resolved lifecycle binding.)
+// paths rely on: no critical section that branches between Lock and a
+// non-deferred Unlock. Copied locks are go vet's copylocks check.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockcheck",
-	Doc: "flag copies of lock-bearing values (value receivers, value params, " +
-		"assignments, range values) and Lock/Unlock pairs where the critical section " +
-		"branches without a deferred Unlock",
+	Doc: "flag Lock/Unlock pairs where the critical section branches without " +
+		"a deferred Unlock",
 	Run: run,
-}
-
-// lockNames are the sync types whose values must never be copied after
-// first use.
-var lockNames = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true, "Once": true, "Cond": true, "Map": true, "Pool": true,
 }
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkSignature(pass, n)
-				if n.Body != nil {
-					checkLockDiscipline(pass, n.Body)
-				}
-			case *ast.AssignStmt:
-				checkCopyAssign(pass, n)
-			case *ast.RangeStmt:
-				checkRangeCopy(pass, n)
+			if fd, ok := n.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkLockDiscipline(pass, fd.Body)
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// containsLock walks t's struct composition (fields, arrays, embedded
-// structs) for a sync lock type. Pointers stop the walk: a *Mutex field
-// is shareable.
-func containsLock(t types.Type, depth int) bool {
-	if t == nil || depth > 10 {
-		return false
-	}
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && lockNames[obj.Name()] {
-			return true
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), depth+1) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), depth+1)
-	}
-	return false
-}
-
-// checkSignature flags value receivers and value parameters whose type
-// carries a lock: every call copies the lock state.
-func checkSignature(pass *analysis.Pass, fd *ast.FuncDecl) {
-	report := func(field *ast.Field, what string) {
-		t := pass.TypesInfo.TypeOf(field.Type)
-		if t == nil {
-			return
-		}
-		if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			return
-		}
-		if containsLock(t, 0) {
-			pass.Reportf(field.Pos(), "%s passes a lock-bearing %s by value: every call copies the lock; use a pointer", what, t.String())
-		}
-	}
-	if fd.Recv != nil {
-		for _, field := range fd.Recv.List {
-			report(field, "receiver")
-		}
-	}
-	if fd.Type.Params != nil {
-		for _, field := range fd.Type.Params.List {
-			report(field, "parameter")
-		}
-	}
-}
-
-// checkCopyAssign flags `x := y` / `x = y` where y is an existing
-// lock-bearing value (not a fresh composite literal or call result —
-// constructors hand over ownership of a never-locked value).
-func checkCopyAssign(pass *analysis.Pass, as *ast.AssignStmt) {
-	if as.Tok != token.ASSIGN && as.Tok != token.DEFINE {
-		return
-	}
-	if len(as.Lhs) != len(as.Rhs) {
-		return
-	}
-	for i, rhs := range as.Rhs {
-		switch ast.Unparen(rhs).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		default:
-			continue
-		}
-		t := pass.TypesInfo.TypeOf(rhs)
-		if t == nil {
-			continue
-		}
-		if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			continue
-		}
-		if id, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident); ok && id.Name == "_" {
-			continue // blank discard retains no copy
-		}
-		if containsLock(t, 0) {
-			pass.Reportf(as.Pos(), "assignment copies lock-bearing value %s (%s): share it through a pointer", types.ExprString(ast.Unparen(as.Lhs[i])), t.String())
-		}
-	}
-}
-
-// checkRangeCopy flags `for _, v := range xs` where the element type
-// carries a lock: v is a copy per iteration.
-func checkRangeCopy(pass *analysis.Pass, rs *ast.RangeStmt) {
-	if rs.Value == nil {
-		return
-	}
-	id, ok := rs.Value.(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return
-	}
-	t := pass.TypesInfo.TypeOf(rs.Value)
-	if t == nil {
-		return
-	}
-	if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		return
-	}
-	if containsLock(t, 0) {
-		pass.Reportf(rs.Pos(), "range value %s copies a lock-bearing %s each iteration: range over indices and take pointers", id.Name, t.String())
-	}
 }
 
 // lockCall matches <recv>.Lock / RLock / Unlock / RUnlock and returns

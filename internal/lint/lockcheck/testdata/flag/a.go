@@ -1,6 +1,6 @@
 // Positive and negative cases for the lockcheck analyzer in an
-// ordinary (non-server) package: the lock-copy and lock-discipline
-// rules apply, the raw-goroutine rule does not.
+// ordinary (non-server) package: the lock-discipline rule applies, the
+// raw-goroutine rule does not.
 package a
 
 import "sync"
@@ -10,27 +10,10 @@ type counter struct {
 	n  int
 }
 
-func byValue(c counter) int { // want "passes a lock-bearing"
-	return c.n
-}
-
 func byPointer(c *counter) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.n
-}
-
-func copyAssign(c *counter) {
-	d := *c // want "copies lock-bearing value d"
-	_ = d
-}
-
-func rangeCopy(cs []counter) int {
-	total := 0
-	for _, c := range cs { // want "range value c copies a lock-bearing"
-		total += c.n
-	}
-	return total
 }
 
 func branchy(c *counter, cond bool) {

@@ -7,36 +7,16 @@ import (
 	"repro/internal/stats"
 )
 
-func BenchmarkReconstructStandardizedGaussian(b *testing.B) {
-	m := stats.Moments4{Mean: 1, Std: 0.05, Skew: 0, Kurt: 3}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReconstructMoments4(m, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReconstructStandardizedSkewed(b *testing.B) {
-	m := stats.Moments4{Mean: 1, Std: 0.05, Skew: 1.0, Kurt: 4.5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReconstructMoments4(m, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkReconstructRawWideSupport(b *testing.B) {
 	// The PyMaxEnt-faithful raw solve on the shared [0.7, 1.7] support;
 	// a moderately wide target that the undamped solver converges on.
 	mu := RawMomentsFromMoments4(stats.Moments4{Mean: 1.1, Std: 0.15, Skew: 0.2, Kurt: 2.9})
-	if _, err := ReconstructRaw(mu, 0.7, 1.7, nil); err != nil {
+	if _, err := ReconstructRaw(mu, 0.7, 1.7); err != nil {
 		b.Skipf("raw solve does not converge for this target: %v", err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReconstructRaw(mu, 0.7, 1.7, nil); err != nil {
+		if _, err := ReconstructRaw(mu, 0.7, 1.7); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -50,14 +30,14 @@ func BenchmarkReconstructRawNeedleFailure(b *testing.B) {
 	mu := RawMomentsFromMoments4(stats.Moments4{Mean: 1, Std: 0.01, Skew: 0.3, Kurt: 3.2})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReconstructRaw(mu, 0.7, 1.7, nil); err == nil {
+		if _, err := ReconstructRaw(mu, 0.7, 1.7); err == nil {
 			b.Fatal("expected the needle target to fail")
 		}
 	}
 }
 
 func BenchmarkDensitySample1000(b *testing.B) {
-	d, err := ReconstructMoments4(stats.Moments4{Mean: 1, Std: 0.05, Skew: 0.5, Kurt: 3.5}, nil)
+	d, err := ReconstructRaw(RawMomentsFromMoments4(stats.Moments4{Mean: 1.1, Std: 0.15, Skew: 0.2, Kurt: 2.9}), 0.7, 1.7)
 	if err != nil {
 		b.Fatal(err)
 	}

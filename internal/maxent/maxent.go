@@ -1,28 +1,22 @@
-// Package maxent reconstructs a probability density from its first few
-// moments using the principle of maximum entropy, mirroring the PyMaxEnt
-// software the paper evaluates as its second distribution representation.
+// Package maxent reconstructs a probability density from its first four
+// raw moments using the principle of maximum entropy, mirroring the
+// PyMaxEnt software the paper evaluates as its second distribution
+// representation.
 //
-// Given raw moments μ0..μN, the maximum-entropy density has the form
+// Given raw moments μ0..μ4, the maximum-entropy density has the form
 //
-//	p(x) = exp(Σ_{j=0..N} λ_j·x^j),
+//	p(x) = exp(Σ_{j=0..4} λ_j·x^j),
 //
-// and the Lagrange multipliers λ are found by solving the nonlinear
-// system ∫ x^k·p(x) dx = μ_k with a damped Newton iteration whose
-// Jacobian entries J_{kj} = ∫ x^{k+j}·p(x) dx are computed with
-// Gauss–Legendre quadrature (the same approach PyMaxEnt uses).
-//
-// For numerical robustness the solve is performed in standardized
-// coordinates z = (x − mean)/std; callers pass standardized moments via
-// ReconstructStandardized or the convenience ReconstructMoments4.
+// and ReconstructRaw finds the Lagrange multipliers λ the way PyMaxEnt
+// does: in raw data coordinates on a fixed support, with an undamped
+// Newton iteration whose Jacobian entries J_{kj} = ∫ x^{k+j}·p(x) dx are
+// computed with fixed-order Gauss–Legendre quadrature.
 package maxent
 
 import (
 	"errors"
-	"fmt"
-	"math"
 
 	"repro/internal/numeric"
-	"repro/internal/stats"
 )
 
 // ErrNoConverge is returned when the Newton iteration fails to reach the
@@ -31,213 +25,15 @@ import (
 // the paper observes as PyMaxEnt's lower accuracy.
 var ErrNoConverge = errors.New("maxent: moment matching did not converge")
 
-// Options tunes the reconstruction.
-type Options struct {
-	// QuadratureNodes is the size of the Gauss–Legendre rule (default 96).
-	QuadratureNodes int
-	// MaxIter bounds the Newton iterations (default 200).
-	MaxIter int
-	// Tol is the max-norm moment residual tolerance (default 1e-8).
-	Tol float64
-}
-
-func (o *Options) withDefaults() Options {
-	out := Options{QuadratureNodes: 96, MaxIter: 200, Tol: 1e-8}
-	if o == nil {
-		return out
-	}
-	if o.QuadratureNodes > 0 {
-		out.QuadratureNodes = o.QuadratureNodes
-	}
-	if o.MaxIter > 0 {
-		out.MaxIter = o.MaxIter
-	}
-	if o.Tol > 0 {
-		out.Tol = o.Tol
-	}
-	return out
-}
-
 // Density is a reconstructed maximum-entropy density on a finite support.
 type Density struct {
-	// Lambda holds the Lagrange multipliers of exp(Σ λ_j·z^j) in the
-	// standardized coordinate z.
+	// Lambda holds the Lagrange multipliers of exp(Σ λ_j·x^j).
 	Lambda []float64
-	// Lo, Hi bound the standardized support used in the solve.
+	// Lo, Hi bound the support used in the solve.
 	Lo, Hi float64
-	// Mean, Std transform standardized coordinates back to data space:
-	// x = Mean + Std·z.
-	Mean, Std float64
 
-	// Tabulated CDF in z for inverse-transform sampling.
-	zGrid, cdf []float64
-}
-
-// ReconstructMoments4 builds the maximum-entropy density matching the
-// four moments in m, the quantity the paper's PyMaxEnt representation
-// predicts. The support is fixed at ±support standardized deviations
-// (the paper's relative-time distributions comfortably fit in ±8σ).
-func ReconstructMoments4(m stats.Moments4, opts *Options) (*Density, error) {
-	if m.Std <= 0 {
-		return nil, fmt.Errorf("maxent: need positive std, got %v", m.Std)
-	}
-	if math.IsNaN(m.Skew) || math.IsNaN(m.Kurt) {
-		return nil, fmt.Errorf("maxent: NaN in target moments %+v", m)
-	}
-	// Standardized raw moments: E[z^0..z^4] = 1, 0, 1, skew, kurt.
-	mu := []float64{1, 0, 1, m.Skew, m.Kurt}
-	d, err := ReconstructStandardized(mu, -8, 8, opts)
-	if err != nil {
-		return nil, err
-	}
-	d.Mean, d.Std = m.Mean, m.Std
-	return d, nil
-}
-
-// ReconstructStandardized solves the maximum-entropy problem for raw
-// moments mu (mu[0] must be 1) of a standardized variable on [lo, hi].
-// The returned density has Mean 0 and Std 1; adjust the fields to
-// translate into data space.
-func ReconstructStandardized(mu []float64, lo, hi float64, opts *Options) (*Density, error) {
-	o := opts.withDefaults()
-	n := len(mu)
-	if n < 2 {
-		return nil, fmt.Errorf("maxent: need at least 2 moments, got %d", n)
-	}
-	if math.Abs(mu[0]-1) > 1e-9 {
-		return nil, fmt.Errorf("maxent: mu[0] must be 1 (got %v)", mu[0])
-	}
-	nodes, weights := numeric.GaussLegendre(o.QuadratureNodes, lo, hi)
-
-	// Initial guess: the Gaussian that matches the first two moments.
-	lambda := make([]float64, n)
-	mean := mu[1]
-	variance := mu[2] - mu[1]*mu[1]
-	if variance <= 0 {
-		return nil, fmt.Errorf("maxent: non-positive variance %v", variance)
-	}
-	lambda[0] = -mean*mean/(2*variance) - 0.5*math.Log(2*math.Pi*variance)
-	if n > 1 {
-		lambda[1] = mean / variance
-	}
-	if n > 2 {
-		lambda[2] = -1 / (2 * variance)
-	}
-
-	evalP := func(lam []float64, x float64) float64 {
-		// Horner evaluation of the exponent polynomial.
-		e := lam[len(lam)-1]
-		for j := len(lam) - 2; j >= 0; j-- {
-			e = e*x + lam[j]
-		}
-		if e > 700 { // exp overflow guard; treated as divergence below
-			return math.Inf(1)
-		}
-		return math.Exp(e)
-	}
-
-	residualAndMoments := func(lam []float64) (resid []float64, pmoms []float64, ok bool) {
-		// pmoms[k] = ∫ x^k p(x) dx for k = 0..2(n-1).
-		pmoms = make([]float64, 2*n-1)
-		for i, x := range nodes {
-			p := evalP(lam, x)
-			if math.IsInf(p, 1) || math.IsNaN(p) {
-				return nil, nil, false
-			}
-			w := weights[i] * p
-			xk := 1.0
-			for k := range pmoms {
-				pmoms[k] += w * xk
-				xk *= x
-			}
-		}
-		resid = make([]float64, n)
-		for k := 0; k < n; k++ {
-			resid[k] = pmoms[k] - mu[k]
-		}
-		return resid, pmoms, true
-	}
-
-	resid, pmoms, ok := residualAndMoments(lambda)
-	if !ok {
-		return nil, ErrNoConverge
-	}
-	for iter := 0; iter < o.MaxIter; iter++ {
-		if numeric.NormInf(resid) < o.Tol {
-			break
-		}
-		// Newton system: J_{kj} = ∂resid_k/∂λ_j = ∫ x^{k+j} p dx.
-		jac := numeric.NewMatrix(n, n)
-		for k := 0; k < n; k++ {
-			for j := 0; j < n; j++ {
-				jac.Set(k, j, pmoms[k+j])
-			}
-		}
-		rhs := make([]float64, n)
-		for k := range rhs {
-			rhs[k] = -resid[k]
-		}
-		step, err := numeric.SolveLinear(jac, rhs)
-		if err != nil {
-			return nil, fmt.Errorf("maxent: Newton system singular at iteration %d: %w", iter, err)
-		}
-		// Damped update: back off until the residual norm improves.
-		base := numeric.NormInf(resid)
-		alpha := 1.0
-		improved := false
-		for backoff := 0; backoff < 30; backoff++ {
-			trial := make([]float64, n)
-			for j := range trial {
-				trial[j] = lambda[j] + alpha*step[j]
-			}
-			tResid, tMoms, tOK := residualAndMoments(trial)
-			if tOK && numeric.NormInf(tResid) < base {
-				lambda, resid, pmoms = trial, tResid, tMoms
-				improved = true
-				break
-			}
-			alpha /= 2
-		}
-		if !improved {
-			return nil, ErrNoConverge
-		}
-	}
-	if numeric.NormInf(resid) >= o.Tol*100 {
-		// Accept mild residuals (the damped iteration stalls just above
-		// tolerance for extreme kurtosis) but reject real failures.
-		return nil, ErrNoConverge
-	}
-
-	d := &Density{Lambda: lambda, Lo: lo, Hi: hi, Mean: 0, Std: 1}
-	// Tabulate the CDF on a fine uniform grid for sampling.
-	const gridN = 2049
-	d.zGrid = numeric.Linspace(lo, hi, gridN)
-	pdf := make([]float64, gridN)
-	for i, z := range d.zGrid {
-		pdf[i] = evalP(lambda, z)
-	}
-	d.cdf = numeric.CumTrapezoid(d.zGrid, pdf)
-	total := d.cdf[gridN-1]
-	if total <= 0 || math.IsNaN(total) {
-		return nil, ErrNoConverge
-	}
-	numeric.Scale(1/total, d.cdf)
-	return d, nil
-}
-
-// At evaluates the reconstructed density at data-space point x.
-func (d *Density) At(x float64) float64 {
-	//lint:allow floatcheck Fit rejects non-positive Std and the internal solver sets Std = 1
-	z := (x - d.Mean) / d.Std
-	if z < d.Lo || z > d.Hi {
-		return 0
-	}
-	e := d.Lambda[len(d.Lambda)-1]
-	for j := len(d.Lambda) - 2; j >= 0; j-- {
-		e = e*z + d.Lambda[j]
-	}
-	//lint:allow floatcheck Fit rejects non-positive Std and the internal solver sets Std = 1
-	return math.Exp(e) / d.Std
+	// Tabulated CDF in x for inverse-transform sampling.
+	xGrid, cdf []float64
 }
 
 // Sample draws n values by inverse-transform sampling of the tabulated
@@ -245,8 +41,7 @@ func (d *Density) At(x float64) float64 {
 func (d *Density) Sample(n int, uniform func() float64) []float64 {
 	out := make([]float64, n)
 	for i := range out {
-		z := numeric.InverseMonotone(d.zGrid, d.cdf, uniform())
-		out[i] = d.Mean + d.Std*z
+		out[i] = numeric.InverseMonotone(d.xGrid, d.cdf, uniform())
 	}
 	return out
 }

@@ -29,6 +29,15 @@ func RawMomentsFromMoments4(m stats.Moments4) [5]float64 {
 	}
 }
 
+// The solve's fixed settings: the Gauss–Legendre rule size, the Newton
+// iteration budget, and the moment-residual tolerance (relative to the
+// moment scale).
+const (
+	quadratureNodes = 96
+	maxIter         = 200
+	tol             = 1e-8
+)
+
 // ReconstructRaw reproduces the PyMaxEnt workflow faithfully: the
 // maximum-entropy density exp(Σ λ_j·x^j) is solved in *raw* data
 // coordinates on a caller-fixed support [lo, hi] with a fixed-order
@@ -42,11 +51,7 @@ func RawMomentsFromMoments4(m stats.Moments4) [5]float64 {
 // exactly this weakness (its Figure 4/7 violins are the worst of the
 // three representations); see internal/distrep.MaxEntRep for the
 // fallback behavior on failure.
-//
-// For robust reconstruction in standardized coordinates, use
-// ReconstructMoments4 instead.
-func ReconstructRaw(mu [5]float64, lo, hi float64, opts *Options) (*Density, error) {
-	o := opts.withDefaults()
+func ReconstructRaw(mu [5]float64, lo, hi float64) (*Density, error) {
 	if !(hi > lo) {
 		return nil, fmt.Errorf("maxent: invalid support [%v, %v]", lo, hi)
 	}
@@ -54,7 +59,7 @@ func ReconstructRaw(mu [5]float64, lo, hi float64, opts *Options) (*Density, err
 		return nil, fmt.Errorf("maxent: mu[0] must be 1 (got %v)", mu[0])
 	}
 	n := len(mu)
-	nodes, weights := numeric.GaussLegendre(o.QuadratureNodes, lo, hi)
+	nodes, weights := numeric.GaussLegendre(quadratureNodes, lo, hi)
 
 	mean := mu[1]
 	variance := mu[2] - mu[1]*mu[1]
@@ -96,7 +101,7 @@ func ReconstructRaw(mu [5]float64, lo, hi float64, opts *Options) (*Density, err
 	var pm []float64
 	var ok bool
 	converged := false
-	for iter := 0; iter < o.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		pm, ok = moments(lambda)
 		if !ok {
 			return nil, ErrNoConverge
@@ -111,7 +116,7 @@ func ReconstructRaw(mu [5]float64, lo, hi float64, opts *Options) (*Density, err
 		}
 		// Tolerance is relative to the moment scale: raw moments of
 		// relative time are all O(1).
-		if rnorm < o.Tol*(1+math.Abs(mu[n-1])) {
+		if rnorm < tol*(1+math.Abs(mu[n-1])) {
 			converged = true
 			break
 		}
@@ -141,17 +146,17 @@ func ReconstructRaw(mu [5]float64, lo, hi float64, opts *Options) (*Density, err
 		return nil, ErrNoConverge
 	}
 
-	d := &Density{Lambda: lambda, Lo: lo, Hi: hi, Mean: 0, Std: 1}
+	d := &Density{Lambda: lambda, Lo: lo, Hi: hi}
 	const gridN = 2049
-	d.zGrid = numeric.Linspace(lo, hi, gridN)
+	d.xGrid = numeric.Linspace(lo, hi, gridN)
 	pdf := make([]float64, gridN)
-	for i, z := range d.zGrid {
-		pdf[i] = evalP(lambda, z)
+	for i, x := range d.xGrid {
+		pdf[i] = evalP(lambda, x)
 		if math.IsInf(pdf[i], 1) {
 			return nil, ErrNoConverge
 		}
 	}
-	d.cdf = numeric.CumTrapezoid(d.zGrid, pdf)
+	d.cdf = numeric.CumTrapezoid(d.xGrid, pdf)
 	total := d.cdf[gridN-1]
 	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
 		return nil, ErrNoConverge

@@ -37,36 +37,3 @@ func (s *SystemData) ExportRelTimesCSV(w io.Writer) error {
 	}
 	return nil
 }
-
-// ExportProfileCSV writes the raw per-run counter totals of one
-// benchmark as CSV, one row per run with a duration column followed by
-// the system's metric schema.
-func (s *SystemData) ExportProfileCSV(w io.Writer, benchmarkID string) error {
-	if len(s.MetricNames) == 0 {
-		return fmt.Errorf("measure: system %s has an empty metric schema; refusing to write a counter-less profile CSV", s.SystemName)
-	}
-	b, ok := s.Find(benchmarkID)
-	if !ok {
-		return fmt.Errorf("measure: benchmark %q not in system %s", benchmarkID, s.SystemName)
-	}
-	cw := csv.NewWriter(w)
-	header := append([]string{"run", "seconds"}, s.MetricNames...)
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("measure: csv: %w", err)
-	}
-	for ri, run := range b.Runs {
-		rec := make([]string, 0, len(header))
-		rec = append(rec, strconv.Itoa(ri), strconv.FormatFloat(run.Seconds, 'g', 10, 64))
-		for _, v := range run.Metrics {
-			rec = append(rec, strconv.FormatFloat(v, 'g', 10, 64))
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("measure: csv: %w", err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("measure: csv flush: %w", err)
-	}
-	return nil
-}

@@ -178,26 +178,6 @@ func TestExportRelTimesCSV(t *testing.T) {
 	}
 }
 
-func TestExportProfileCSV(t *testing.T) {
-	db := smallCampaign(t, 6)
-	intel, _ := db.System("intel")
-	id := intel.Benchmarks[0].Workload.ID()
-	var buf bytes.Buffer
-	if err := intel.ExportProfileCSV(&buf, id); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1+50 {
-		t.Fatalf("csv lines = %d, want 51", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "run,seconds,branch-instructions") {
-		t.Errorf("header = %q", lines[0])
-	}
-	if err := intel.ExportProfileCSV(&buf, "nope/none"); err == nil {
-		t.Error("unknown benchmark should fail")
-	}
-}
-
 func TestRelTimesZeroRuns(t *testing.T) {
 	b := &BenchmarkData{}
 	rel := b.RelTimes()

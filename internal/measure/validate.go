@@ -1,7 +1,9 @@
 package measure
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/perfsim"
 )
@@ -231,7 +233,8 @@ func ValidateRuns(runs []perfsim.Run, nMetrics, expected int, pol ValidationPoli
 }
 
 // repairBounds computes the per-metric median and p1/p99 clamp range
-// over fully valid runs.
+// over fully valid runs. The sort is stable, so equal values (−0 and
+// +0 among them) keep their run order.
 func repairBounds(valid []perfsim.Run, nMetrics int) (med, lo, hi []float64) {
 	med = make([]float64, nMetrics)
 	lo = make([]float64, nMetrics)
@@ -241,22 +244,12 @@ func repairBounds(valid []perfsim.Run, nMetrics int) (med, lo, hi []float64) {
 		for i := range valid {
 			col[i] = valid[i].Metrics[m]
 		}
-		sorted := append([]float64(nil), col...)
-		insertionSort(sorted)
-		med[m] = sortedQuantile(sorted, 0.5)
-		lo[m] = sortedQuantile(sorted, 0.01)
-		hi[m] = sortedQuantile(sorted, 0.99)
+		slices.SortStableFunc(col, cmp.Compare[float64])
+		med[m] = sortedQuantile(col, 0.5)
+		lo[m] = sortedQuantile(col, 0.01)
+		hi[m] = sortedQuantile(col, 0.99)
 	}
 	return med, lo, hi
-}
-
-// insertionSort avoids importing sort for the small per-metric columns.
-func insertionSort(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // sortedQuantile is the linear-interpolation quantile of a sorted slice.

@@ -3,10 +3,10 @@ package measure
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/perfsim"
+	"repro/internal/randx"
 )
 
 // run builds a valid 3-metric run.
@@ -180,14 +180,54 @@ func TestValidateCleanSystemIsIdentity(t *testing.T) {
 	}
 }
 
-func TestExportRejectsEmptySchema(t *testing.T) {
-	sd := &SystemData{SystemName: "noschema", Benchmarks: []BenchmarkData{{
-		Workload: perfsim.Workload{Suite: "npb", Name: "bt"},
-		Runs:     []perfsim.Run{{Seconds: 1}},
-	}}}
-	var sb strings.Builder
-	err := sd.ExportProfileCSV(&sb, "npb/bt")
-	if err == nil || !strings.Contains(err.Error(), "metric schema") {
-		t.Errorf("empty-schema export: err = %v, want schema refusal", err)
+// insertionSortBounds is repairBounds with the hand-written insertion
+// sort it used before the standard library's stable sort: the oracle
+// for TestRepairBoundsMatchesInsertionSort.
+func insertionSortBounds(valid []perfsim.Run, nMetrics int) (med, lo, hi []float64) {
+	for m := 0; m < nMetrics; m++ {
+		xs := make([]float64, len(valid))
+		for i := range valid {
+			xs[i] = valid[i].Metrics[m]
+		}
+		for i := 1; i < len(xs); i++ {
+			for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
+				xs[j], xs[j-1] = xs[j-1], xs[j]
+			}
+		}
+		med = append(med, sortedQuantile(xs, 0.5))
+		lo = append(lo, sortedQuantile(xs, 0.01))
+		hi = append(hi, sortedQuantile(xs, 0.99))
+	}
+	return med, lo, hi
+}
+
+// TestRepairBoundsMatchesInsertionSort pins the repair clamp to the
+// bits of the insertion sort it replaced, on columns full of ties and
+// of both signed zeros, where an unstable sort could reorder −0 and +0.
+func TestRepairBoundsMatchesInsertionSort(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	rng := randx.New(5)
+	for _, n := range []int{1, 2, 3, 7, 100, 1000} {
+		valid := make([]perfsim.Run, n)
+		for i := range valid {
+			valid[i] = run(1,
+				[]float64{0, negZero}[rng.IntN(2)],                 // signed zeros only
+				[]float64{0, negZero, 1, 2.5, 2.5, 7}[rng.IntN(6)], // zeros among ties
+				float64(rng.IntN(4)),                               // heavy ties
+				rng.Float64(),                                      // distinct values
+			)
+		}
+		gotMed, gotLo, gotHi := repairBounds(valid, 4)
+		wantMed, wantLo, wantHi := insertionSortBounds(valid, 4)
+		for m := 0; m < 4; m++ {
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{{"median", gotMed[m], wantMed[m]}, {"p1", gotLo[m], wantLo[m]}, {"p99", gotHi[m], wantHi[m]}} {
+				if math.Float64bits(c.got) != math.Float64bits(c.want) {
+					t.Errorf("n=%d metric %d %s: %v, insertion sort gives %v", n, m, c.name, c.got, c.want)
+				}
+			}
+		}
 	}
 }

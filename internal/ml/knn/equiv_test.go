@@ -58,7 +58,7 @@ func TestKNNKernelsBitIdentical(t *testing.T) {
 						simdEnabled = enabled
 						for i, x := range probe.X {
 							got := r.Predict(x)
-							want := r.PredictReference(x)
+							want := r.predictReference(x)
 							for j := range want {
 								if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 									t.Fatalf("%s simd=%v probe %d out %d: kernel %v != reference %v",
@@ -86,7 +86,7 @@ func TestKNNPredictBatchIntoBitIdentical(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		r.PredictBatchInto(context.Background(), d.X, out)
 		for i, x := range d.X {
-			want := r.PredictReference(x)
+			want := r.predictReference(x)
 			for j := range want {
 				if math.Float64bits(out[i][j]) != math.Float64bits(want[j]) {
 					t.Fatalf("pass %d row %d out %d: batch %v != reference %v", pass, i, j, out[i][j], want[j])

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/ml"
@@ -180,38 +179,6 @@ func (r *Regressor) finalize() {
 	r.nOut = len(r.y[0])
 }
 
-// distance computes the configured metric; for Cosine it returns
-// 1 − cos(x, y), which is 0 for parallel vectors and 2 for antiparallel.
-func (r *Regressor) distance(a, b []float64) float64 {
-	switch r.Metric {
-	case Cosine:
-		var dot, na, nb float64
-		for i := range a {
-			dot += a[i] * b[i]
-			na += a[i] * a[i]
-			nb += b[i] * b[i]
-		}
-		if na == 0 || nb == 0 {
-			return 1 // orthogonal by convention when a norm vanishes
-		}
-		return 1 - dot/math.Sqrt(na*nb)
-	case Manhattan:
-		var s float64
-		for i := range a {
-			s += math.Abs(a[i] - b[i])
-		}
-		return s
-	default: // Euclidean
-		var s float64
-		for i := range a {
-			d := a[i] - b[i]
-			s += d * d
-		}
-		//lint:allow floatcheck s is a sum of squares, so it is always >= 0
-		return math.Sqrt(s)
-	}
-}
-
 // neighbor is one candidate training point during top-k selection.
 type neighbor struct {
 	dist float64
@@ -231,8 +198,8 @@ func worse(a, b neighbor) bool {
 // Predict returns the (weighted) mean target of the k nearest training
 // examples. If fewer than k examples exist, all are used. It runs the
 // same blocked, allocation-free kernel as PredictBatchInto (only the
-// returned vector is allocated) and is bit-identical to
-// PredictReference.
+// returned vector is allocated) and is bit-identical to the
+// row-at-a-time reference in the package's tests.
 func (r *Regressor) Predict(x []float64) []float64 {
 	//lint:allow alloccheck row API allocates only the returned vector by contract; the batch path fills caller buffers via PredictBatchInto
 	out := make([]float64, r.nOut)
@@ -296,7 +263,7 @@ func (r *Regressor) getScratch() *predictScratch {
 // kernel, bounded-heap top-k selection in candidate order, nearest-first
 // weighted accumulation into out. Every step reproduces the reference
 // implementation's floating-point operation order exactly, so the
-// result matches PredictReference to the last bit.
+// result matches it to the last bit.
 func (r *Regressor) predictInto(x, out []float64, s *predictScratch) {
 	if r.x == nil {
 		panic("knn: Predict before Fit")
@@ -559,85 +526,5 @@ func (r *Regressor) manhattanInto(q, dist []float64) {
 			s += math.Abs(qv - b[j])
 		}
 		dist[i] = s
-	}
-}
-
-// PredictReference is the original row-at-a-time implementation —
-// per-candidate distance calls, bounded heap, sort.Slice ordering —
-// kept as the independent reference the equivalence suite compares
-// against the blocked kernel bit for bit.
-func (r *Regressor) PredictReference(x []float64) []float64 {
-	if r.x == nil {
-		panic("knn: Predict before Fit")
-	}
-	q := x
-	if r.Standardize {
-		q = r.scaler.Transform(x)
-	}
-	k := r.K
-	if k > len(r.x) {
-		k = len(r.x)
-	}
-	heap := make([]neighbor, 0, k)
-	for i, row := range r.x {
-		cand := neighbor{dist: r.distance(q, row), idx: i}
-		if len(heap) < k {
-			heap = append(heap, cand)
-			siftUp(heap, len(heap)-1)
-		} else if worse(heap[0], cand) {
-			heap[0] = cand
-			siftDown(heap, 0)
-		}
-	}
-	sort.Slice(heap, func(i, j int) bool { return worse(heap[j], heap[i]) })
-	out := make([]float64, len(r.y[0]))
-	var wsum float64
-	for _, n := range heap {
-		w := 1.0
-		if r.Weighting == Distance {
-			w = 1 / (n.dist + 1e-12)
-		}
-		wsum += w
-		for j, v := range r.y[n.idx] {
-			out[j] += w * v
-		}
-	}
-	if wsum <= 0 {
-		return out
-	}
-	for j := range out {
-		out[j] /= wsum
-	}
-	return out
-}
-
-// siftUp restores the max-heap property after appending at index i.
-func siftUp(h []neighbor, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !worse(h[i], h[p]) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-// siftDown restores the max-heap property after replacing the root.
-func siftDown(h []neighbor, i int) {
-	for {
-		l, rt := 2*i+1, 2*i+2
-		w := i
-		if l < len(h) && worse(h[l], h[w]) {
-			w = l
-		}
-		if rt < len(h) && worse(h[rt], h[w]) {
-			w = rt
-		}
-		if w == i {
-			return
-		}
-		h[i], h[w] = h[w], h[i]
-		i = w
 	}
 }

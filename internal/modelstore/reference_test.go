@@ -2,9 +2,11 @@ package modelstore
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/ml/knn"
 	"repro/internal/randx"
 )
 
@@ -57,9 +59,39 @@ func (n *refNode) leafFor(x []float64) *refNode {
 	return n
 }
 
-// referenceFromFile rebuilds the tree ensemble stored in data as
-// pointer trees and returns its row predictor. It returns nil for
-// families without trees.
+// knnDistance is the kNN metric computed one candidate row at a time;
+// for Cosine it returns 1 − cos(a, b), and 1 when a norm vanishes.
+func knnDistance(metric knn.Metric, a, b []float64) float64 {
+	var s float64
+	switch metric {
+	case knn.Cosine:
+		var dot, na, nb float64
+		for i := range a {
+			dot += a[i] * b[i]
+			na += a[i] * a[i]
+			nb += b[i] * b[i]
+		}
+		if na == 0 || nb == 0 {
+			return 1
+		}
+		return 1 - dot/math.Sqrt(na*nb)
+	case knn.Manhattan:
+		for i := range a {
+			s += math.Abs(a[i] - b[i])
+		}
+		return s
+	default: // Euclidean
+		for i := range a {
+			d := a[i] - b[i]
+			s += d * d
+		}
+		return math.Sqrt(s)
+	}
+}
+
+// referenceFromFile rebuilds the model stored in data from its payload
+// bytes and returns its row predictor: the tree ensembles as pointer
+// trees, kNN as a row-at-a-time scan with a full sort.
 func referenceFromFile(t *testing.T, kind Kind, data []byte) func(x []float64) []float64 {
 	t.Helper()
 	d := ml.NewWireDec(data[headerSize : len(data)-trailerSize])
@@ -123,8 +155,56 @@ func referenceFromFile(t *testing.T, kind Kind, data []byte) func(x []float64) [
 			}
 			return out
 		}
+	case KindKNN:
+		k := d.Int()
+		metric := knn.Metric(d.U8())
+		weighting := knn.Weighting(d.U8())
+		d.Bool() // Standardize; a stored scaler implies it
+		var scaler *ml.StandardScaler
+		if d.Bool() {
+			var err error
+			if scaler, err = ml.DecodeScaler(d); err != nil {
+				t.Fatalf("%v: reference decode: %v", kind, err)
+			}
+		}
+		xs, ys := d.FloatRows(), d.FloatRows()
+		predict = func(x []float64) []float64 {
+			if scaler != nil {
+				x = scaler.Transform(x)
+			}
+			type cand struct {
+				dist float64
+				idx  int
+			}
+			cs := make([]cand, len(xs))
+			for i, row := range xs {
+				cs[i] = cand{knnDistance(metric, x, row), i}
+			}
+			sort.Slice(cs, func(i, j int) bool {
+				if cs[i].dist != cs[j].dist {
+					return cs[i].dist < cs[j].dist
+				}
+				return cs[i].idx < cs[j].idx
+			})
+			out := make([]float64, len(ys[0]))
+			var wsum float64
+			for _, c := range cs[:min(k, len(cs))] {
+				w := 1.0
+				if weighting == knn.Distance {
+					w = 1 / (c.dist + 1e-12)
+				}
+				wsum += w
+				for j, v := range ys[c.idx] {
+					out[j] += w * v
+				}
+			}
+			for j := range out {
+				out[j] /= wsum
+			}
+			return out
+		}
 	default:
-		return nil
+		t.Fatalf("reference decode: unknown kind %v", kind)
 	}
 	if err := d.Err(); err != nil || d.Remaining() != 0 {
 		t.Fatalf("%v: reference decode: %v, %d bytes left", kind, err, d.Remaining())
@@ -135,9 +215,9 @@ func referenceFromFile(t *testing.T, kind Kind, data []byte) func(x []float64) [
 // TestLoadedFlatMatchesPointerReference pins the warm-load contract for
 // the flattened kernels: a model decoded from the store serves with its
 // struct-of-arrays kernel, and that kernel must agree bit for bit with
-// a pointer-based reference walker — the tree families' pointer trees
-// rebuilt from the stored bytes, kNN's row-at-a-time PredictReference —
-// per family, per seed.
+// a reference rebuilt from the stored bytes — pointer trees for the
+// tree families, a row-at-a-time full-sort scan for kNN — per family,
+// per seed.
 func TestLoadedFlatMatchesPointerReference(t *testing.T) {
 	for _, kind := range allKinds {
 		for _, seed := range []uint64{1, 2, 3} {
@@ -152,13 +232,6 @@ func TestLoadedFlatMatchesPointerReference(t *testing.T) {
 				t.Fatalf("%v seed %d: decode: %v", kind, seed, err)
 			}
 			ref := referenceFromFile(t, kind, data)
-			if ref == nil {
-				r, ok := reg.(interface{ PredictReference([]float64) []float64 })
-				if !ok {
-					t.Fatalf("%v: fitted model has no reference kernel", kind)
-				}
-				ref = r.PredictReference
-			}
 			probe := randx.New(seed ^ 0xF1A7)
 			for q := 0; q < 25; q++ {
 				x := make([]float64, len(d.X[0]))

@@ -23,23 +23,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// MatrixFromRows builds a matrix from a slice of equal-length rows.
-// The data is copied.
-func MatrixFromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return &Matrix{}, nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("numeric: ragged rows: row 0 has %d columns, row %d has %d", cols, i, len(r))
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -181,17 +164,6 @@ func Dot(x, y []float64) float64 {
 	var s float64
 	for i, v := range x {
 		s += v * y[i]
-	}
-	return s
-}
-
-// NormInf returns the maximum absolute entry of x (0 for an empty slice).
-func NormInf(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		if a := math.Abs(v); a > s {
-			s = a
-		}
 	}
 	return s
 }

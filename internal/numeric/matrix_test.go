@@ -14,6 +14,15 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
 }
 
+// fromRows builds a matrix from equal-length rows.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
 func TestMatrixAtSet(t *testing.T) {
 	m := NewMatrix(3, 4)
 	m.Set(2, 3, 7.5)
@@ -29,37 +38,8 @@ func TestMatrixAtSet(t *testing.T) {
 	}
 }
 
-func TestMatrixFromRows(t *testing.T) {
-	m, err := MatrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if err != nil {
-		t.Fatalf("MatrixFromRows: %v", err)
-	}
-	if m.Rows != 3 || m.Cols != 2 {
-		t.Fatalf("dims = %dx%d, want 3x2", m.Rows, m.Cols)
-	}
-	if m.At(1, 0) != 3 || m.At(2, 1) != 6 {
-		t.Errorf("wrong contents: %v", m.Data)
-	}
-}
-
-func TestMatrixFromRowsRagged(t *testing.T) {
-	if _, err := MatrixFromRows([][]float64{{1, 2}, {3}}); err == nil {
-		t.Fatal("expected error for ragged rows")
-	}
-}
-
-func TestMatrixFromRowsEmpty(t *testing.T) {
-	m, err := MatrixFromRows(nil)
-	if err != nil {
-		t.Fatalf("MatrixFromRows(nil): %v", err)
-	}
-	if m.Rows != 0 {
-		t.Errorf("Rows = %d, want 0", m.Rows)
-	}
-}
-
 func TestMatrixClone(t *testing.T) {
-	m, _ := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}})
 	c := m.Clone()
 	c.Set(0, 0, 99)
 	if m.At(0, 0) != 1 {
@@ -68,7 +48,7 @@ func TestMatrixClone(t *testing.T) {
 }
 
 func TestMulVec(t *testing.T) {
-	m, _ := MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	y := m.MulVec([]float64{1, 0, -1})
 	if y[0] != -2 || y[1] != -2 {
 		t.Errorf("MulVec = %v, want [-2 -2]", y)
@@ -77,7 +57,7 @@ func TestMulVec(t *testing.T) {
 
 func TestSolveLinearKnown(t *testing.T) {
 	// 2x + y = 5; x - y = 1  =>  x = 2, y = 1
-	a, _ := MatrixFromRows([][]float64{{2, 1}, {1, -1}})
+	a := fromRows([][]float64{{2, 1}, {1, -1}})
 	x, err := SolveLinear(a, []float64{5, 1})
 	if err != nil {
 		t.Fatalf("SolveLinear: %v", err)
@@ -107,14 +87,14 @@ func TestSolveLinearIdentity(t *testing.T) {
 }
 
 func TestSolveLinearSingular(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{{1, 2}, {2, 4}})
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := SolveLinear(a, []float64{1, 2}); err == nil {
 		t.Fatal("expected ErrSingular for rank-deficient matrix")
 	}
 }
 
 func TestSolveLinearZeroRow(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{{0, 0}, {1, 1}})
+	a := fromRows([][]float64{{0, 0}, {1, 1}})
 	if _, err := SolveLinear(a, []float64{0, 1}); err == nil {
 		t.Fatal("expected error for zero row")
 	}
@@ -122,7 +102,7 @@ func TestSolveLinearZeroRow(t *testing.T) {
 
 func TestSolveLinearNeedsPivoting(t *testing.T) {
 	// Zero pivot in the (0,0) position forces a row swap.
-	a, _ := MatrixFromRows([][]float64{{0, 1}, {1, 0}})
+	a := fromRows([][]float64{{0, 1}, {1, 0}})
 	x, err := SolveLinear(a, []float64{3, 4})
 	if err != nil {
 		t.Fatalf("SolveLinear: %v", err)
@@ -167,12 +147,6 @@ func TestDotNorms(t *testing.T) {
 	x := []float64{3, 4}
 	if got := Dot(x, x); got != 25 {
 		t.Errorf("Dot = %v, want 25", got)
-	}
-	if got := NormInf([]float64{-7, 2, 6.5}); got != 7 {
-		t.Errorf("NormInf = %v, want 7", got)
-	}
-	if got := NormInf(nil); got != 0 {
-		t.Errorf("NormInf(nil) = %v, want 0", got)
 	}
 }
 

@@ -126,7 +126,7 @@ func TestLatencyHistConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func() { //lint:allow lockcheck test goroutines joined via WaitGroup
+		go func() {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
 				h.ObserveMS(float64(j + 1))
@@ -175,7 +175,7 @@ func TestRegistryConcurrentCreate(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func() { //lint:allow lockcheck test goroutines joined via WaitGroup
+		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				r.Counter("c").Inc()

@@ -214,7 +214,7 @@ func TestConcurrentChildren(t *testing.T) {
 	ctx, root := tr.Start(context.Background(), "r")
 	done := make(chan struct{})
 	for i := 0; i < 8; i++ {
-		go func() { //lint:allow lockcheck test goroutines joined via channel
+		go func() {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 50; j++ {
 				cctx, c := Start(ctx, "c")

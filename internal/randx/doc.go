@@ -2,7 +2,7 @@
 // across the repository: a seedable source plus samplers for the
 // distribution families needed by the Pearson system (normal, gamma,
 // beta, beta-prime, inverse-gamma, Student-t) and by the performance
-// simulator (lognormal, mixtures, categorical choice).
+// simulator (lognormal, categorical choice).
 //
 // All randomness in this project flows through *randx.RNG so that every
 // experiment is reproducible bit-for-bit from its seed; parallel
