@@ -1,0 +1,121 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/ml"
+	"repro/internal/randx"
+)
+
+// Steady-state allocation budgets of the serving inference path, as
+// PredictUC1ProfileBatch and the single-row decoders run it.
+const (
+	// pooledBatchAllocBudget is one ml.PredictBatchInto call into a
+	// MatrixPool matrix, Get and Put included: 3 in parallel.ForEach
+	// (the row closure, and the ctx and fn parameters its worker
+	// closures capture), 3 from context.WithoutCancel and the span
+	// lookups through it, and 1 from MatrixPool.Put.
+	pooledBatchAllocBudget = 7
+	// rowPredictAllocBudget is one row-API Predict call: the returned
+	// vector.
+	rowPredictAllocBudget = 1
+)
+
+// allocDataset is a UC1-shaped training set: 59 benchmarks × 272
+// features, four outputs (a PearsonRnd moment vector).
+func allocDataset() *ml.Dataset {
+	rng := randx.New(27)
+	n, p, q := 59, 272, 4
+	d := &ml.Dataset{X: make([][]float64, n), Y: make([][]float64, n)}
+	for i := range d.X {
+		d.X[i] = make([]float64, p)
+		for j := range d.X[i] {
+			d.X[i][j] = rng.StdNormal()
+		}
+		d.Y[i] = make([]float64, q)
+		for j := range d.Y[i] {
+			d.Y[i][j] = d.X[i][j] + 0.1*rng.StdNormal()
+		}
+	}
+	return d
+}
+
+// fitServingModels fits every family newModel builds with the
+// serving defaults.
+func fitServingModels(t *testing.T, d *ml.Dataset) map[Model]ml.Regressor {
+	t.Helper()
+	out := make(map[Model]ml.Regressor)
+	for _, m := range ModelsExtended() {
+		r, err := newModel(m, 1, ModelOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Fit(d); err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		out[m] = r
+	}
+	return out
+}
+
+// TestPooledPredictBatchAllocs holds the batch entry point of every
+// model family with a flattened kernel to its budget. The paper's
+// three models must have one, so a family added to them is held to the
+// same budget without a new test.
+func TestPooledPredictBatchAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race detector defeats sync.Pool caching; alloc counts are meaningless")
+	}
+	d := allocDataset()
+	models := fitServingModels(t, d)
+	ctx := context.Background()
+	for _, m := range ModelsExtended() {
+		r := models[m]
+		bi, ok := r.(ml.BatchIntoPredictor)
+		if !ok {
+			for _, paper := range Models() {
+				if m == paper {
+					t.Errorf("%s (%T) does not implement ml.BatchIntoPredictor", m, r)
+				}
+			}
+			continue
+		}
+		var pool ml.MatrixPool
+		run := func() {
+			out := pool.Get(len(d.X), bi.NumOutputs())
+			ml.PredictBatchInto(ctx, r, d.X, out)
+			pool.Put(out)
+		}
+		for i := 0; i < 3; i++ {
+			run()
+		}
+		got := testing.AllocsPerRun(20, run)
+		t.Logf("%s: %.1f allocs per pooled %d-row batch", m, got, len(d.X))
+		if got > pooledBatchAllocBudget {
+			t.Errorf("%s: pooled ml.PredictBatchInto allocated %.1f times per batch, budget %d",
+				m, got, pooledBatchAllocBudget)
+		}
+	}
+}
+
+// TestRowPredictAllocs holds the row API, which the holdout and
+// single-profile decoders call once per request, to the returned
+// vector alone for the paper's three models.
+func TestRowPredictAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race detector defeats sync.Pool caching; alloc counts are meaningless")
+	}
+	d := allocDataset()
+	models := fitServingModels(t, d)
+	for _, m := range Models() {
+		r := models[m]
+		x := d.X[7]
+		r.Predict(x)
+		got := testing.AllocsPerRun(20, func() { r.Predict(x) })
+		t.Logf("%s: %.1f allocs per row Predict", m, got)
+		if got > rowPredictAllocBudget {
+			t.Errorf("%s: Predict allocated %.1f times per row, budget %d", m, got, rowPredictAllocBudget)
+		}
+	}
+}
