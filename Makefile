@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint vet fmtcheck varlint docscheck lintgraph persistence drift cluster benchcheck benchcheck-update reproduce reproduce-update fuzz cover
+.PHONY: all build test race lint vet fmtcheck varlint docscheck persistence drift cluster benchcheck benchcheck-update reproduce reproduce-update fuzz cover
 
 all: build test
 
@@ -33,13 +33,6 @@ fmtcheck:
 
 varlint:
 	$(GO) run ./cmd/varlint ./...
-
-# lintgraph prints the //perf:hotpath reachability report: the roots,
-# every function the call graph proves reachable from them (with one
-# provenance chain each), and the //perf:pooled boundaries that stop
-# propagation. CI uploads it as an artifact on every run.
-lintgraph:
-	$(GO) run ./cmd/varlint -hotreport ./...
 
 # docscheck enforces the documentation floor: every internal package
 # must carry a `// Package <name>` comment (conventionally in doc.go).

@@ -1,7 +1,7 @@
 // Command varlint runs the repository's custom static-analysis suite —
 // the machine-checked form of the determinism, float-hygiene, error-
-// flow, concurrency, context-propagation, and hot-path allocation
-// contracts documented in README ("Static analysis").
+// flow, concurrency, and context-propagation contracts documented in
+// README ("Static analysis").
 //
 // Usage:
 //
@@ -9,15 +9,12 @@
 //	go run ./cmd/varlint -analyzers nondeterminism,floatcheck ./internal/stats
 //	go run ./cmd/varlint -format github ./...
 //	go run ./cmd/varlint -fix ./...
-//	go run ./cmd/varlint -hotreport ./...
 //	go run ./cmd/varlint -list
 //
 // -format selects text (default), json (the Finding array), or github
 // (GitHub Actions ::error workflow commands, consumed by the CI lint
 // job). -fix prints the mechanical suggested rewrite under each finding
-// that carries one — a dry run; nothing is modified. -hotreport skips
-// analysis and prints the //perf:hotpath reachability report from the
-// cross-package call graph instead.
+// that carries one — a dry run; nothing is modified.
 //
 // Exit status: 0 when clean, 1 on findings, 2 on operational errors
 // (including //lint:allow directives without a reason).
@@ -46,11 +43,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("varlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		names     = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		list      = fs.Bool("list", false, "list the analyzers and exit")
-		format    = fs.String("format", "text", "output format: text, json, or github")
-		fix       = fs.Bool("fix", false, "print mechanical suggested rewrites (dry run; nothing is applied)")
-		hotreport = fs.Bool("hotreport", false, "print the //perf:hotpath reachability report and exit")
+		names  = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
+		list   = fs.Bool("list", false, "list the analyzers and exit")
+		format = fs.String("format", "text", "output format: text, json, or github")
+		fix    = fs.Bool("fix", false, "print mechanical suggested rewrites (dry run; nothing is applied)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -81,13 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	if *hotreport {
-		if err := lint.HotReport(stdout, patterns, lint.Config{}); err != nil {
-			_, _ = fmt.Fprintf(stderr, "varlint: %v\n", err)
-			return 2
-		}
-		return 0
 	}
 	n, err := lint.Run(stdout, patterns, lint.Config{
 		Analyzers: suite,

@@ -1,11 +1,11 @@
 // Package callgraph builds a whole-program static call graph over the
 // module's packages so analyzers can reason across package boundaries:
-// which functions are reachable from annotated hot-path roots, which
-// spawn goroutines, which start spans.
+// which functions a span-starting path reaches (ctxflow) and which
+// module function a go statement spawns (goroutinecheck).
 //
 // The graph has one node per function declaration plus one per function
 // literal (closures are first-class: their bodies execute wherever the
-// closure is called, so hotness must flow into them). Edges cover
+// closure is called). Edges cover
 //
 //   - static calls (identifier and selector callees),
 //   - interface dispatch: a call through an interface method adds edges
@@ -16,17 +16,6 @@
 //     flows,
 //   - closures: an enclosing function gets an edge into each literal it
 //     defines.
-//
-// Two source annotations drive the hot-path queries:
-//
-//	//perf:hotpath — on a func/method declaration or an interface
-//	    method: this function (or, for interfaces, every module-internal
-//	    implementation) is a serving hot-path root.
-//	//perf:pooled — this function amortizes allocation through a pool
-//	    (sync.Pool acquisition, bounded-worker machinery). It stays in
-//	    the hot set but is exempt from allocation checks and does not
-//	    propagate hotness into its callees: its allocations happen only
-//	    on the cold (pool-miss) path.
 //
 // The engine is deliberately conservative: it over-approximates the
 // call relation (function values may never be called; interface
@@ -40,7 +29,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Package is one type-checked package handed to Build. It mirrors the
@@ -69,20 +57,6 @@ const (
 	EdgeClosure
 )
 
-func (k EdgeKind) String() string {
-	switch k {
-	case EdgeCall:
-		return "call"
-	case EdgeDispatch:
-		return "dispatch"
-	case EdgeRef:
-		return "ref"
-	case EdgeClosure:
-		return "closure"
-	}
-	return "?"
-}
-
 // Edge is one directed may-call edge.
 type Edge struct {
 	From, To int
@@ -98,38 +72,6 @@ type Node struct {
 	Decl *ast.FuncDecl
 	Lit  *ast.FuncLit
 	Pkg  *Package
-
-	// HotRoot marks a //perf:hotpath annotation, direct or inherited
-	// from an annotated interface method; RootVia says which.
-	HotRoot bool
-	RootVia string
-	// Pooled marks a //perf:pooled annotation.
-	Pooled bool
-	// PooledReason is the rest of the annotation line, kept for reports.
-	PooledReason string
-}
-
-// Body returns the node's statement block (declaration body or literal
-// body); nil for bodyless declarations (assembly stubs, externs).
-func (n *Node) Body() *ast.BlockStmt {
-	if n.Lit != nil {
-		return n.Lit.Body
-	}
-	if n.Decl != nil {
-		return n.Decl.Body
-	}
-	return nil
-}
-
-// Pos returns the declaration position.
-func (n *Node) Pos() token.Pos {
-	if n.Lit != nil {
-		return n.Lit.Pos()
-	}
-	if n.Decl != nil {
-		return n.Decl.Pos()
-	}
-	return token.NoPos
 }
 
 // Graph is the whole-program call graph.
@@ -147,21 +89,9 @@ type Graph struct {
 	// identifier is visited: ast.Inspect is pre-order, parents first.
 	callees map[*ast.Ident]bool
 
-	// ifaceMethods lists every annotated interface method (hot roots
-	// propagate to implementations).
-	ifaceHot []*types.Func
-
 	// implMemo caches interface-method -> implementing-node resolution.
 	implMemo map[*types.Func][]int
-
-	hot       map[int]int // node -> BFS predecessor (-1 for roots)
-	hotSorted []*Node
 }
-
-const (
-	hotpathDirective = "//perf:hotpath"
-	pooledDirective  = "//perf:pooled"
-)
 
 // Build constructs the graph for pkgs. The packages must share fset and
 // be fully type-checked.
@@ -174,15 +104,12 @@ func Build(fset *token.FileSet, pkgs []*Package) *Graph {
 		callees:  make(map[*ast.Ident]bool),
 		implMemo: make(map[*types.Func][]int),
 	}
-	// Pass 1: declaration nodes and annotations.
+	// Pass 1: declaration nodes.
 	for _, p := range pkgs {
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					g.addDecl(p, d)
-				case *ast.GenDecl:
-					g.scanInterfaceAnnotations(p, d)
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					g.addDecl(p, fd)
 				}
 			}
 		}
@@ -203,17 +130,6 @@ func Build(fset *token.FileSet, pkgs []*Package) *Graph {
 			}
 		}
 	}
-	// Annotated interface methods make every implementation a root.
-	for _, im := range g.ifaceHot {
-		for _, id := range g.implementers(im) {
-			n := g.Nodes[id]
-			if !n.HotRoot {
-				n.HotRoot = true
-				n.RootVia = "implements " + qualifiedName(im)
-			}
-		}
-	}
-	g.computeHot()
 	return g
 }
 
@@ -229,65 +145,9 @@ func (g *Graph) addDecl(p *Package, fd *ast.FuncDecl) {
 		Decl: fd,
 		Pkg:  p,
 	}
-	if dir, rest := directive(fd.Doc, hotpathDirective); dir {
-		n.HotRoot = true
-		n.RootVia = "annotated"
-		_ = rest
-	}
-	if dir, rest := directive(fd.Doc, pooledDirective); dir {
-		n.Pooled = true
-		n.PooledReason = rest
-	}
 	g.Nodes = append(g.Nodes, n)
 	g.out = append(g.out, nil)
 	g.byFunc[obj] = n.ID
-}
-
-// scanInterfaceAnnotations records //perf:hotpath annotations on
-// interface method declarations: every module-internal implementation
-// of an annotated method becomes a hot root.
-func (g *Graph) scanInterfaceAnnotations(p *Package, gd *ast.GenDecl) {
-	if gd.Tok != token.TYPE {
-		return
-	}
-	for _, spec := range gd.Specs {
-		ts, ok := spec.(*ast.TypeSpec)
-		if !ok {
-			continue
-		}
-		it, ok := ts.Type.(*ast.InterfaceType)
-		if !ok || it.Methods == nil {
-			continue
-		}
-		for _, field := range it.Methods.List {
-			if len(field.Names) == 0 {
-				continue // embedded interface
-			}
-			hot, _ := directive(field.Doc, hotpathDirective)
-			if !hot {
-				continue
-			}
-			for _, name := range field.Names {
-				if m, ok := p.Info.Defs[name].(*types.Func); ok {
-					g.ifaceHot = append(g.ifaceHot, m)
-				}
-			}
-		}
-	}
-}
-
-// directive reports whether the comment group carries the given
-// //perf: directive and returns the rest of that line (the reason).
-func directive(doc *ast.CommentGroup, name string) (bool, string) {
-	if doc == nil {
-		return false, ""
-	}
-	for _, c := range doc.List {
-		if c.Text == name || strings.HasPrefix(c.Text, name+" ") {
-			return true, strings.TrimSpace(strings.TrimPrefix(c.Text, name))
-		}
-	}
-	return false, ""
 }
 
 // closureNode creates (or returns) the node for a literal.
@@ -466,54 +326,12 @@ func dedupInts(xs []int) []int {
 	return out
 }
 
-// computeHot runs the reachability BFS from the annotated roots.
-// Pooled nodes join the hot set but are not expanded: their
-// allocations (and their callees') run only on the cold pool-miss
-// path.
-func (g *Graph) computeHot() {
-	g.hot = make(map[int]int)
-	var queue []int
-	for _, n := range g.Nodes {
-		if n.HotRoot {
-			g.hot[n.ID] = -1
-			queue = append(queue, n.ID)
-		}
-	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		if g.Nodes[id].Pooled {
-			continue
-		}
-		for _, e := range g.out[id] {
-			if _, seen := g.hot[e.To]; seen {
-				continue
-			}
-			g.hot[e.To] = id
-			queue = append(queue, e.To)
-		}
-	}
-	g.hotSorted = nil
-	for id := range g.hot {
-		g.hotSorted = append(g.hotSorted, g.Nodes[id])
-	}
-	sort.Slice(g.hotSorted, func(i, j int) bool { return g.hotSorted[i].Name < g.hotSorted[j].Name })
-}
-
 // NodeOf returns the node for fn, or nil.
 func (g *Graph) NodeOf(fn *types.Func) *Node {
 	if fn == nil {
 		return nil
 	}
 	if id, ok := g.byFunc[origin(fn)]; ok {
-		return g.Nodes[id]
-	}
-	return nil
-}
-
-// LitNode returns the node for a function literal, or nil.
-func (g *Graph) LitNode(lit *ast.FuncLit) *Node {
-	if id, ok := g.byLit[lit]; ok {
 		return g.Nodes[id]
 	}
 	return nil
@@ -532,73 +350,6 @@ func (g *Graph) DeclOf(fn *types.Func) (*ast.FuncDecl, *Package) {
 // Out returns the node's outgoing edges.
 func (g *Graph) Out(id int) []Edge { return g.out[id] }
 
-// Roots returns the annotated hot-path roots, sorted by name.
-func (g *Graph) Roots() []*Node {
-	var roots []*Node
-	for _, n := range g.Nodes {
-		if n.HotRoot {
-			roots = append(roots, n)
-		}
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].Name < roots[j].Name })
-	return roots
-}
-
-// Hot reports whether n is in the hot set (reachable from a root).
-func (g *Graph) Hot(n *Node) bool {
-	if n == nil {
-		return false
-	}
-	_, ok := g.hot[n.ID]
-	return ok
-}
-
-// HotSet returns every node reachable from a //perf:hotpath root
-// (including pooled frontier nodes), sorted by name.
-func (g *Graph) HotSet() []*Node { return g.hotSorted }
-
-// HotChain returns the provenance path root -> ... -> n that put n in
-// the hot set, or nil when n is not hot.
-func (g *Graph) HotChain(n *Node) []*Node {
-	if n == nil {
-		return nil
-	}
-	if _, ok := g.hot[n.ID]; !ok {
-		return nil
-	}
-	var rev []*Node
-	for id := n.ID; id != -1; id = g.hot[id] {
-		rev = append(rev, g.Nodes[id])
-	}
-	out := make([]*Node, len(rev))
-	for i, x := range rev {
-		out[len(rev)-1-i] = x
-	}
-	return out
-}
-
-// Reachable returns the set of nodes reachable from the given node IDs
-// (following every edge kind, not stopping at pooled nodes). It backs
-// ad-hoc queries and tests; the hot set uses the pooled-aware BFS.
-func (g *Graph) Reachable(roots ...int) map[int]bool {
-	seen := make(map[int]bool)
-	queue := append([]int(nil), roots...)
-	for _, r := range roots {
-		seen[r] = true
-	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		for _, e := range g.out[id] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return seen
-}
-
 // qualifiedName renders pkgpath.Func or pkgpath.(*Recv).Method.
 func qualifiedName(fn *types.Func) string {
 	pkg := ""
@@ -615,17 +366,7 @@ func qualifiedName(fn *types.Func) string {
 		if named, ok := t.(*types.Named); ok {
 			return fmt.Sprintf("%s.%s.%s", pkg, named.Obj().Name(), fn.Name())
 		}
-		if types.IsInterface(t) {
-			return fmt.Sprintf("%s.%s.%s", pkg, interfaceName(t), fn.Name())
-		}
 		return fmt.Sprintf("%s.%s.%s", pkg, t.String(), fn.Name())
 	}
 	return pkg + "." + fn.Name()
-}
-
-func interfaceName(t types.Type) string {
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return t.String()
 }

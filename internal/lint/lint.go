@@ -6,10 +6,11 @@
 // rest on — bit-reproducible randomness and clocks (nondeterminism),
 // NaN-free numerics (floatcheck), wrapped error chains (errflow),
 // branch-safe locking (lockcheck), and atomic-only file
-// replacement (pathpolicy) — plus three whole-program checks built on
-// the cross-package call graph: static zero-allocation discipline on
-// //perf:hotpath-reachable code (alloccheck), context propagation
-// (ctxflow), and goroutine lifecycle binding (goroutinecheck).
+// replacement (pathpolicy) — plus two whole-program checks built on
+// the cross-package call graph: context propagation (ctxflow) and
+// goroutine lifecycle binding (goroutinecheck). Allocation budgets are
+// not a lint rule: the AllocsPerRun tests in internal/ml/knn and
+// internal/core measure them.
 //
 // Per-package analyzers run package by package; graph analyzers run
 // once over the whole program after every package is type-checked.
@@ -25,7 +26,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/lint/alloccheck"
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/callgraph"
 	"repro/internal/lint/ctxflow"
@@ -46,7 +46,6 @@ func Suite() []*analysis.Analyzer {
 		errflow.Analyzer,
 		lockcheck.Analyzer,
 		pathpolicy.Analyzer,
-		alloccheck.Analyzer,
 		ctxflow.Analyzer,
 		goroutinecheck.Analyzer,
 	}
@@ -339,27 +338,4 @@ func checkAll(loader *load.Loader, metas []*load.Meta) ([]*callgraph.Package, ma
 		pkgs = append(pkgs, &callgraph.Package{Path: m.Path, Dir: m.Dir, Files: pkg.Files, Types: pkg.Types, Info: pkg.Info})
 	}
 	return pkgs, byPath, nil
-}
-
-// HotReport loads the module, builds the call graph, and writes the
-// hot-path reachability report (roots, the reachable hot set, pooled
-// boundaries, and one provenance chain per function).
-func HotReport(w io.Writer, patterns []string, cfg Config) error {
-	loader, err := load.New(cfg.Dir, patterns...)
-	if err != nil {
-		return err
-	}
-	var metas []*load.Meta
-	for _, m := range loader.Metas() {
-		if strings.Contains(m.Path, "/lint/") && strings.Contains(m.Dir, "testdata") {
-			continue
-		}
-		metas = append(metas, m)
-	}
-	pkgs, _, err := checkAll(loader, metas)
-	if err != nil {
-		return err
-	}
-	callgraph.Build(loader.Fset, pkgs).WriteHotReport(w)
-	return nil
 }

@@ -28,11 +28,10 @@ type BatchIntoPredictor interface {
 	// must be read-only on the model state and safe for concurrent
 	// calls.
 	//
-	// The //perf:hotpath annotation makes every module-internal
-	// implementation an alloccheck root: the flattened kernels behind
-	// this method are the statically enforced zero-allocation surface.
-	//
-	//perf:hotpath
+	// The per-row kernels behind it must not allocate. Every core model
+	// family that implements it is held to a steady-state AllocsPerRun
+	// budget per batch (internal/core alloc_test.go), so a new
+	// implementation is measured without a new test.
 	PredictBatchInto(ctx context.Context, X, out [][]float64)
 }
 
@@ -41,9 +40,7 @@ type BatchIntoPredictor interface {
 // deliberately keep the full backing capacity so MatrixPool.Put can
 // recover the block for reuse.
 func NewMatrix(rows, cols int) [][]float64 {
-	//lint:allow alloccheck documented two-allocation fallback when the caller supplies no pooled buffer; cost is independent of rows (DESIGN §9)
 	flat := make([]float64, rows*cols)
-	//lint:allow alloccheck second half of the same documented fallback pair
 	out := make([][]float64, rows)
 	for i := range out {
 		out[i] = flat[i*cols : (i+1)*cols]
@@ -69,8 +66,6 @@ type pooledMatrix struct {
 
 // Get returns a rows×cols matrix. Cells are not zeroed — the predict
 // kernels overwrite every cell before it is read.
-//
-//perf:pooled sync.Pool acquisition; the makes run only on pool miss or reshape-up
 func (p *MatrixPool) Get(rows, cols int) [][]float64 {
 	m, _ := p.pool.Get().(*pooledMatrix)
 	if m == nil {
@@ -131,14 +126,11 @@ func PredictBatch(ctx context.Context, r Regressor, X [][]float64) [][]float64 {
 // pooled buffer makes the steady-state batch path allocation-free. A
 // nil or mis-shaped out falls back to allocating. The returned matrix
 // is always the one that was filled.
-//
-//perf:hotpath
 func PredictBatchInto(ctx context.Context, r Regressor, X, out [][]float64) [][]float64 {
 	if len(X) == 0 {
 		return [][]float64{}
 	}
 	ctx, span := obs.Start(context.WithoutCancel(ctx), "model.predict_batch")
-	//lint:allow alloccheck one bounded attr box per batch span, not per row; tracing-off still pays only this single interface conversion
 	span.SetAttr("rows", len(X))
 	defer span.End()
 	if bi, ok := r.(BatchIntoPredictor); ok {
@@ -152,11 +144,9 @@ func PredictBatchInto(ctx context.Context, r Regressor, X, out [][]float64) [][]
 		return bp.PredictBatch(X)
 	}
 	if len(X) == 1 {
-		//lint:allow alloccheck legacy single-row fallback for models without a flattened kernel; the zero-alloc contract covers the BatchIntoPredictor branch above
 		return [][]float64{r.Predict(X[0])}
 	}
 	if len(out) != len(X) {
-		//lint:allow alloccheck legacy row-header fallback for models without a flattened kernel; shaped callers skip it
 		out = make([][]float64, len(X))
 	}
 	// Predict never fails, so fn returns nil and the pool cannot abort.

@@ -139,7 +139,6 @@ func (f *Regressor) FeatureImportance() []float64 {
 
 // Predict averages the trees' predictions.
 func (f *Regressor) Predict(x []float64) []float64 {
-	//lint:allow alloccheck row API allocates only the returned vector by contract; the batch path fills caller buffers via PredictBatchInto
 	out := make([]float64, f.nOut)
 	f.PredictInto(x, out)
 	return out

@@ -201,7 +201,6 @@ func worse(a, b neighbor) bool {
 // returned vector is allocated) and is bit-identical to the
 // row-at-a-time reference in the package's tests.
 func (r *Regressor) Predict(x []float64) []float64 {
-	//lint:allow alloccheck row API allocates only the returned vector by contract; the batch path fills caller buffers via PredictBatchInto
 	out := make([]float64, r.nOut)
 	s := r.getScratch()
 	r.predictInto(x, out, s)
@@ -230,8 +229,6 @@ func (r *Regressor) PredictBatchInto(ctx context.Context, X, out [][]float64) {
 
 // getScratch returns a scratch set sized for this model; steady state
 // it never allocates.
-//
-//perf:pooled sync.Pool acquisition; the makes run only on pool miss or the first call at a new shape
 func (r *Regressor) getScratch() *predictScratch {
 	s, _ := r.scratch.Get().(*predictScratch)
 	if s == nil {
@@ -272,7 +269,6 @@ func (r *Regressor) predictInto(x, out []float64, s *predictScratch) {
 		// Fit rejects K < 1, so this only trips when the exported field
 		// was mutated after fitting; selecting zero neighbors would
 		// silently predict zeros, so fail loudly instead.
-		//lint:allow alloccheck panic path: formats a misuse message after post-Fit field mutation, never in steady state
 		panic(fmt.Sprintf("knn: Predict with K=%d (K must be >= 1; was it mutated after Fit?)", r.K))
 	}
 	q := x

@@ -109,7 +109,6 @@ func (r *Regressor) Predict(x []float64) []float64 {
 		panic("linreg: Predict before Fit")
 	}
 	z := r.scaler.Transform(x)
-	//lint:allow alloccheck the copy is sized by the append contract to exactly len(bias) and is the row API's one returned vector
 	out := append([]float64(nil), r.bias...)
 	for a, va := range z {
 		if va == 0 {

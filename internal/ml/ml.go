@@ -3,8 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/numeric"
 )
 
 // Dataset is a design matrix X (rows = examples, columns = features)
@@ -122,48 +120,4 @@ func MSE(pred, want [][]float64) float64 {
 		return 0
 	}
 	return s / float64(n)
-}
-
-// MAE returns the mean absolute error, averaged over outputs and examples.
-func MAE(pred, want [][]float64) float64 {
-	if len(pred) != len(want) {
-		panic(fmt.Sprintf("ml: MAE row mismatch %d vs %d", len(pred), len(want)))
-	}
-	var s float64
-	var n int
-	for i := range pred {
-		for j := range pred[i] {
-			s += math.Abs(pred[i][j] - want[i][j])
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
-}
-
-// R2 returns the coefficient of determination for single-output slices.
-func R2(pred, want []float64) float64 {
-	if len(pred) != len(want) {
-		panic(fmt.Sprintf("ml: R2 length mismatch %d vs %d", len(pred), len(want)))
-	}
-	if len(want) == 0 {
-		return 0
-	}
-	mean := numeric.Mean(want)
-	var ssRes, ssTot float64
-	for i := range want {
-		d := want[i] - pred[i]
-		ssRes += d * d
-		t := want[i] - mean
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return 0
-	}
-	return 1 - ssRes/ssTot
 }

@@ -60,34 +60,14 @@ func TestDatasetSubset(t *testing.T) {
 	}
 }
 
-func TestMSEMAE(t *testing.T) {
+func TestMSE(t *testing.T) {
 	pred := [][]float64{{1, 2}, {3, 4}}
 	want := [][]float64{{1, 4}, {5, 4}}
 	if got := MSE(pred, want); math.Abs(got-2) > 1e-12 { // (0+4+4+0)/4
 		t.Errorf("MSE = %v, want 2", got)
 	}
-	if got := MAE(pred, want); math.Abs(got-1) > 1e-12 { // (0+2+2+0)/4
-		t.Errorf("MAE = %v, want 1", got)
-	}
-	if MSE(nil, nil) != 0 || MAE(nil, nil) != 0 {
-		t.Error("empty metrics should be 0")
-	}
-}
-
-func TestR2(t *testing.T) {
-	want := []float64{1, 2, 3, 4}
-	if got := R2(want, want); got != 1 {
-		t.Errorf("perfect R2 = %v, want 1", got)
-	}
-	constPred := []float64{2.5, 2.5, 2.5, 2.5}
-	if got := R2(constPred, want); math.Abs(got) > 1e-12 {
-		t.Errorf("mean-prediction R2 = %v, want 0", got)
-	}
-	if got := R2([]float64{5, 5}, []float64{5, 5}); got != 1 {
-		t.Errorf("constant-target exact prediction R2 = %v, want 1", got)
-	}
-	if got := R2([]float64{4, 6}, []float64{5, 5}); got != 0 {
-		t.Errorf("constant-target wrong prediction R2 = %v, want 0", got)
+	if MSE(nil, nil) != 0 {
+		t.Error("empty MSE should be 0")
 	}
 }
 

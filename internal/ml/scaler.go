@@ -53,7 +53,6 @@ func FitScaler(rows [][]float64) (*StandardScaler, error) {
 
 // Transform returns the scaled copy of one row.
 func (s *StandardScaler) Transform(x []float64) []float64 {
-	//lint:allow alloccheck row API allocates only the returned copy by contract; the batch kernels use TransformInto with pooled buffers
 	out := make([]float64, len(x))
 	s.TransformInto(x, out)
 	return out
@@ -64,11 +63,9 @@ func (s *StandardScaler) Transform(x []float64) []float64 {
 // scaled values are bit-identical to Transform.
 func (s *StandardScaler) TransformInto(x, dst []float64) {
 	if len(x) != len(s.Means) {
-		//lint:allow alloccheck panic path: allocates only while formatting a shape-bug message, never in steady state
 		panic(fmt.Sprintf("ml: Transform length %d, scaler has %d features", len(x), len(s.Means)))
 	}
 	if len(dst) != len(x) {
-		//lint:allow alloccheck panic path: allocates only while formatting a shape-bug message, never in steady state
 		panic(fmt.Sprintf("ml: TransformInto dst length %d, want %d", len(dst), len(x)))
 	}
 	for j, v := range x {
@@ -85,11 +82,9 @@ func (s *StandardScaler) TransformInto(x, dst []float64) {
 // TransformInto and accumulating dst[j]*dst[j] in a second loop.
 func (s *StandardScaler) TransformSumSqInto(x, dst []float64) float64 {
 	if len(x) != len(s.Means) {
-		//lint:allow alloccheck panic path: allocates only while formatting a shape-bug message, never in steady state
 		panic(fmt.Sprintf("ml: Transform length %d, scaler has %d features", len(x), len(s.Means)))
 	}
 	if len(dst) != len(x) {
-		//lint:allow alloccheck panic path: allocates only while formatting a shape-bug message, never in steady state
 		panic(fmt.Sprintf("ml: TransformInto dst length %d, want %d", len(dst), len(x)))
 	}
 	var sumsq float64

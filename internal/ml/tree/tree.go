@@ -402,7 +402,6 @@ func (t *Tree) Predict(x []float64) []float64 {
 		panic("tree: Predict before Fit")
 	}
 	leaf := t.flat.leaf(x)
-	//lint:allow alloccheck row API allocates only the returned vector by contract; batch callers route through the ensemble kernels
 	out := make([]float64, len(leaf))
 	copy(out, leaf)
 	return out

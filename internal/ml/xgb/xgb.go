@@ -354,7 +354,6 @@ func (g *grower) bestSplit(lo, hi int, gSum, hSum float64) (int, float64) {
 
 // Predict implements ml.Regressor via the flattened kernel.
 func (x *Regressor) Predict(in []float64) []float64 {
-	//lint:allow alloccheck row API allocates only the returned vector by contract; the batch path fills caller buffers via PredictBatchInto
 	out := make([]float64, len(x.flat))
 	x.PredictInto(in, out)
 	return out

@@ -54,23 +54,6 @@ func (m *Matrix) String() string {
 	return b.String()
 }
 
-// MulVec computes y = M·x, allocating the result.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("numeric: MulVec dimension mismatch: %d columns vs vector length %d", m.Cols, len(x)))
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
 // ErrSingular is returned when a linear solve encounters an (effectively)
 // singular matrix.
 var ErrSingular = errors.New("numeric: singular matrix")
@@ -154,28 +137,6 @@ func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
 		x[i] = s / piv
 	}
 	return x, nil
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("numeric: Dot length mismatch %d vs %d", len(x), len(y)))
-	}
-	var s float64
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
-
-// AXPY computes y += alpha*x element-wise in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("numeric: AXPY length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
 }
 
 // Scale multiplies every element of x by alpha in place.

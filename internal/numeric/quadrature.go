@@ -70,19 +70,6 @@ func Simpson(f func(float64) float64, a, b float64, n int) float64 {
 	return s * h / 3
 }
 
-// Trapezoid integrates tabulated values ys sampled at xs using the
-// trapezoid rule. xs must be sorted ascending.
-func Trapezoid(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic(fmt.Sprintf("numeric: Trapezoid length mismatch %d vs %d", len(xs), len(ys)))
-	}
-	var s float64
-	for i := 1; i < len(xs); i++ {
-		s += 0.5 * (ys[i] + ys[i-1]) * (xs[i] - xs[i-1])
-	}
-	return s
-}
-
 // CumTrapezoid returns the running trapezoid integral of ys over xs,
 // starting at 0. The result has the same length as xs.
 func CumTrapezoid(xs, ys []float64) []float64 {

@@ -74,17 +74,6 @@ func TestSimpsonOddNRoundsUp(t *testing.T) {
 	}
 }
 
-func TestTrapezoidLinear(t *testing.T) {
-	xs := Linspace(0, 2, 11)
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 3 * x
-	}
-	if got := Trapezoid(xs, ys); !almostEqual(got, 6, 1e-12) {
-		t.Errorf("Trapezoid = %v, want 6", got)
-	}
-}
-
 func TestCumTrapezoid(t *testing.T) {
 	xs := []float64{0, 1, 2, 4}
 	ys := []float64{1, 1, 1, 1}

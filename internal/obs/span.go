@@ -113,8 +113,6 @@ func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span
 // context carrying the child. Without a span in ctx it returns ctx
 // unchanged and a nil span, so instrumentation costs one context
 // lookup when tracing is off.
-//
-//perf:pooled span creation is bounded per request, not per row; tracing-off costs one context lookup
 func Start(ctx context.Context, name string) (context.Context, *Span) {
 	parent := FromContext(ctx)
 	if parent == nil {
@@ -149,8 +147,6 @@ func (s *Span) startChild(name string) *Span {
 // SetAttr annotates the span. Values render deterministically: strings
 // verbatim, integers and bools in their canonical form, float64 via
 // strconv 'g', time.Duration via its String method.
-//
-//perf:pooled span attribute work is bounded per span (a handful per request), never per row; the batch kernels inside the span do not call it
 func (s *Span) SetAttr(key string, value any) {
 	if s == nil {
 		return
@@ -185,8 +181,6 @@ func formatAttrValue(value any) string {
 // End closes the span. Ending a root span commits the trace to the
 // ring buffer and, past the tracer's threshold, to the slow-trace log.
 // End is idempotent; ending a nil span is a no-op.
-//
-//perf:pooled commit/render runs once per completed root span, not per row, and the slow-trace path only fires past the latency threshold
 func (s *Span) End() {
 	if s == nil {
 		return

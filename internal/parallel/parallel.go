@@ -34,8 +34,6 @@ func Workers(requested, n int) int {
 // before all items run, ForEach returns ctx.Err().
 //
 // fn must be safe for concurrent invocation across distinct indices.
-//
-//perf:pooled bounded worker pool; per-call bookkeeping is the measured AllocsPerRun slack, closures handed in are amortized
 func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()

@@ -111,30 +111,6 @@ func KSPValue(d float64, n, m int) float64 {
 	return p
 }
 
-// KSAgainstCDF computes the one-sample KS statistic between sample xs and
-// a reference CDF evaluated by cdf. Used in tests to validate samplers
-// against analytic distributions.
-func KSAgainstCDF(xs []float64, cdf func(float64) float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: KSAgainstCDF needs a non-empty sample")
-	}
-	s := SortedCopy(xs)
-	n := float64(len(s))
-	var d float64
-	for i, x := range s {
-		f := cdf(x)
-		lo := math.Abs(f - float64(i)/n)
-		hi := math.Abs(float64(i+1)/n - f)
-		if lo > d {
-			d = lo
-		}
-		if hi > d {
-			d = hi
-		}
-	}
-	return d
-}
-
 // Wasserstein1 computes the 1-Wasserstein (earth mover's) distance
 // between two equal-weight samples. It complements the KS statistic in
 // our extended evaluation: KS is sup-norm, W1 is area between CDFs.

@@ -147,23 +147,6 @@ func TestKSPValueRange(t *testing.T) {
 	}
 }
 
-func TestKSAgainstCDFNormal(t *testing.T) {
-	rng := rand.New(rand.NewPCG(71, 72))
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	cdf := func(x float64) float64 { return 0.5 * (1 + math.Erf(x/math.Sqrt2)) }
-	if d := KSAgainstCDF(xs, cdf); d > 0.02 {
-		t.Errorf("one-sample KS vs true CDF = %v, expected < 0.02", d)
-	}
-	// Against the wrong CDF, the distance should be large.
-	wrong := func(x float64) float64 { return 0.5 * (1 + math.Erf((x-1)/math.Sqrt2)) }
-	if d := KSAgainstCDF(xs, wrong); d < 0.3 {
-		t.Errorf("one-sample KS vs shifted CDF = %v, expected > 0.3", d)
-	}
-}
-
 func TestWasserstein1Known(t *testing.T) {
 	// Point masses at 0 and at 1: W1 = 1.
 	if got := Wasserstein1([]float64{0, 0}, []float64{1, 1}); !almostEqual(got, 1, 1e-12) {

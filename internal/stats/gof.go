@@ -46,17 +46,11 @@ func AndersonDarling(a, b []float64) float64 {
 	return sum / float64(n*m)
 }
 
-// CramerVonMises computes the two-sample Cramér–von Mises criterion T,
-// an L2 distance between the empirical CDFs. It weighs the body of the
-// distributions more evenly than KS's sup-norm.
-func CramerVonMises(a, b []float64) float64 {
-	return CramerVonMisesSorted(SortedCopy(a), SortedCopy(b))
-}
-
-// CramerVonMisesSorted is CramerVonMises for samples sa and sb that are
-// already sorted ascending (see SortedCopy): it merges them for the
-// combined ranks instead of sorting, and returns the same bits as
-// CramerVonMises on the unsorted samples. Unsorted input is not
+// CramerVonMisesSorted computes the two-sample Cramér–von Mises
+// criterion T, an L2 distance between the empirical CDFs. It weighs the
+// body of the distributions more evenly than KS's sup-norm. Samples sa
+// and sb must already be sorted ascending (see SortedCopy): it merges
+// them for the combined ranks instead of sorting. Unsorted input is not
 // detected; it yields a wrong criterion.
 func CramerVonMisesSorted(sa, sb []float64) float64 {
 	if len(sa) == 0 || len(sb) == 0 {
@@ -106,18 +100,12 @@ func mergeSorted(sa, sb []float64) []float64 {
 	return append(out, sb[j:]...)
 }
 
-// EnergyDistance computes the (squared) energy distance
+// EnergyDistanceSorted computes the (squared) energy distance
 // 2·E|X−Y| − E|X−X'| − E|Y−Y'| between two samples using the
 // closed-form expression over sorted samples. It is a proper metric on
-// distributions and serves as a third cross-check divergence.
-func EnergyDistance(a, b []float64) float64 {
-	return EnergyDistanceSorted(SortedCopy(a), SortedCopy(b))
-}
-
-// EnergyDistanceSorted is EnergyDistance for samples sa and sb that are
-// already sorted ascending (see SortedCopy), and returns the same bits
-// as EnergyDistance on the unsorted samples. Unsorted input is not
-// detected; it yields a wrong distance.
+// distributions and serves as a third cross-check divergence. Samples
+// sa and sb must already be sorted ascending (see SortedCopy). Unsorted
+// input is not detected; it yields a wrong distance.
 func EnergyDistanceSorted(sa, sb []float64) float64 {
 	if len(sa) == 0 || len(sb) == 0 {
 		panic("stats: EnergyDistance needs non-empty samples")

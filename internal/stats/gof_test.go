@@ -51,16 +51,21 @@ func TestAndersonDarlingTailSensitivity(t *testing.T) {
 	}
 }
 
+// cvm and energy run the sorted cores on unsorted samples.
+func cvm(a, b []float64) float64 { return CramerVonMisesSorted(SortedCopy(a), SortedCopy(b)) }
+
+func energy(a, b []float64) float64 { return EnergyDistanceSorted(SortedCopy(a), SortedCopy(b)) }
+
 func TestCramerVonMisesBasics(t *testing.T) {
 	a, same := twoSamples(5, 2000, 0)
 	_, shifted := twoSamples(6, 2000, 0.4)
-	tSame := CramerVonMises(a, same)
-	tShift := CramerVonMises(a, shifted)
+	tSame := cvm(a, same)
+	tShift := cvm(a, shifted)
 	if tShift < 10*math.Abs(tSame)+0.5 {
 		t.Errorf("CvM not discriminating: same=%v shifted=%v", tSame, tShift)
 	}
 	// Symmetric in its arguments.
-	if d1, d2 := CramerVonMises(a, shifted), CramerVonMises(shifted, a); math.Abs(d1-d2) > 1e-9 {
+	if d1, d2 := cvm(a, shifted), cvm(shifted, a); math.Abs(d1-d2) > 1e-9 {
 		t.Errorf("CvM not symmetric: %v vs %v", d1, d2)
 	}
 }
@@ -68,8 +73,8 @@ func TestCramerVonMisesBasics(t *testing.T) {
 func TestEnergyDistanceProperties(t *testing.T) {
 	a, same := twoSamples(7, 2000, 0)
 	_, shifted := twoSamples(8, 2000, 1)
-	eSame := EnergyDistance(a, same)
-	eShift := EnergyDistance(a, shifted)
+	eSame := energy(a, same)
+	eShift := energy(a, shifted)
 	if eSame < 0 || eShift < 0 {
 		t.Fatalf("energy distance negative: %v %v", eSame, eShift)
 	}
@@ -78,12 +83,12 @@ func TestEnergyDistanceProperties(t *testing.T) {
 	}
 	// Identical samples: exactly zero.
 	xs := []float64{1, 2, 3, 4}
-	if e := EnergyDistance(xs, xs); e > 1e-12 {
+	if e := energy(xs, xs); e > 1e-12 {
 		t.Errorf("energy distance of identical samples = %v", e)
 	}
 	// Shift-by-c: E|X−Y| grows, within terms unchanged: for unit masses
 	// at 0 vs 1, D = 2·1 − 0 − 0 = 2.
-	if e := EnergyDistance([]float64{0, 0}, []float64{1, 1}); !almostEqual(e, 2, 1e-12) {
+	if e := energy([]float64{0, 0}, []float64{1, 1}); !almostEqual(e, 2, 1e-12) {
 		t.Errorf("point-mass energy distance = %v, want 2", e)
 	}
 }
@@ -100,7 +105,7 @@ func TestEnergyDistanceMatchesBruteForce(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64() * 2
 		}
-		got := EnergyDistance(a, b)
+		got := energy(a, b)
 		// Brute force O(n²).
 		mean := func(xs, ys []float64) float64 {
 			var s float64
@@ -124,8 +129,8 @@ func TestEnergyDistanceMatchesBruteForce(t *testing.T) {
 func TestGoFPanicOnEmpty(t *testing.T) {
 	for name, f := range map[string]func([]float64, []float64) float64{
 		"AD":     AndersonDarling,
-		"CvM":    CramerVonMises,
-		"Energy": EnergyDistance,
+		"CvM":    CramerVonMisesSorted,
+		"Energy": EnergyDistanceSorted,
 	} {
 		func() {
 			defer func() {

@@ -221,8 +221,8 @@ func TestQuantilesAndIQR(t *testing.T) {
 	if !almostEqual(qs[0], 3, 1e-12) || !almostEqual(qs[1], 5, 1e-12) || !almostEqual(qs[2], 7, 1e-12) {
 		t.Errorf("Quantiles = %v, want [3 5 7]", qs)
 	}
-	if got := IQR(xs); !almostEqual(got, 4, 1e-12) {
-		t.Errorf("IQR = %v, want 4", got)
+	if got := qs[2] - qs[0]; !almostEqual(got, 4, 1e-12) {
+		t.Errorf("interquartile range = %v, want 4", got)
 	}
 	if got := Median(xs); !almostEqual(got, 5, 1e-12) {
 		t.Errorf("Median = %v, want 5", got)

@@ -46,18 +46,6 @@ func CentralMoment(xs []float64, k int) float64 {
 	return s / float64(len(xs))
 }
 
-// RawMoment returns the k-th raw moment (1/n)·Σx^k.
-func RawMoment(xs []float64, k int) float64 {
-	if len(xs) == 0 {
-		panic("stats: RawMoment of empty slice")
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Pow(x, float64(k))
-	}
-	return s / float64(len(xs))
-}
-
 // Skewness returns the standardized third central moment
 // (population definition, g1 = m3 / m2^{3/2}), matching
 // scipy.stats.skew with bias=True. Zero-variance data yields 0.
@@ -71,23 +59,6 @@ func Skewness(xs []float64) float64 {
 	}
 	m3 := CentralMoment(xs, 3)
 	return m3 / math.Pow(m2, 1.5)
-}
-
-// Kurtosis returns the standardized fourth central moment
-// (population definition, m4 / m2², *not* excess kurtosis), matching
-// MATLAB's kurtosis() used by pearsrnd: the normal distribution has
-// Kurtosis == 3. Zero-variance data yields 3 by convention (the value the
-// Pearson system treats as "no information beyond normal").
-func Kurtosis(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Kurtosis of empty slice")
-	}
-	m2 := CentralMoment(xs, 2)
-	if m2 <= 0 {
-		return 3
-	}
-	m4 := CentralMoment(xs, 4)
-	return m4 / (m2 * m2)
 }
 
 // Moments4 bundles the first four standardized moments of a sample in the
@@ -135,15 +106,6 @@ func Moments4FromVector(v []float64) Moments4 {
 		panic(fmt.Sprintf("stats: Moments4FromVector needs 4 values, got %d", len(v)))
 	}
 	return Moments4{Mean: v[0], Std: v[1], Skew: v[2], Kurt: v[3]}
-}
-
-// Feasible reports whether the (skew, kurt) pair satisfies the moment
-// inequality kurt > skew² + 1 required of any real distribution, with a
-// small slack used to reject boundary (two-point) cases the Pearson
-// sampler cannot represent smoothly.
-func (m Moments4) Feasible() bool {
-	return m.Kurt > m.Skew*m.Skew+1+1e-9 && m.Std >= 0 &&
-		!math.IsNaN(m.Mean) && !math.IsNaN(m.Std) && !math.IsNaN(m.Skew) && !math.IsNaN(m.Kurt)
 }
 
 // Normalize returns xs scaled by 1/mean(xs) — the paper's "relative time"

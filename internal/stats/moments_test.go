@@ -78,29 +78,23 @@ func TestKurtosisKnown(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.NormFloat64()
 	}
-	if got := Kurtosis(xs); math.Abs(got-3) > 0.1 {
+	if got := ComputeMoments4(xs).Kurt; math.Abs(got-3) > 0.1 {
 		t.Errorf("normal kurtosis = %v, want ~3", got)
 	}
 	// Uniform sample: kurtosis = 9/5 = 1.8.
 	for i := range xs {
 		xs[i] = rng.Float64()
 	}
-	if got := Kurtosis(xs); math.Abs(got-1.8) > 0.05 {
+	if got := ComputeMoments4(xs).Kurt; math.Abs(got-1.8) > 0.05 {
 		t.Errorf("uniform kurtosis = %v, want ~1.8", got)
 	}
-	if got := Kurtosis([]float64{2, 2}); got != 3 {
+	if got := ComputeMoments4([]float64{2, 2}).Kurt; got != 3 {
 		t.Errorf("constant sample kurtosis = %v, want 3 by convention", got)
 	}
 }
 
-func TestCentralAndRawMoments(t *testing.T) {
+func TestCentralMoments(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
-	if got := RawMoment(xs, 1); !almostEqual(got, 2.5, 1e-14) {
-		t.Errorf("RawMoment k=1 = %v", got)
-	}
-	if got := RawMoment(xs, 2); !almostEqual(got, 7.5, 1e-14) {
-		t.Errorf("RawMoment k=2 = %v, want 7.5", got)
-	}
 	if got := CentralMoment(xs, 1); !almostEqual(got, 0, 1e-14) {
 		t.Errorf("CentralMoment k=1 = %v, want 0", got)
 	}
@@ -127,8 +121,9 @@ func TestComputeMoments4MatchesIndividual(t *testing.T) {
 		if !almostEqual(m.Skew, Skewness(xs), 1e-8) {
 			t.Errorf("trial %d: Skew mismatch %v vs %v", trial, m.Skew, Skewness(xs))
 		}
-		if !almostEqual(m.Kurt, Kurtosis(xs), 1e-8) {
-			t.Errorf("trial %d: Kurt mismatch %v vs %v", trial, m.Kurt, Kurtosis(xs))
+		m2 := CentralMoment(xs, 2)
+		if kurt := CentralMoment(xs, 4) / (m2 * m2); !almostEqual(m.Kurt, kurt, 1e-8) {
+			t.Errorf("trial %d: Kurt mismatch %v vs %v", trial, m.Kurt, kurt)
 		}
 	}
 }
@@ -138,25 +133,6 @@ func TestMoments4VectorRoundTrip(t *testing.T) {
 	got := Moments4FromVector(m.Vector())
 	if got != m {
 		t.Errorf("round trip = %+v, want %+v", got, m)
-	}
-}
-
-func TestMoments4Feasible(t *testing.T) {
-	cases := []struct {
-		m    Moments4
-		want bool
-	}{
-		{Moments4{Mean: 1, Std: 0.1, Skew: 0, Kurt: 3}, true},
-		{Moments4{Mean: 1, Std: 0.1, Skew: 2, Kurt: 5.5}, true},  // 5.5 > 4+1
-		{Moments4{Mean: 1, Std: 0.1, Skew: 2, Kurt: 4.5}, false}, // below boundary
-		{Moments4{Mean: 1, Std: 0.1, Skew: 0, Kurt: 1}, false},   // boundary (Bernoulli)
-		{Moments4{Mean: 1, Std: -1, Skew: 0, Kurt: 3}, false},    // negative std
-		{Moments4{Mean: math.NaN(), Std: 1, Skew: 0, Kurt: 3}, false},
-	}
-	for i, c := range cases {
-		if got := c.m.Feasible(); got != c.want {
-			t.Errorf("case %d: Feasible(%+v) = %v, want %v", i, c.m, got, c.want)
-		}
 	}
 }
 
@@ -209,8 +185,8 @@ func TestStandardizedMomentsAffineInvariant(t *testing.T) {
 		if !almostEqual(Skewness(xs), Skewness(ys), 1e-7) {
 			t.Errorf("trial %d: skewness not affine-invariant: %v vs %v", trial, Skewness(xs), Skewness(ys))
 		}
-		if !almostEqual(Kurtosis(xs), Kurtosis(ys), 1e-7) {
-			t.Errorf("trial %d: kurtosis not affine-invariant: %v vs %v", trial, Kurtosis(xs), Kurtosis(ys))
+		if kx, ky := ComputeMoments4(xs).Kurt, ComputeMoments4(ys).Kurt; !almostEqual(kx, ky, 1e-7) {
+			t.Errorf("trial %d: kurtosis not affine-invariant: %v vs %v", trial, kx, ky)
 		}
 	}
 }

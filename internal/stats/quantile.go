@@ -58,12 +58,6 @@ func QuantilesSorted(sorted []float64, qs []float64) []float64 {
 // Median returns the 0.5 quantile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
-// IQR returns the interquartile range (Q3 - Q1) of xs.
-func IQR(xs []float64) float64 {
-	qs := Quantiles(xs, []float64{0.25, 0.75})
-	return qs[1] - qs[0]
-}
-
 // MinMax returns the smallest and largest values of xs.
 func MinMax(xs []float64) (min, max float64) {
 	if len(xs) == 0 {
