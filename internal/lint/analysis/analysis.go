@@ -39,7 +39,7 @@ type GraphPass struct {
 	Fset     *token.FileSet
 	// Pkgs is every analyzed package, in load order.
 	Pkgs []*callgraph.Package
-	// Graph is the program's call graph (hot-path annotations resolved).
+	// Graph is the program's call graph.
 	Graph *callgraph.Graph
 	// Report delivers one finding. Drivers install it.
 	Report func(Diagnostic)
