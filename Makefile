@@ -20,7 +20,7 @@ race:
 # analyzer suite and the package-docs floor. vet is the gate for
 # copied locks (its copylocks pass); varlint's lockcheck checks only
 # critical sections. varlint analyses the whole module on every run
-# (about 4 s on 2 vCPUs).
+# (3.6-4.2 s for `go run ./cmd/varlint ./...` on 2 vCPUs, Go 1.24).
 lint: vet fmtcheck varlint docscheck
 
 vet:

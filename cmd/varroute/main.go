@@ -94,7 +94,8 @@ func main() {
 	log.Printf("routing %d replicas on %s", len(urls), ln.Addr())
 
 	<-ctx.Done()
-	//lint:allow ctxflow the drain deadline must outlive the canceled run ctx; Background is the correct root for shutdown
+	// The drain deadline must outlive the canceled run ctx, so shutdown
+	// is rooted at Background.
 	dctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Shutdown(dctx); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/ml"
@@ -20,6 +21,18 @@ const (
 	// rowPredictAllocBudget is one row-API Predict call: the returned
 	// vector.
 	rowPredictAllocBudget = 1
+	// multiWorkerBatchAllocBudget is pooledBatchAllocBudget's call at
+	// GOMAXPROCS 2, where parallel.ForEach runs two worker goroutines.
+	// Measured 16.0 for RF and XGBoost and 16.0-16.3 for kNN, whose
+	// pooled scratch refills after a GC empties it. Per batch:
+	//   - 11 in parallel.ForEach's multi-worker path: its ctx and fn
+	//     parameters, next, wg, mu and firstErr, the abort closure, one
+	//     closure per worker, and context.WithCancel's context and
+	//     cancel func;
+	//   - 3 from context.WithoutCancel and the span lookups through it;
+	//   - 1 for the model's row closure handed to ForEach;
+	//   - 1 from MatrixPool.Put.
+	multiWorkerBatchAllocBudget = 17
 )
 
 // allocDataset is a UC1-shaped training set: 59 benchmarks × 272
@@ -118,4 +131,50 @@ func TestRowPredictAllocs(t *testing.T) {
 			t.Errorf("%s: Predict allocated %.1f times per row, budget %d", m, got, rowPredictAllocBudget)
 		}
 	}
+}
+
+// TestPooledPredictBatchMultiWorkerAllocs measures the pooled batch
+// entry point as a multi-core server runs it. testing.AllocsPerRun pins
+// GOMAXPROCS to 1, where parallel.ForEach takes its sequential path, so
+// this test sets GOMAXPROCS to 2 and counts every goroutine's mallocs
+// with runtime.ReadMemStats instead.
+func TestPooledPredictBatchMultiWorkerAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race detector defeats sync.Pool caching; alloc counts are meaningless")
+	}
+	d := allocDataset()
+	models := fitServingModels(t, d)
+	ctx := context.Background()
+	for _, m := range Models() {
+		r := models[m]
+		bi := r.(ml.BatchIntoPredictor)
+		var pool ml.MatrixPool
+		got := multiWorkerAllocs(2, 200, func() {
+			out := pool.Get(len(d.X), bi.NumOutputs())
+			ml.PredictBatchInto(ctx, r, d.X, out)
+			pool.Put(out)
+		})
+		t.Logf("%s: %.2f allocs per pooled %d-row batch at GOMAXPROCS 2", m, got, len(d.X))
+		if got > multiWorkerBatchAllocBudget {
+			t.Errorf("%s: pooled ml.PredictBatchInto allocated %.2f times per batch at GOMAXPROCS 2, budget %d",
+				m, got, multiWorkerBatchAllocBudget)
+		}
+	}
+}
+
+// multiWorkerAllocs returns the mean heap allocations of one fn call
+// over runs calls at GOMAXPROCS procs, after warm-up calls that fill
+// the pools.
+func multiWorkerAllocs(procs, runs int, fn func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	for i := 0; i < 3; i++ {
+		fn()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }

@@ -316,7 +316,8 @@ func (m *Manager) Ingest(ctx context.Context, key Key, runs []perfsim.Run, nMetr
 		res.Tripped = c.tripped
 	}()
 	if schedule {
-		//lint:allow ctxflow refits run detached from the ingest request; their spans belong to the background drain, not the caller's trace
+		// Refits run detached from the ingest request: their spans belong
+		// to the background drain, not the caller's trace.
 		res.RefitScheduled = m.enqueue(c)
 	}
 	return res, nil

@@ -14,8 +14,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"repro/internal/lint/callgraph"
 )
 
 // Analyzer describes one static check.
@@ -25,35 +23,8 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph description printed by varlint -list.
 	Doc string
-	// Run executes the check over one package. Exactly one of Run and
-	// RunGraph is set.
+	// Run executes the check over one package.
 	Run func(*Pass) error
-	// RunGraph executes a whole-program check over every loaded package
-	// plus the cross-package call graph.
-	RunGraph func(*GraphPass) error
-}
-
-// GraphPass carries the whole program through a graph analyzer.
-type GraphPass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	// Pkgs is every analyzed package, in load order.
-	Pkgs []*callgraph.Package
-	// Graph is the program's call graph.
-	Graph *callgraph.Graph
-	// Report delivers one finding. Drivers install it.
-	Report func(Diagnostic)
-}
-
-// Reportf reports a formatted finding at pos.
-func (p *GraphPass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
-}
-
-// ReportFix reports a finding that carries a mechanical suggested
-// rewrite, surfaced by `varlint -fix` as a dry-run listing.
-func (p *GraphPass) ReportFix(pos token.Pos, fix, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...), Fix: fix})
 }
 
 // Pass carries one package's type-checked syntax through an Analyzer.

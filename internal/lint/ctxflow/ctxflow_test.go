@@ -8,9 +8,6 @@ import (
 )
 
 func TestFlagged(t *testing.T) {
-	old := ctxflow.SpanPackagePath
-	ctxflow.SpanPackagePath = "example.com/flow"
-	defer func() { ctxflow.SpanPackagePath = old }()
 	linttest.Run(t, ctxflow.Analyzer, "testdata/flag", "example.com/flow")
 }
 

@@ -1,12 +1,8 @@
-// Package flow exercises ctxflow: misplaced context parameters,
-// re-rooted context trees, ambient sleeps, and spanning callees that
-// cannot receive the caller's context.
+// Package flow exercises ctxflow: misplaced context parameters, kept
+// contexts and re-rooted context trees.
 package flow
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 func backgroundUser() {
 	ctx := context.Background() // want "context.Background outside package main"
@@ -18,18 +14,13 @@ func notFirst(name string, ctx context.Context) { // want "context.Context must 
 	_ = ctx
 }
 
-func sleepy() {
-	time.Sleep(time.Second) // want "ambient time.Sleep"
-}
-
 func reroot(ctx context.Context) {
 	use(context.TODO()) // want "context.TODO outside package main" "re-roots use with context.TODO"
 }
 
 func use(ctx context.Context) { _ = ctx }
 
-// Span machinery: the linttest suite points SpanPackagePath at this
-// package so Start anchors the spanning set.
+// Span machinery in the shape of obs.Start.
 type Span struct{}
 
 func (Span) End() {}
@@ -39,16 +30,22 @@ func Start(ctx context.Context, name string) (context.Context, Span) {
 	return ctx, Span{}
 }
 
-// startsSpan transitively starts spans but takes no context: its traces
-// are orphaned from any caller's tree.
+// startsSpan starts a span but takes no context: the finding is on the
+// fresh root, where the trace is orphaned from any caller's tree.
 func startsSpan() {
 	_, s := Start(context.Background(), "op") // want "context.Background outside package main"
 	s.End()
 }
 
-func caller(ctx context.Context) {
-	_ = ctx
-	startsSpan() // want "startsSpan starts spans but takes no context"
+// tracer keeps a context for methods that take none: its spans join
+// whatever trace the kept context belonged to.
+type tracer struct {
+	ctx context.Context // want "context.Context kept in a struct field"
+}
+
+func (t *tracer) mark(name string) {
+	_, s := Start(t.ctx, name)
+	s.End()
 }
 
 // propagates is the clean shape: ctx first, handed straight through.
@@ -61,8 +58,7 @@ func propagates(ctx context.Context, name string) {
 var (
 	_ = backgroundUser
 	_ = notFirst
-	_ = sleepy
 	_ = reroot
-	_ = caller
+	_ = startsSpan
 	_ = propagates
 )

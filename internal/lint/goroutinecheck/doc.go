@@ -11,8 +11,9 @@
 //     visibly lifecycle-bound: a WaitGroup Done (with the spawner
 //     holding the Wait side), a <-ctx.Done() bound, or a body that is
 //     exactly one channel send (the join handle the spawner receives
-//     on). Named spawn targets (`go m.dispatch()`) resolve through the
-//     call graph so the callee's body is judged wherever it lives.
+//     on). A named spawn target (`go m.dispatch()`) is judged by the
+//     body of its declaration in the same package; a target declared
+//     in another package cannot be seen from here and is flagged.
 //
 // Findings are suppressed with `//lint:allow goroutinecheck <reason>`
 // on the finding's line or the line above.

@@ -7,7 +7,6 @@ import (
 	"regexp"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/callgraph"
 )
 
 // Analyzer extends lockcheck's old serve/core-only raw-goroutine rule
@@ -24,10 +23,11 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "goroutinecheck",
 	Doc: "flag raw go statements that are not lifecycle-bound (no WaitGroup Done/Wait " +
-		"pair, no ctx.Done() bound, no channel join handle) outside internal/parallel " +
+		"pair, no ctx.Done() bound, no channel join handle in the spawned literal or " +
+		"same-package function) outside internal/parallel " +
 		"and internal/drift; in server paths (internal/serve, internal/core) every raw " +
 		"goroutine is flagged — fan out through internal/parallel",
-	RunGraph: run,
+	Run: run,
 }
 
 // ExemptPattern selects the packages that ARE the concurrency
@@ -41,68 +41,51 @@ var ExemptPattern = regexp.MustCompile(`internal/(parallel|drift)$`)
 // first-error semantics hold. (Moved here from lockcheck.)
 var ServerPathPattern = regexp.MustCompile(`(^|/)(serve|core)$`)
 
-func run(gp *analysis.GraphPass) error {
-	for _, p := range gp.Pkgs {
-		if ExemptPattern.MatchString(p.Path) {
-			continue
-		}
-		server := ServerPathPattern.MatchString(p.Path)
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				gs, ok := n.(*ast.GoStmt)
-				if !ok {
-					return true
-				}
-				if server {
-					gp.Reportf(gs.Pos(), "raw goroutine in a server path: fan out through internal/parallel (ForEach) so concurrency stays bounded, or justify with //lint:allow")
-					return true
-				}
-				if !lifecycleBound(gp, p, gs) {
-					gp.Reportf(gs.Pos(), "raw goroutine without a visible lifecycle bound: join it (WaitGroup Add/Done/Wait), bound it on ctx.Done(), or hand it a channel join handle — or justify with //lint:allow")
-				}
+func run(pass *analysis.Pass) error {
+	if ExemptPattern.MatchString(pass.Pkg.Path()) {
+		return nil
+	}
+	server := ServerPathPattern.MatchString(pass.Pkg.Path())
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			gs, ok := n.(*ast.GoStmt)
+			if !ok {
 				return true
-			})
-		}
+			}
+			if server {
+				pass.Reportf(gs.Pos(), "raw goroutine in a server path: fan out through internal/parallel (ForEach) so concurrency stays bounded, or justify with //lint:allow")
+				return true
+			}
+			body := spawnedBody(pass, gs)
+			if body == nil || !boundBody(pass, body) {
+				pass.Reportf(gs.Pos(), "raw goroutine without a visible lifecycle bound: join it (WaitGroup Add/Done/Wait), bound it on ctx.Done(), or hand it a channel join handle — or justify with //lint:allow")
+			}
+			return true
+		})
 	}
 	return nil
 }
 
-// lifecycleBound reports whether the spawned function's body shows a
-// recognized lifecycle binding. Named callees resolve through the call
-// graph so a `go m.dispatch()` in one file is judged by dispatch's body
-// in another.
-func lifecycleBound(gp *analysis.GraphPass, p *callgraph.Package, gs *ast.GoStmt) bool {
-	body, bodyPkg := spawnedBody(gp, p, gs)
-	if body == nil {
-		return false // external or computed callee: cannot verify, flag it
-	}
-	return boundBody(bodyPkg, body)
-}
-
 // spawnedBody resolves the goroutine's function body: a literal's own
-// body, or the declaration body of a named module function.
-func spawnedBody(gp *analysis.GraphPass, p *callgraph.Package, gs *ast.GoStmt) (*ast.BlockStmt, *callgraph.Package) {
+// body, or the declaration body of a function declared in this
+// package. A callee declared elsewhere, or computed at run time,
+// resolves to nil: its binding cannot be verified, so it is flagged.
+func spawnedBody(pass *analysis.Pass, gs *ast.GoStmt) *ast.BlockStmt {
 	if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
-		return lit.Body, p
+		return lit.Body
 	}
-	var id *ast.Ident
-	switch fun := ast.Unparen(gs.Call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil, nil
+	fn := analysis.FuncObj(pass.TypesInfo, gs.Call)
+	if fn == nil || fn.Pkg() != pass.Pkg {
+		return nil
 	}
-	fn, _ := p.Info.Uses[id].(*types.Func)
-	if fn == nil {
-		return nil, nil
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && pass.TypesInfo.Defs[fd.Name] == fn.Origin() {
+				return fd.Body
+			}
+		}
 	}
-	decl, declPkg := gp.Graph.DeclOf(fn)
-	if decl == nil {
-		return nil, nil
-	}
-	return decl.Body, declPkg
+	return nil
 }
 
 // boundBody recognizes the three lifecycle-binding shapes:
@@ -113,7 +96,7 @@ func spawnedBody(gp *analysis.GraphPass, p *callgraph.Package, gs *ast.GoStmt) (
 //     its owner's context is canceled);
 //  3. a body that is exactly one channel send: the channel is the join
 //     handle the spawner receives on.
-func boundBody(p *callgraph.Package, body *ast.BlockStmt) bool {
+func boundBody(pass *analysis.Pass, body *ast.BlockStmt) bool {
 	if len(body.List) == 1 {
 		if _, ok := body.List[0].(*ast.SendStmt); ok {
 			return true
@@ -126,12 +109,12 @@ func boundBody(p *callgraph.Package, body *ast.BlockStmt) bool {
 		}
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if isWaitGroupDone(p, n) {
+			if isWaitGroupDone(pass, n) {
 				bound = true
 				return false
 			}
 		case *ast.UnaryExpr:
-			if isCtxDoneRecv(p, n) {
+			if isCtxDoneRecv(pass, n) {
 				bound = true
 				return false
 			}
@@ -142,12 +125,12 @@ func boundBody(p *callgraph.Package, body *ast.BlockStmt) bool {
 }
 
 // isWaitGroupDone matches wg.Done() where wg is a sync.WaitGroup.
-func isWaitGroupDone(p *callgraph.Package, call *ast.CallExpr) bool {
+func isWaitGroupDone(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Done" || len(call.Args) != 0 {
 		return false
 	}
-	fn, _ := p.Info.Uses[sel.Sel].(*types.Func)
+	fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
@@ -155,7 +138,7 @@ func isWaitGroupDone(p *callgraph.Package, call *ast.CallExpr) bool {
 }
 
 // isCtxDoneRecv matches <-ctx.Done() where ctx is a context.Context.
-func isCtxDoneRecv(p *callgraph.Package, ue *ast.UnaryExpr) bool {
+func isCtxDoneRecv(pass *analysis.Pass, ue *ast.UnaryExpr) bool {
 	if ue.Op != token.ARROW {
 		return false
 	}
@@ -167,7 +150,7 @@ func isCtxDoneRecv(p *callgraph.Package, ue *ast.UnaryExpr) bool {
 	if !ok || sel.Sel.Name != "Done" {
 		return false
 	}
-	fn, _ := p.Info.Uses[sel.Sel].(*types.Func)
+	fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}

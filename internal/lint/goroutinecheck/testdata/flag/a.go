@@ -1,11 +1,12 @@
 // Package worker exercises goroutinecheck outside server paths: raw
 // goroutines must show a lifecycle bound — WaitGroup join, ctx.Done()
 // bound, or a channel join handle — whether spawned as a literal or as
-// a named function resolved through the call graph.
+// a named function declared in this package.
 package worker
 
 import (
 	"context"
+	"io"
 	"sync"
 )
 
@@ -38,8 +39,8 @@ func handle() <-chan error {
 	return done
 }
 
-// dispatch spawns a named function: the callee's body decides, via the
-// call graph, whether the spawn is bound.
+// dispatch spawns a named function: the body of its declaration in this
+// package decides whether the spawn is bound.
 func dispatch() {
 	go loop() // want "raw goroutine without a visible lifecycle bound"
 }
@@ -58,6 +59,13 @@ func watch(ctx context.Context) {
 	<-ctx.Done()
 }
 
+// crossPackage spawns a function declared in another package: its body
+// is not in this package's syntax, so no binding can be seen and the
+// spawn is flagged.
+func crossPackage(dst io.Writer, src io.Reader) {
+	go io.Copy(dst, src) // want "raw goroutine without a visible lifecycle bound"
+}
+
 var (
 	_ = unbound
 	_ = joined
@@ -65,4 +73,5 @@ var (
 	_ = handle
 	_ = dispatch
 	_ = dispatchBound
+	_ = crossPackage
 )

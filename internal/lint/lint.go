@@ -5,17 +5,16 @@
 // The suite machine-checks the invariants this repository's results
 // rest on — bit-reproducible randomness and clocks (nondeterminism),
 // NaN-free numerics (floatcheck), wrapped error chains (errflow),
-// branch-safe locking (lockcheck), and atomic-only file
-// replacement (pathpolicy) — plus two whole-program checks built on
-// the cross-package call graph: context propagation (ctxflow) and
-// goroutine lifecycle binding (goroutinecheck). Allocation budgets are
-// not a lint rule: the AllocsPerRun tests in internal/ml/knn and
-// internal/core measure them.
+// branch-safe locking (lockcheck), atomic-only file replacement
+// (pathpolicy), context propagation (ctxflow) and goroutine lifecycle
+// binding (goroutinecheck). Allocation budgets are not a lint rule: the
+// AllocsPerRun tests in internal/ml/knn and internal/core measure them.
 //
-// Per-package analyzers run package by package; graph analyzers run
-// once over the whole program after every package is type-checked.
-// See README "Static analysis" for the policy and cmd/varlint for the
-// CLI.
+// Every analyzer runs package by package over type-checked syntax, and
+// each package's //lint:allow directives are checked against that
+// package's findings: a directive without a reason, or one that
+// suppresses nothing for an analyzer that ran, is an error. See README
+// "Static analysis" for the policy and cmd/varlint for the CLI.
 package lint
 
 import (
@@ -27,7 +26,6 @@ import (
 	"strings"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/callgraph"
 	"repro/internal/lint/ctxflow"
 	"repro/internal/lint/errflow"
 	"repro/internal/lint/floatcheck"
@@ -85,47 +83,28 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s/%s:%d:%d: %s: %s", f.Pkg, f.File, f.Line, f.Col, f.Analyzer, f.Message)
 }
 
-// splitSuite partitions analyzers into per-package and whole-program
-// sets.
-func splitSuite(analyzers []*analysis.Analyzer) (perPkg, graph []*analysis.Analyzer) {
-	for _, a := range analyzers {
-		if a.RunGraph != nil {
-			graph = append(graph, a)
-		} else {
-			perPkg = append(perPkg, a)
-		}
-	}
-	return perPkg, graph
-}
-
 // Run executes the suite over the packages matching patterns, printing
 // findings to w. It returns the number of unsuppressed findings; err is
-// reserved for operational failures (load errors, malformed
+// reserved for operational failures (load errors, malformed or stale
 // directives).
 func Run(w io.Writer, patterns []string, cfg Config) (int, error) {
 	analyzers := cfg.Analyzers
 	if len(analyzers) == 0 {
 		analyzers = Suite()
 	}
-	perPkg, graph := splitSuite(analyzers)
 	loader, err := load.New(cfg.Dir, patterns...)
 	if err != nil {
 		return 0, err
 	}
 	root := moduleRoot(cfg.Dir)
 
-	var metas []*load.Meta
+	var all []Finding
+	var directiveErrs []string
 	for _, m := range loader.Metas() {
 		if strings.Contains(m.Path, "/lint/") && strings.Contains(m.Dir, "testdata") {
 			continue
 		}
-		metas = append(metas, m)
-	}
-
-	var all []Finding
-	var directiveErrs []string
-	for _, m := range metas {
-		fs, derrs, err := analyzePackage(loader, m, perPkg, root)
+		fs, derrs, err := analyzePackage(loader, m, analyzers, root)
 		if err != nil {
 			return 0, err
 		}
@@ -133,15 +112,7 @@ func Run(w io.Writer, patterns []string, cfg Config) (int, error) {
 		all = append(all, fs...)
 	}
 	if len(directiveErrs) > 0 {
-		return 0, fmt.Errorf("malformed //lint:allow directives (a reason is mandatory):\n  %s", strings.Join(directiveErrs, "\n  "))
-	}
-
-	if len(graph) > 0 {
-		fs, err := runGraphAnalyzers(loader, metas, graph, root)
-		if err != nil {
-			return 0, err
-		}
-		all = append(all, fs...)
+		return 0, fmt.Errorf("malformed or stale //lint:allow directives (a reason is mandatory, and each must suppress a finding):\n  %s", strings.Join(directiveErrs, "\n  "))
 	}
 
 	sort.Slice(all, func(i, j int) bool {
@@ -222,16 +193,18 @@ func moduleRoot(dir string) string {
 	return abs
 }
 
-// analyzePackage type-checks one package and runs every per-package
-// analyzer, returning post-suppression findings plus any
-// malformed-directive errors.
+// analyzePackage type-checks one package and runs every analyzer,
+// returning post-suppression findings plus any malformed or stale
+// directive errors.
 func analyzePackage(loader *load.Loader, m *load.Meta, analyzers []*analysis.Analyzer, root string) ([]Finding, []string, error) {
 	pkg, err := loader.Check(m.Path)
 	if err != nil {
 		return nil, nil, err
 	}
 	var diags []analysis.Diagnostic
+	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
+		ran[a.Name] = true
 		pass := &analysis.Pass{
 			Analyzer:  a,
 			Fset:      loader.Fset,
@@ -244,13 +217,7 @@ func analyzePackage(loader *load.Loader, m *load.Meta, analyzers []*analysis.Ana
 			return nil, nil, fmt.Errorf("lint: %s on %s: %w", a.Name, m.Path, err)
 		}
 	}
-	kept, derrs := FilterSuppressed(loader.Fset, pkg.Files, diags)
-	return findingsFrom(loader, m, kept, root), derrs, nil
-}
-
-// findingsFrom converts post-suppression diagnostics into Findings
-// anchored to package m.
-func findingsFrom(loader *load.Loader, m *load.Meta, kept []analysis.Diagnostic, root string) []Finding {
+	kept, derrs := FilterSuppressed(loader.Fset, pkg.Files, diags, ran)
 	var out []Finding
 	for _, d := range kept {
 		pos := loader.Fset.Position(d.Pos)
@@ -273,69 +240,5 @@ func findingsFrom(loader *load.Loader, m *load.Meta, kept []analysis.Diagnostic,
 			Fix:      d.Fix,
 		})
 	}
-	return out
-}
-
-// runGraphAnalyzers type-checks every package, builds the program call
-// graph, and runs the whole-program analyzers. Findings are attributed
-// to packages by position and suppressed with each package's own
-// directives.
-func runGraphAnalyzers(loader *load.Loader, metas []*load.Meta, graph []*analysis.Analyzer, root string) ([]Finding, error) {
-	pkgs, byPath, err := checkAll(loader, metas)
-	if err != nil {
-		return nil, err
-	}
-	g := callgraph.Build(loader.Fset, pkgs)
-	fileOwner := make(map[string]*load.Meta)
-	for _, m := range metas {
-		for _, name := range m.GoFiles {
-			fileOwner[filepath.Join(m.Dir, name)] = m
-		}
-	}
-	perPkgDiags := make(map[string][]analysis.Diagnostic)
-	for _, a := range graph {
-		gp := &analysis.GraphPass{
-			Analyzer: a,
-			Fset:     loader.Fset,
-			Pkgs:     pkgs,
-			Graph:    g,
-			Report: func(d analysis.Diagnostic) {
-				pos := loader.Fset.Position(d.Pos)
-				if m := fileOwner[pos.Filename]; m != nil {
-					perPkgDiags[m.Path] = append(perPkgDiags[m.Path], d)
-				}
-			},
-		}
-		if err := a.RunGraph(gp); err != nil {
-			return nil, fmt.Errorf("lint: %s: %w", a.Name, err)
-		}
-	}
-	var out []Finding
-	for _, m := range metas {
-		diags := perPkgDiags[m.Path]
-		if len(diags) == 0 {
-			continue
-		}
-		// Malformed directives are ignored here: the per-package phase
-		// already surfaced them for every package.
-		kept, _ := FilterSuppressed(loader.Fset, byPath[m.Path].Files, diags)
-		out = append(out, findingsFrom(loader, m, kept, root)...)
-	}
-	return out, nil
-}
-
-// checkAll type-checks every package and wraps the results for the call
-// graph builder.
-func checkAll(loader *load.Loader, metas []*load.Meta) ([]*callgraph.Package, map[string]*load.Package, error) {
-	pkgs := make([]*callgraph.Package, 0, len(metas))
-	byPath := make(map[string]*load.Package, len(metas))
-	for _, m := range metas {
-		pkg, err := loader.Check(m.Path)
-		if err != nil {
-			return nil, nil, err
-		}
-		byPath[m.Path] = pkg
-		pkgs = append(pkgs, &callgraph.Package{Path: m.Path, Dir: m.Dir, Files: pkg.Files, Types: pkg.Types, Info: pkg.Info})
-	}
-	return pkgs, byPath, nil
+	return out, derrs, nil
 }

@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/lint"
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/callgraph"
 )
 
 // wantRE matches one `// want "..."` marker clause. Markers may stack:
@@ -38,21 +37,21 @@ var wantRE = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
 // pkgPath, runs a over it, filters suppressions, and diffs the result
 // against the `// want` markers. pkgPath matters: path-scoped analyzer
 // policy (the internal/randx exemption, goroutinecheck's server-path
-// rule) keys off it. Graph analyzers (RunGraph) get a single-package
-// call graph built from the same files.
+// rule) keys off it. A malformed or stale //lint:allow directive fails
+// the test.
 func Run(t *testing.T, a *analysis.Analyzer, dir, pkgPath string) {
 	t.Helper()
 	diags, malformed := Findings(t, a, dir, pkgPath)
 	if len(malformed) > 0 {
-		t.Fatalf("malformed //lint:allow directives:\n%s", strings.Join(malformed, "\n"))
+		t.Fatalf("malformed or stale //lint:allow directives:\n%s", strings.Join(malformed, "\n"))
 	}
 	checkExpectations(t, diags, dir)
 }
 
 // Findings is the low-level entry point: it returns the
 // post-suppression diagnostics (as "file:line: message" strings sorted
-// by position) and the malformed-directive descriptions, letting tests
-// assert on suppression mechanics directly.
+// by position) and the malformed- or stale-directive descriptions,
+// letting tests assert on suppression mechanics directly.
 func Findings(t *testing.T, a *analysis.Analyzer, dir, pkgPath string) (diags []string, malformed []string) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -72,33 +71,18 @@ func Findings(t *testing.T, a *analysis.Analyzer, dir, pkgPath string) (diags []
 		t.Fatalf("typecheck %s: %v", dir, err)
 	}
 	var raw []analysis.Diagnostic
-	if a.RunGraph != nil {
-		cp := &callgraph.Package{Path: pkgPath, Dir: dir, Files: files, Types: pkg, Info: info}
-		pkgs := []*callgraph.Package{cp}
-		gp := &analysis.GraphPass{
-			Analyzer: a,
-			Fset:     fset,
-			Pkgs:     pkgs,
-			Graph:    callgraph.Build(fset, pkgs),
-			Report:   func(d analysis.Diagnostic) { raw = append(raw, d) },
-		}
-		if err := a.RunGraph(gp); err != nil {
-			t.Fatalf("run %s on %s: %v", a.Name, dir, err)
-		}
-	} else {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Report:    func(d analysis.Diagnostic) { raw = append(raw, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("run %s on %s: %v", a.Name, dir, err)
-		}
+	pass := &analysis.Pass{
+		Analyzer:  a,
+		Fset:      fset,
+		Files:     files,
+		Pkg:       pkg,
+		TypesInfo: info,
+		Report:    func(d analysis.Diagnostic) { raw = append(raw, d) },
 	}
-	kept, malformed := lint.FilterSuppressed(fset, files, raw)
+	if err := a.Run(pass); err != nil {
+		t.Fatalf("run %s on %s: %v", a.Name, dir, err)
+	}
+	kept, malformed := lint.FilterSuppressed(fset, files, raw, map[string]bool{a.Name: true})
 	for _, d := range kept {
 		pos := fset.Position(d.Pos)
 		diags = append(diags, fmt.Sprintf("%s:%d: %s", filepath.Base(pos.Filename), pos.Line, d.Message))

@@ -10,9 +10,8 @@
 // go vet's copylocks pass reports every such case, and vet runs in the
 // same lint gate.
 //
-// The raw-goroutine rule for server paths moved to goroutinecheck
-// (lockcheck v2), which enforces it repo-wide with call-graph-resolved
-// lifecycle binding.
+// The raw-goroutine rule for server paths moved to goroutinecheck,
+// which enforces it repo-wide together with lifecycle binding.
 //
 // Findings are suppressed with `//lint:allow lockcheck <reason>` on the
 // finding's line or the line above; the reason is mandatory.

@@ -4,7 +4,10 @@
 //   - Ambient clocks: time.Now, time.Since, and time.Until read wall
 //     time that no seed controls. Code takes a randx.Clock instead —
 //     randx.SystemClock at process edges, FixedClock/StepClock (via the
-//     SetClock levers) in tests.
+//     SetClock levers) in tests. time.Sleep waits on that same wall
+//     clock; code waits on a channel its caller owns (ctx.Done(), a
+//     ticker or timer) so tests and the deterministic simulations
+//     control time.
 //   - The global math/rand source: package-level rand.IntN, Float64,
 //     Shuffle, … draw from a process-global, seed-ambient stream.
 //     Seeded *randx.RNG values (or local rand.New(rand.NewPCG(...))
@@ -20,7 +23,8 @@
 //
 // Packages whose import path ends in internal/randx are exempt
 // wholesale: randx is the wrapper that owns the one legal time.Now
-// reference (SystemClock) and the raw rand constructors.
+// reference (SystemClock), the raw rand constructors, and any sleep on
+// the wall clock.
 //
 // Findings are suppressed with `//lint:allow nondeterminism <reason>`
 // on the finding's line or the line above; the reason is mandatory.

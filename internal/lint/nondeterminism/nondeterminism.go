@@ -10,11 +10,12 @@ import (
 )
 
 // Analyzer flags the three nondeterminism sources that break this
-// project's bit-reproducibility contract: ambient clocks, the global
-// math/rand source, and order-sensitive iteration over maps.
+// project's bit-reproducibility contract: ambient clocks (reads and
+// sleeps), the global math/rand source, and order-sensitive iteration
+// over maps.
 var Analyzer = &analysis.Analyzer{
 	Name: "nondeterminism",
-	Doc: "forbid ambient clocks (time.Now/Since/Until), the global math/rand source, " +
+	Doc: "forbid ambient clocks (time.Now/Since/Until/Sleep), the global math/rand source, " +
 		"and map iteration that feeds order-sensitive output (slice append or float " +
 		"accumulation); the sanctioned escape hatches are internal/randx (RNG, Clock, " +
 		"SystemClock) and the SetClock levers",
@@ -32,7 +33,8 @@ var randCtors = map[string]bool{
 func run(pass *analysis.Pass) error {
 	if strings.HasSuffix(pass.Pkg.Path(), "internal/randx") {
 		// randx is the sanctioned wrapper: it owns the one legal
-		// time.Now reference (SystemClock) and the rand constructors.
+		// time.Now reference (SystemClock) and the rand constructors,
+		// and may sleep on the wall clock it wraps.
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -53,6 +55,8 @@ func run(pass *analysis.Pass) error {
 				switch fn.Name() {
 				case "Now", "Since", "Until":
 					pass.Reportf(sel.Pos(), "ambient clock time.%s: route through a randx.Clock (randx.SystemClock at the edges, SetClock in tests)", fn.Name())
+				case "Sleep":
+					pass.Reportf(sel.Pos(), "ambient time.Sleep waits on wall time that no test controls: wait on a channel the caller owns (ctx.Done(), a ticker or timer it can replace)")
 				}
 			case "math/rand", "math/rand/v2":
 				if !randCtors[fn.Name()] {

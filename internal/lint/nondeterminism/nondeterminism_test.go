@@ -40,3 +40,16 @@ func TestMissingReasonIsError(t *testing.T) {
 		t.Fatalf("a malformed directive must not suppress its finding; got %v", diags)
 	}
 }
+
+// TestStaleDirectiveIsError pins that a directive which suppresses no
+// finding of an analyzer that ran is reported, and that a directive for
+// an analyzer that did not run is not.
+func TestStaleDirectiveIsError(t *testing.T) {
+	diags, bad := linttest.Findings(t, nondeterminism.Analyzer, "testdata/stale", "example.com/s")
+	if len(diags) != 0 {
+		t.Fatalf("want no findings, got %v", diags)
+	}
+	if len(bad) != 1 || !strings.Contains(bad[0], "a.go:10:") || !strings.Contains(bad[0], "suppresses no finding") {
+		t.Fatalf("want exactly the stale nondeterminism directive at a.go:10, got %v", bad)
+	}
+}

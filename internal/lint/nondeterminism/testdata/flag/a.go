@@ -14,6 +14,10 @@ func clocks() time.Duration {
 	return time.Until(t0) // want "ambient clock time.Until"
 }
 
+func sleepy() {
+	time.Sleep(time.Second) // want "ambient time.Sleep"
+}
+
 func globalRand() int {
 	return rand.IntN(10) // want "global math/rand source rand.IntN"
 }
