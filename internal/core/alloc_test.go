@@ -13,26 +13,24 @@ import (
 // PredictUC1ProfileBatch and the single-row decoders run it.
 const (
 	// pooledBatchAllocBudget is one ml.PredictBatchInto call into a
-	// MatrixPool matrix, Get and Put included: 3 in parallel.ForEach
-	// (the row closure, and the ctx and fn parameters its worker
-	// closures capture), 3 from context.WithoutCancel and the span
-	// lookups through it, and 1 from MatrixPool.Put.
-	pooledBatchAllocBudget = 7
+	// MatrixPool matrix, Get and Put included: 1 for the model's row
+	// closure handed to parallel.ForEach, 3 from context.WithoutCancel
+	// and the span lookups through it, and 1 from MatrixPool.Put.
+	pooledBatchAllocBudget = 5
 	// rowPredictAllocBudget is one row-API Predict call: the returned
 	// vector.
 	rowPredictAllocBudget = 1
 	// multiWorkerBatchAllocBudget is pooledBatchAllocBudget's call at
 	// GOMAXPROCS 2, where parallel.ForEach runs two worker goroutines.
-	// Measured 16.0 for RF and XGBoost and 16.0-16.3 for kNN, whose
+	// Measured 9.00-9.16 for RF and XGBoost and 9.00-9.35 for kNN, whose
 	// pooled scratch refills after a GC empties it. Per batch:
-	//   - 11 in parallel.ForEach's multi-worker path: its ctx and fn
-	//     parameters, next, wg, mu and firstErr, the abort closure, one
-	//     closure per worker, and context.WithCancel's context and
-	//     cancel func;
+	//   - 4 in parallel.ForEach's multi-worker path: the shared pool
+	//     state, the one closure every worker runs, and
+	//     context.WithCancel's context and cancel func;
 	//   - 3 from context.WithoutCancel and the span lookups through it;
 	//   - 1 for the model's row closure handed to ForEach;
 	//   - 1 from MatrixPool.Put.
-	multiWorkerBatchAllocBudget = 17
+	multiWorkerBatchAllocBudget = 10
 )
 
 // allocDataset is a UC1-shaped training set: 59 benchmarks × 272

@@ -49,9 +49,10 @@ var (
 // A Predictor is safe for concurrent use. Cache population is
 // singleflight-style: concurrent requests for the same key block on one
 // build instead of duplicating it. Fitted models are immutable after
-// Fit, and decoding draws from a fresh seed-derived RNG per request, so
-// identical requests return identical predictions whether they hit or
-// miss the cache.
+// Fit. A held-out benchmark's answer is decoded once per fitted model,
+// from the config's seed, and shared; a profile prediction decodes
+// from a fresh seed-derived RNG per request. So identical requests
+// return identical predictions whether they hit or miss the cache.
 //
 // Fit failures degrade rather than fail: each (system, config) pair is
 // guarded by a circuit breaker, and while fits are failing or the
@@ -211,8 +212,15 @@ func (p *Predictor) QuarantineReports() map[string]measure.SystemQuarantine {
 
 // Prediction is the outcome of one online prediction request.
 type Prediction struct {
-	// Predicted is the predicted relative-time sample.
+	// Predicted is the predicted relative-time sample. For a database
+	// benchmark it is the fitted model's one answer (see
+	// fittedModel.answer), shared by every request the model serves; do
+	// not mutate.
 	Predicted []float64
+	// PredictedSummary summarizes Predicted for a database benchmark,
+	// and is shared with Predicted's other readers; do not mutate. It is
+	// nil for profile predictions, whose sample is new on every request.
+	PredictedSummary *SampleSummary
 	// Actual is the measured ground-truth sample, nil when the request
 	// predicted from a caller-supplied probe profile (no holdout).
 	Actual []float64
@@ -221,7 +229,7 @@ type Prediction struct {
 	// the benchmark builds it, every later request on that snapshot
 	// shares it, and a swap or refit starts a new snapshot with a new
 	// summary. Shared across requests; do not mutate.
-	Measured *MeasuredSummary
+	Measured *SampleSummary
 	// CacheHit reports whether the fitted model was reused.
 	CacheHit bool
 	// Degraded reports the prediction came from a fallback model
@@ -232,11 +240,13 @@ type Prediction struct {
 	Fallback string
 }
 
-// MeasuredSummary is the request-independent half of a prediction's
-// summary: what the response reports about the measured sample.
-type MeasuredSummary struct {
-	// Sorted is the measured sample sorted ascending, for the sorted
-	// KS/W1 cores.
+// SampleSummary holds what a response reads about one sample beyond
+// the sample itself: the sorted copy behind its quantiles and the
+// KS/W1 cores, its moments and its KDE mode count. The predicted and
+// the measured sample of a response each have one.
+type SampleSummary struct {
+	// Sorted is the sample sorted ascending, for the quantiles and the
+	// sorted KS/W1 cores.
 	Sorted []float64
 	// Moments are the sample's first four moments, summed in sample
 	// order.
@@ -245,11 +255,11 @@ type MeasuredSummary struct {
 	Modes int
 }
 
-// NewMeasuredSummary summarizes the measured sample xs, which it does
-// not modify or retain.
-func NewMeasuredSummary(xs []float64) *MeasuredSummary {
+// NewSampleSummary summarizes the sample xs, which it does not modify
+// or retain.
+func NewSampleSummary(xs []float64) *SampleSummary {
 	sorted := stats.SortedCopy(xs)
-	return &MeasuredSummary{
+	return &SampleSummary{
 		Sorted:  sorted,
 		Moments: stats.ComputeMoments4(xs),
 		Modes:   stats.SampleModes(xs, sorted),
@@ -301,7 +311,32 @@ type dataCell struct {
 type fittedModel struct {
 	data *uc1Data
 	reg  ml.Regressor
-	test int // row index of the held-out benchmark, -1 for full models
+	test int    // row index of the held-out benchmark, -1 for full models
+	seed uint64 // the seed of the config in the model's key
+
+	// The answer for the held-out row, built once (see answer).
+	answerOnce sync.Once
+	predicted  []float64
+	predSum    *SampleSummary
+}
+
+// answer returns the model's decoded prediction for its held-out row
+// and that sample's summary, building both on the first call. Every
+// input of the decode is fixed for the model's lifetime: the fitted
+// regressor, the row, the sample size len(rel[test]) and the seed. A
+// fittedModel is served only under the modelKey it was fitted for —
+// from p.models, from p.stale after a refit dropped it, or from
+// p.fallbacks as the kNN stand-in — and that key holds the whole
+// config, seed included. So every request the model serves wants these
+// same bits, and a drift refit, which changes the regressor or the row,
+// builds a new fittedModel with an empty answer.
+func (m *fittedModel) answer() ([]float64, *SampleSummary) {
+	m.answerOnce.Do(func() {
+		predVec := m.reg.Predict(m.data.dataset.X[m.test])
+		m.predicted = m.data.rep.Decode(predVec, len(m.data.rel[m.test]), randx.New(m.seed^0xD1B54A32D192ED03))
+		m.predSum = NewSampleSummary(m.predicted)
+	})
+	return m.predicted, m.predSum
 }
 
 // modelCell holds one fit slot. Unlike a sync.Once cell, a failed fit
@@ -511,7 +546,7 @@ func (p *Predictor) fitResolved(ctx context.Context, data *uc1Data, k modelKey, 
 	if err != nil {
 		return nil, err
 	}
-	return &fittedModel{data: data, reg: reg, test: test}, nil
+	return &fittedModel{data: data, reg: reg, test: test, seed: seed}, nil
 }
 
 // modelStrict returns the cached fitted regressor for key, training it
@@ -632,7 +667,7 @@ func (p *Predictor) PredictUC1(ctx context.Context, system, benchmarkID string, 
 		return nil, err
 	}
 	annotateServed(span, m)
-	return decodeHoldout(ctx, m, cfg.Seed), nil
+	return decodeHoldout(ctx, m), nil
 }
 
 // annotateServed stamps a predictor span with how its model was
@@ -668,7 +703,7 @@ func (p *Predictor) PredictUC2(ctx context.Context, src, dst, benchmarkID string
 		return nil, err
 	}
 	annotateServed(span, m)
-	return decodeHoldout(ctx, m, cfg.Seed), nil
+	return decodeHoldout(ctx, m), nil
 }
 
 // checkBenchmark validates the (system, benchmark) pair up front so
@@ -698,22 +733,22 @@ func (p *Predictor) checkUsable(ctx context.Context, dk datasetKey, benchmarkID 
 	return nil
 }
 
-// decodeHoldout turns the fitted model's output for the held-out row
-// into a concrete sample, using the same seed derivation as the batch
-// predictHoldout so cached and uncached answers agree bit-for-bit.
-func decodeHoldout(ctx context.Context, m *servedModel, seed uint64) *Prediction {
+// decodeHoldout answers for the fitted model's held-out row. The first
+// request decodes the model's output with the same seed derivation as
+// the batch predictHoldout, so cached and uncached answers agree
+// bit-for-bit; later requests share that answer.
+func decodeHoldout(ctx context.Context, m *servedModel) *Prediction {
 	_, span := obs.Start(ctx, "model.predict")
 	defer span.End()
-	predVec := m.reg.Predict(m.data.dataset.X[m.test])
-	actual := m.data.rel[m.test]
-	predicted := m.data.rep.Decode(predVec, len(actual), randx.New(seed^0xD1B54A32D192ED03))
+	predicted, sum := m.answer()
 	return &Prediction{
-		Predicted: predicted,
-		Actual:    actual,
-		Measured:  m.data.measuredSummary(m.test),
-		CacheHit:  m.hit,
-		Degraded:  m.degraded,
-		Fallback:  m.fallback,
+		Predicted:        predicted,
+		PredictedSummary: sum,
+		Actual:           m.data.rel[m.test],
+		Measured:         m.data.measuredSummary(m.test),
+		CacheHit:         m.hit,
+		Degraded:         m.degraded,
+		Fallback:         m.fallback,
 	}
 }
 

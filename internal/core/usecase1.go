@@ -77,7 +77,7 @@ type uc1Data struct {
 // measuredCell is one row's summary slot.
 type measuredCell struct {
 	once sync.Once
-	sum  *MeasuredSummary
+	sum  *SampleSummary
 }
 
 // measuredSummary returns the summary of row's measured sample,
@@ -85,9 +85,9 @@ type measuredCell struct {
 // the dataset is assembled, and a swap or refit assembles a new
 // uc1Data, so the summary lives exactly as long as the sample it
 // describes.
-func (d *uc1Data) measuredSummary(row int) *MeasuredSummary {
+func (d *uc1Data) measuredSummary(row int) *SampleSummary {
 	c := &d.measured[row]
-	c.once.Do(func() { c.sum = NewMeasuredSummary(d.rel[row]) })
+	c.once.Do(func() { c.sum = NewSampleSummary(d.rel[row]) })
 	return c.sum
 }
 

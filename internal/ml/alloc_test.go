@@ -33,9 +33,10 @@ func allocSteadyState(t *testing.T, r ml.Regressor) float64 {
 // TestPredictBatchIntoSteadyStateAllocs pins the zero-allocation
 // contract of the flattened serving kernels: once scratch pools are
 // warm, a whole 59-row batch through PredictBatchInto must not allocate
-// on the prediction path. A small slack (4 allocs per batch) absorbs
-// the worker-pool bookkeeping in parallel.ForEach; the per-row kernels
-// themselves must stay at zero.
+// on the prediction path. A small slack (2 allocs per batch; 1
+// measured, the row closure handed to parallel.ForEach) absorbs the
+// worker-pool bookkeeping; the per-row kernels themselves must stay at
+// zero.
 func TestPredictBatchIntoSteadyStateAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race detector defeats sync.Pool caching; alloc counts are meaningless")
@@ -57,8 +58,8 @@ func TestPredictBatchIntoSteadyStateAllocs(t *testing.T) {
 			}
 			got := allocSteadyState(t, r)
 			t.Logf("steady-state allocs per 59-row batch: %.1f", got)
-			if got > 4 {
-				t.Errorf("steady-state PredictBatchInto allocated %.1f times per 59-row batch, want <= 4", got)
+			if got > 2 {
+				t.Errorf("steady-state PredictBatchInto allocated %.1f times per 59-row batch, want <= 2", got)
 			}
 		})
 	}

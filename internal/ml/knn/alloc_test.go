@@ -10,12 +10,11 @@ import (
 )
 
 // knnBatchAllocBudget is the steady-state allocation budget of one
-// PredictBatchInto call, whatever its row count: the three
-// parallel.ForEach makes per call (the row closure, and the ctx and fn
-// parameters its worker closures capture). The per-row kernels make
-// none, so a single allocation in any of them costs one per row and
-// breaks the budget.
-const knnBatchAllocBudget = 4
+// PredictBatchInto call, whatever its row count: the row closure handed
+// to parallel.ForEach (1 measured), plus one of slack. The per-row
+// kernels make none, so a single allocation in any of them costs one
+// per row and breaks the budget.
+const knnBatchAllocBudget = 2
 
 // allocProbe is a batch that reaches every branch of the row kernel:
 // ordinary rows, an all-zero row and (when the model standardizes) the

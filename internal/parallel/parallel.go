@@ -79,45 +79,62 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 		return nil
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
+	poolCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	abort := func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-	}
-	wg.Add(workers)
+	p := &pool{cancel: cancel, fn: fn, n: n}
+	p.wg.Add(workers)
+	// One closure serves every worker; poolCtx and p are never
+	// reassigned, so it holds copies of both.
+	work := func() { p.work(poolCtx) }
 	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
-					return
-				}
-				if err := fn(ctx, i); err != nil {
-					abort(err)
-					return
-				}
-			}
-		}()
+		go work()
 	}
-	wg.Wait()
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
+	p.wg.Wait()
+	p.mu.Lock()
+	err := p.firstErr
+	p.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return ctx.Err()
+	return poolCtx.Err()
+}
+
+// pool is the state the workers of one multi-worker ForEach call
+// share. It is one heap object, so a call allocates it once rather
+// than each field and closure apart.
+type pool struct {
+	cancel context.CancelFunc
+	fn     func(ctx context.Context, i int) error
+	n      int
+
+	next     atomic.Int64
+	wg       sync.WaitGroup
+	mu       sync.Mutex
+	firstErr error
+}
+
+// work runs items in index order until they run out, the context is
+// canceled or an item fails.
+func (p *pool) work(ctx context.Context) {
+	defer p.wg.Done()
+	for {
+		i := int(p.next.Add(1)) - 1
+		if i >= p.n || ctx.Err() != nil {
+			return
+		}
+		if err := p.fn(ctx, i); err != nil {
+			p.abort(err)
+			return
+		}
+	}
+}
+
+// abort records the first error and cancels the remaining work.
+func (p *pool) abort(err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.firstErr == nil {
+		p.firstErr = err
+		p.cancel()
+	}
 }

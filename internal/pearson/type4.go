@@ -3,6 +3,7 @@ package pearson
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/numeric"
 	"repro/internal/randx"
@@ -42,47 +43,38 @@ func type4Sampler(skew, kurt float64) (func(*randx.RNG) float64, func(float64) f
 	}
 	nu := -r * (r - 2) * skew / math.Sqrt(inner)
 
-	const gridN = 4097
-	phis := numeric.Linspace(-math.Pi/2, math.Pi/2, gridN)
+	phis, logcos, tans := type4Tables()
 	// Work in log space: exponents r·log(cos φ) − ν·φ can overflow for
-	// extreme ν; shift by the maximum before exponentiating.
-	logw := make([]float64, gridN)
+	// extreme ν; shift by the maximum before exponentiating. w holds the
+	// log weights until the second pass exponentiates them in place (a
+	// −Inf log weight, where cos φ ≤ 0, becomes exactly 0).
+	w := make([]float64, type4GridN)
 	maxLog := math.Inf(-1)
-	for i, phi := range phis {
-		c := math.Cos(phi)
-		if c <= 0 {
-			logw[i] = math.Inf(-1)
-			continue
-		}
-		logw[i] = r*math.Log(c) - nu*phi
-		if logw[i] > maxLog {
-			maxLog = logw[i]
+	for i, lc := range logcos {
+		w[i] = r*lc - nu*phis[i]
+		if w[i] > maxLog {
+			maxLog = w[i]
 		}
 	}
-	w := make([]float64, gridN)
-	for i, lw := range logw {
-		if math.IsInf(lw, -1) {
-			w[i] = 0
-			continue
-		}
+	for i, lw := range w {
 		w[i] = math.Exp(lw - maxLog)
 	}
 	cdf := numeric.CumTrapezoid(phis, w)
-	z := cdf[gridN-1]
+	z := cdf[type4GridN-1]
 	if z <= 0 || math.IsNaN(z) {
 		return nil, nil, fmt.Errorf("pearson: type IV density integrated to %v", z)
 	}
 	// First two moments of t = tan(φ) by quadrature; the integrands
 	// sin·cos^(r−1) and sin²·cos^(r−2) vanish at the endpoints for r > 3.
 	var m1, m2 float64
-	for i := 1; i < gridN; i++ {
+	for i := 1; i < type4GridN; i++ {
 		dphi := phis[i] - phis[i-1]
-		t0, t1 := math.Tan(phis[i-1]), math.Tan(phis[i])
+		t0, t1 := tans[i-1], tans[i]
 		f0, f1 := w[i-1], w[i]
 		if i == 1 {
 			t0 = 0 // endpoint weight is zero; avoid Inf·0
 		}
-		if i == gridN-1 {
+		if i == type4GridN-1 {
 			t1 = 0
 		}
 		m1 += 0.5 * (f0*t0 + f1*t1) * dphi
@@ -100,7 +92,7 @@ func type4Sampler(skew, kurt float64) (func(*randx.RNG) float64, func(float64) f
 		u := rng.Float64() * z
 		phi := numeric.InverseMonotone(phis, cdf, u)
 		// Clamp a hair inside the support so tan stays finite.
-		phi = numeric.Clamp(phi, phis[0]+1e-12, phis[gridN-1]-1e-12)
+		phi = numeric.Clamp(phi, phis[0]+1e-12, phis[type4GridN-1]-1e-12)
 		return (math.Tan(phi) - m1) / sd
 	}
 	// Standardized density: f_std(zv) = sd·f_t(m1 + sd·zv), with the
@@ -117,4 +109,36 @@ func type4Sampler(skew, kurt float64) (func(*randx.RNG) float64, func(float64) f
 		return math.Exp(lw) / z * c * c * sd
 	}
 	return sample, pdf, nil
+}
+
+// type4GridN is the number of points of the φ grid on which every type
+// IV density is tabulated.
+const type4GridN = 4097
+
+// type4Grid holds the parts of the type IV tables that do not depend
+// on (skew, kurt), built once for the process: the φ grid over
+// [−π/2, π/2], log cos φ (−Inf where cos φ ≤ 0) and tan φ. Each sampler
+// keeps a reference to phis; none of the three is ever written after
+// the build.
+var type4Grid struct {
+	once               sync.Once
+	phis, logcos, tans []float64
+}
+
+// type4Tables returns the shared grid, building it on first use.
+func type4Tables() (phis, logcos, tans []float64) {
+	g := &type4Grid
+	g.once.Do(func() {
+		g.phis = numeric.Linspace(-math.Pi/2, math.Pi/2, type4GridN)
+		g.logcos = make([]float64, type4GridN)
+		g.tans = make([]float64, type4GridN)
+		for i, phi := range g.phis {
+			g.logcos[i] = math.Inf(-1)
+			if c := math.Cos(phi); c > 0 {
+				g.logcos[i] = math.Log(c)
+			}
+			g.tans[i] = math.Tan(phi)
+		}
+	})
+	return g.phis, g.logcos, g.tans
 }

@@ -268,8 +268,7 @@ func (s *Server) handleUC1Batch(w http.ResponseWriter, r *http.Request) {
 		resp.Degraded = out.preds[0].Degraded
 		resp.Fallback = out.preds[0].Fallback
 		for _, p := range out.preds {
-			sum, _ := summarize(p.Predicted, req.Bins)
-			resp.Results = append(resp.Results, sum)
+			resp.Results = append(resp.Results, summarize(p.Predicted, core.NewSampleSummary(p.Predicted), req.Bins))
 		}
 		resp.ElapsedMS = float64(clock.Since(start)) / float64(time.Millisecond)
 		writeJSON(w, http.StatusOK, resp)
@@ -325,9 +324,15 @@ func validateRequest(req *PredictRequest, useCase int) error {
 // buildResponse summarizes the predicted sample: quantiles, a density
 // histogram, moments, and modality, plus the KS/W1 scores against the
 // measured ground truth when the request named a database benchmark.
-// The measured side comes precomputed in p.Measured.
+// A database benchmark's prediction comes with both summaries
+// precomputed, in p.PredictedSummary and p.Measured; a profile
+// prediction is new on every request, so its summary is built here.
 func buildResponse(req *PredictRequest, useCase int, p *core.Prediction) *PredictResponse {
-	sum, sorted := summarize(p.Predicted, req.Bins)
+	ps := p.PredictedSummary
+	if ps == nil {
+		ps = core.NewSampleSummary(p.Predicted)
+	}
+	sum := summarize(p.Predicted, ps, req.Bins)
 	model, _ := core.ParseModel(req.Model)
 	rep, _ := distrep.ParseKind(req.Representation)
 	resp := &PredictResponse{
@@ -352,8 +357,8 @@ func buildResponse(req *PredictRequest, useCase int, p *core.Prediction) *Predic
 	resp.Degraded = p.Degraded
 	resp.Fallback = p.Fallback
 	if m := p.Measured; m != nil {
-		ks := stats.KSSorted(sorted, m.Sorted)
-		w1 := stats.Wasserstein1Sorted(sorted, m.Sorted)
+		ks := stats.KSSorted(ps.Sorted, m.Sorted)
+		w1 := stats.Wasserstein1Sorted(ps.Sorted, m.Sorted)
 		resp.KSVsMeasured = &ks
 		resp.W1VsMeasured = &w1
 		resp.Measured = &MeasuredJSON{
@@ -366,18 +371,17 @@ func buildResponse(req *PredictRequest, useCase int, p *core.Prediction) *Predic
 }
 
 // summarize renders the predicted sample's quantiles, histogram,
-// moments and modes, sorting the sample once for every order statistic.
-// It also returns that sorted copy for the KS/W1 scores. The histogram
-// range, the moments and the density grid read pred in sample order.
-func summarize(pred []float64, bins int) (BatchResultJSON, []float64) {
-	sorted := stats.SortedCopy(pred)
+// moments and modes. The sorted copy, the moments and the mode count
+// come from sum, the summary of pred; the quantiles and the histogram
+// are computed here, each in one pass.
+func summarize(pred []float64, sum *core.SampleSummary, bins int) BatchResultJSON {
 	return BatchResultJSON{
 		N:         len(pred),
-		Quantiles: quantileMap(sorted),
+		Quantiles: quantileMap(sum.Sorted),
 		Histogram: histogramJSON(pred, bins),
-		Moments:   momentsJSON(stats.ComputeMoments4(pred)),
-		Modes:     stats.SampleModes(pred, sorted),
-	}, sorted
+		Moments:   momentsJSON(sum.Moments),
+		Modes:     sum.Modes,
+	}
 }
 
 var quantilePoints = []struct {

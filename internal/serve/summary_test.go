@@ -142,9 +142,10 @@ func TestMeasuredSummaryConcurrentFirstUse(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildResponse renders one UC1 response: a 1,000-sample
-// prediction with its measured summary attached, the way a warm
-// database-benchmark request reaches buildResponse.
+// BenchmarkBuildResponse renders one UC1 response the longest way
+// buildResponse knows: a 1,000-sample prediction with its measured
+// summary attached but no PredictedSummary, so the call builds the
+// predicted sample's summary as a profile request does.
 func BenchmarkBuildResponse(b *testing.B) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	pred, actual := make([]float64, 1000), make([]float64, 1000)
@@ -152,7 +153,7 @@ func BenchmarkBuildResponse(b *testing.B) {
 		pred[i] = 1 + 0.05*rng.NormFloat64()
 		actual[i] = 1 + 0.05*rng.NormFloat64()
 	}
-	p := &core.Prediction{Predicted: pred, Actual: actual, Measured: core.NewMeasuredSummary(actual)}
+	p := &core.Prediction{Predicted: pred, Actual: actual, Measured: core.NewSampleSummary(actual)}
 	req := &PredictRequest{System: "intel", Benchmark: "npb/bt", Seed: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
