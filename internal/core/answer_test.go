@@ -21,14 +21,26 @@ func freshAnswer(fm *fittedModel, seed uint64) []float64 {
 		randx.New(seed^0xD1B54A32D192ED03))
 }
 
-// residentModel returns the fitted model cached for k in cells.
-func residentModel(t *testing.T, cells *sync.Map, k modelKey) *fittedModel {
+// residentSlot returns k's model slot.
+func residentSlot(t *testing.T, p *Predictor, k modelKey) *modelSlot {
 	t.Helper()
-	v, ok := cells.Load(k)
-	if !ok || v.(*modelCell).fitted == nil {
+	v, ok := p.slots.Load(k)
+	if !ok {
+		t.Fatalf("no model slot for %s holdout %q", k.data.label(), k.holdout)
+	}
+	return v.(*modelSlot)
+}
+
+// residentModel returns the primary model in k's slot.
+func residentModel(t *testing.T, p *Predictor, k modelKey) *fittedModel {
+	t.Helper()
+	s := residentSlot(t, p, k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.model == nil {
 		t.Fatalf("no fitted model for %s holdout %q", k.data.label(), k.holdout)
 	}
-	return v.(*modelCell).fitted
+	return s.model
 }
 
 // requireBits fails unless got and want hold the same float64 bits.
@@ -98,7 +110,7 @@ func TestHoldoutAnswerMatchesFreshDecode(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", c.name, err)
 				}
-				requireBits(t, c.name, first.Predicted, freshAnswer(residentModel(t, &p.models, c.key), seed))
+				requireBits(t, c.name, first.Predicted, freshAnswer(residentModel(t, p, c.key), seed))
 				if want := NewSampleSummary(first.Predicted); !reflect.DeepEqual(first.PredictedSummary, want) {
 					t.Fatalf("%s: summary %+v does not describe the answer (%+v)", c.name, first.PredictedSummary, want)
 				}
@@ -145,7 +157,7 @@ func TestHoldoutAnswerAfterRefit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireBits(t, "refit", after.Predicted, freshAnswer(residentModel(t, &p.models, c.key), cfg.Seed))
+		requireBits(t, "refit", after.Predicted, freshAnswer(residentModel(t, p, c.key), cfg.Seed))
 		if after.PredictedSummary == before.PredictedSummary || reflect.DeepEqual(after.Predicted, before.Predicted) {
 			t.Fatal("the refit model answered with the old model's answer")
 		}
@@ -169,11 +181,7 @@ func TestHoldoutAnswerAfterRefit(t *testing.T) {
 		if after.Fallback != "stale" {
 			t.Fatalf("fallback %q, want stale", after.Fallback)
 		}
-		v, ok := p.stale.Load(c.key)
-		if !ok {
-			t.Fatal("no stale model")
-		}
-		stale := v.(*fittedModel)
+		stale := residentModel(t, p, c.key)
 		if &after.Predicted[0] != &stale.predicted[0] || after.PredictedSummary != stale.predSum {
 			t.Fatal("the stale-served answer is not the stale model's own")
 		}
@@ -198,7 +206,7 @@ func TestHoldoutAnswerAfterRefit(t *testing.T) {
 		if got.Fallback != "knn" {
 			t.Fatalf("fallback %q, want knn", got.Fallback)
 		}
-		requireBits(t, "knn fallback", got.Predicted, freshAnswer(residentModel(t, &p.fallbacks, fc.key), rf.Seed))
+		requireBits(t, "knn fallback", got.Predicted, freshAnswer(residentSlot(t, p, fc.key).fallback, rf.Seed))
 		again, err := fc.predict(p)
 		if err != nil {
 			t.Fatal(err)
@@ -231,7 +239,7 @@ func TestHoldoutAnswerConcurrentFirstUse(t *testing.T) {
 		}
 		requireShared(t, fmt.Sprintf("request %d", g), preds[0], preds[g])
 	}
-	requireBits(t, "concurrent", preds[0].Predicted, freshAnswer(residentModel(t, &p.models, c.key), c.key.data.uc1.Seed))
+	requireBits(t, "concurrent", preds[0].Predicted, freshAnswer(residentModel(t, p, c.key), c.key.data.uc1.Seed))
 }
 
 // TestHoldoutAnswerPerSeed checks that two configs that differ only

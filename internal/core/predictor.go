@@ -48,19 +48,23 @@ var (
 //
 // A Predictor is safe for concurrent use. Cache population is
 // singleflight-style: concurrent requests for the same key block on one
-// build instead of duplicating it. Fitted models are immutable after
-// Fit. A held-out benchmark's answer is decoded once per fitted model,
-// from the config's seed, and shared; a profile prediction decodes
-// from a fresh seed-derived RNG per request. So identical requests
-// return identical predictions whether they hit or miss the cache.
+// build instead of duplicating it. Each model key has one slot, which
+// holds its primary model and its kNN fallback; a slot's model is fresh
+// while the dataset it was fitted on is the one the predictor holds for
+// its key, and stale once a drift refit has dropped that dataset.
+// Fitted models are immutable after Fit. A held-out benchmark's answer
+// is decoded once per fitted model, from the config's seed, and shared;
+// a profile prediction decodes from a fresh seed-derived RNG per
+// request. So identical requests return identical predictions whether
+// they hit or miss the cache.
 //
 // Fit failures degrade rather than fail: each (system, config) pair is
 // guarded by a circuit breaker, and while fits are failing or the
-// breaker is open, requests fall back first to the stale pre-refit
-// model (if one exists) and then to a kNN model fitted on the same
-// data — both flagged Degraded in the Prediction. Configuration errors
-// (unknown system/benchmark, quarantined data) never trip the breaker
-// and never fall back; they propagate to the caller unchanged.
+// breaker is open, requests fall back first to the slot's stale
+// pre-refit model (if it has one) and then to a kNN model fitted on the
+// same data — both flagged Degraded in the Prediction. Configuration
+// errors (unknown system/benchmark, quarantined data) never trip the
+// breaker and never fall back; they propagate to the caller unchanged.
 type Predictor struct {
 	// db is the measurement database, swapped copy-on-write by the
 	// streaming-ingest merge path (SetBenchmarkRuns): readers load a
@@ -70,9 +74,7 @@ type Predictor struct {
 
 	datasets    sync.Map // datasetKey -> *dataCell
 	validations sync.Map // validKey -> *validCell
-	models      sync.Map // modelKey -> *modelCell
-	stale       sync.Map // modelKey -> *fittedModel (pre-refit models, until refitted)
-	fallbacks   sync.Map // modelKey -> *modelCell (kNN fallback models)
+	slots       sync.Map // modelKey -> *modelSlot
 	breakers    sync.Map // datasetKey -> *breaker
 
 	breakerCfg BreakerConfig
@@ -307,7 +309,8 @@ type dataCell struct {
 }
 
 // fittedModel is one trained regressor bound to the dataset it was
-// trained on (so stale models survive a system refit intact).
+// trained on, which is how its slot tells a fresh model from a stale
+// one.
 type fittedModel struct {
 	data *uc1Data
 	reg  ml.Regressor
@@ -324,12 +327,12 @@ type fittedModel struct {
 // and that sample's summary, building both on the first call. Every
 // input of the decode is fixed for the model's lifetime: the fitted
 // regressor, the row, the sample size len(rel[test]) and the seed. A
-// fittedModel is served only under the modelKey it was fitted for —
-// from p.models, from p.stale after a refit dropped it, or from
-// p.fallbacks as the kNN stand-in — and that key holds the whole
-// config, seed included. So every request the model serves wants these
-// same bits, and a drift refit, which changes the regressor or the row,
-// builds a new fittedModel with an empty answer.
+// fittedModel is served only from the slot of the modelKey it was
+// fitted for — fresh, stale after a refit dropped its dataset, or as
+// the kNN stand-in — and that key holds the whole config, seed
+// included. So every request the model serves wants these same bits,
+// and a drift refit, which changes the regressor or the row, builds a
+// new fittedModel with an empty answer.
 func (m *fittedModel) answer() ([]float64, *SampleSummary) {
 	m.answerOnce.Do(func() {
 		predVec := m.reg.Predict(m.data.dataset.X[m.test])
@@ -339,13 +342,14 @@ func (m *fittedModel) answer() ([]float64, *SampleSummary) {
 	return m.predicted, m.predSum
 }
 
-// modelCell holds one fit slot. Unlike a sync.Once cell, a failed fit
-// leaves the cell empty so a later request can retry (gated by the
-// breaker); concurrent requests for the same key still serialize on the
-// mutex, so at most one fit per key runs at a time.
-type modelCell struct {
-	mu     sync.Mutex
-	fitted *fittedModel
+// modelSlot holds one key's models. Unlike a sync.Once cell, a failed
+// fit leaves the slot as it was so a later request can retry (gated by
+// the breaker); concurrent requests for the same key still serialize on
+// the mutex, so at most one fit per key runs at a time.
+type modelSlot struct {
+	mu       sync.Mutex
+	model    *fittedModel // the primary model, fresh or stale
+	fallback *fittedModel // the degraded path's kNN model
 }
 
 // servedModel is a fitted model plus how it was obtained.
@@ -370,7 +374,10 @@ func (e *fitError) Is(target error) bool { return target == ErrFitFailed }
 // recorded as a "dataset.build" span on the building request's trace,
 // annotated with how much the quarantine took.
 func (p *Predictor) dataset(ctx context.Context, k datasetKey) (*uc1Data, error) {
-	v, _ := p.datasets.LoadOrStore(k, &dataCell{})
+	v, ok := p.datasets.Load(k)
+	if !ok {
+		v, _ = p.datasets.LoadOrStore(k, &dataCell{})
+	}
 	c := v.(*dataCell)
 	c.once.Do(func() {
 		_, span := obs.Start(ctx, "dataset.build")
@@ -549,98 +556,83 @@ func (p *Predictor) fitResolved(ctx context.Context, data *uc1Data, k modelKey, 
 	return &fittedModel{data: data, reg: reg, test: test, seed: seed}, nil
 }
 
-// modelStrict returns the cached fitted regressor for key, training it
-// on first use under the breaker. A failed fit returns *fitError and
-// trips the breaker; a rejected attempt returns *BreakerOpenError.
-// Configuration errors pass through untouched.
-func (p *Predictor) modelStrict(ctx context.Context, k modelKey) (*fittedModel, bool, error) {
+// slot returns k's model slot, creating it on first use.
+func (p *Predictor) slot(k modelKey) *modelSlot {
+	if v, ok := p.slots.Load(k); ok {
+		return v.(*modelSlot)
+	}
+	v, _ := p.slots.LoadOrStore(k, &modelSlot{})
+	return v.(*modelSlot)
+}
+
+// model returns k's fitted model. The slot's model serves when it is
+// fresh, fitted on the dataset the lookup returns now; otherwise model
+// fits one under the dataset's breaker and the slot keeps it. A failed
+// fit returns *fitError and trips the breaker; a rejected attempt
+// returns *BreakerOpenError. degrade is the request path's: on either
+// error it serves the slot's stale model if there is one, else the kNN
+// fallback, fitted on first use without the breaker (the breaker guards
+// the possibly broken primary family; kNN fitting is memorization and
+// is the escape hatch). Both are flagged degraded, and a failing
+// fallback reports the primary error. refresh is the drift refit's: it
+// skips the model store's disk copy and counts no hit. Configuration
+// errors (unknown or quarantined benchmark, a dataset that does not
+// build) pass through untouched.
+//
+// The dataset is read under the slot's mutex, and refreshSystem drops
+// datasets before it reads each slot under that mutex. So a slot whose
+// model was fitted on a dropped dataset is listed for the refit, and
+// its model is never served as fresh.
+func (p *Predictor) model(ctx context.Context, k modelKey, degrade, refresh bool) (servedModel, error) {
+	s := p.slot(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	data, err := p.dataset(ctx, k.data)
 	if err != nil {
-		return nil, false, err
+		return servedModel{}, err
 	}
-	v, _ := p.models.LoadOrStore(k, &modelCell{})
-	c := v.(*modelCell)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.fitted != nil {
-		p.hits.Add(1)
-		return c.fitted, true, nil
+	if data.unusable[k.holdout] {
+		return servedModel{}, fmt.Errorf("core: %w: %q has no usable validated data", ErrBenchmarkQuarantined, k.holdout)
+	}
+	if s.model != nil && s.model.data == data {
+		if !refresh {
+			p.hits.Add(1)
+		}
+		return servedModel{fittedModel: s.model, hit: true}, nil
 	}
 	test, train, err := resolveHoldout(data, k.holdout)
 	if err != nil {
-		return nil, false, err
+		return servedModel{}, err
 	}
 	br := p.breaker(k.data)
-	if err := br.allow(p.now()); err != nil {
-		return nil, false, err
+	if err = br.allow(p.now()); err == nil {
+		fm, fitErr := p.fitResolved(ctx, data, k, test, train, false, refresh)
+		if fitErr == nil {
+			br.success()
+			s.model = fm
+			p.misses.Add(1)
+			return servedModel{fittedModel: fm}, nil
+		}
+		err = &fitError{err: fitErr}
+		br.failure(p.now(), err)
 	}
-	fm, err := p.fitResolved(ctx, data, k, test, train, false, false)
-	if err != nil {
-		ferr := &fitError{err: err}
-		br.failure(p.now(), ferr)
-		return nil, false, ferr
+	if !degrade {
+		return servedModel{}, err
 	}
-	br.success()
-	c.fitted = fm
-	p.stale.Delete(k)
-	p.misses.Add(1)
-	return fm, false, nil
-}
-
-// fallbackKNN returns the cached degraded-path kNN model for key,
-// fitting it on first use. It bypasses the breaker: the breaker guards
-// the (possibly expensive, possibly broken) primary family, while kNN
-// fitting is memorization and is the escape hatch.
-func (p *Predictor) fallbackKNN(ctx context.Context, k modelKey) (*fittedModel, bool, error) {
-	data, err := p.dataset(ctx, k.data)
-	if err != nil {
-		return nil, false, err
-	}
-	v, _ := p.fallbacks.LoadOrStore(k, &modelCell{})
-	c := v.(*modelCell)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.fitted != nil {
-		return c.fitted, true, nil
-	}
-	test, train, err := resolveHoldout(data, k.holdout)
-	if err != nil {
-		return nil, false, err
-	}
-	fm, err := p.fitResolved(ctx, data, k, test, train, true, false)
-	if err != nil {
-		return nil, false, err
-	}
-	c.fitted = fm
-	return fm, false, nil
-}
-
-// modelServe is the request path: the strict model when healthy,
-// otherwise the degraded fallback chain — the stale pre-refit model
-// first, then the kNN fallback. Only fit failures and open breakers
-// degrade; configuration errors propagate.
-func (p *Predictor) modelServe(ctx context.Context, k modelKey) (*servedModel, error) {
-	fm, hit, err := p.modelStrict(ctx, k)
-	if err == nil {
-		return &servedModel{fittedModel: fm, hit: hit}, nil
-	}
-	var ferr *fitError
-	var berr *BreakerOpenError
-	if !errors.As(err, &ferr) && !errors.As(err, &berr) {
-		return nil, err
-	}
-	if v, ok := p.stale.Load(k); ok {
+	if s.model != nil {
 		p.staleServed.Add(1)
-		return &servedModel{fittedModel: v.(*fittedModel), hit: true, degraded: true, fallback: "stale"}, nil
+		return servedModel{fittedModel: s.model, hit: true, degraded: true, fallback: "stale"}, nil
 	}
-	fb, fbHit, fbErr := p.fallbackKNN(ctx, k)
-	if fbErr != nil {
-		// The fallback failed too (e.g. the hook kills every fit):
-		// report the primary error, which carries breaker semantics.
-		return nil, err
+	hit := s.fallback != nil && s.fallback.data == data
+	if !hit {
+		fb, fbErr := p.fitResolved(ctx, data, k, test, train, true, false)
+		if fbErr != nil {
+			return servedModel{}, err
+		}
+		s.fallback = fb
 	}
 	p.knnServed.Add(1)
-	return &servedModel{fittedModel: fb, hit: fbHit, degraded: true, fallback: "knn"}, nil
+	return servedModel{fittedModel: s.fallback, hit: hit, degraded: true, fallback: "knn"}, nil
 }
 
 // PredictUC1 predicts benchmarkID's distribution on the named system
@@ -659,10 +651,7 @@ func (p *Predictor) PredictUC1(ctx context.Context, system, benchmarkID string, 
 		return nil, err
 	}
 	k := modelKey{data: datasetKey{useCase: 1, system: system, uc1: cfg}, holdout: benchmarkID}
-	if err := p.checkUsable(ctx, k.data, benchmarkID); err != nil {
-		return nil, err
-	}
-	m, err := p.modelServe(ctx, k)
+	m, err := p.model(ctx, k, true, false)
 	if err != nil {
 		return nil, err
 	}
@@ -672,7 +661,7 @@ func (p *Predictor) PredictUC1(ctx context.Context, system, benchmarkID string, 
 
 // annotateServed stamps a predictor span with how its model was
 // obtained (nil-safe, like all span operations).
-func annotateServed(span *obs.Span, m *servedModel) {
+func annotateServed(span *obs.Span, m servedModel) {
 	span.SetAttr("cache_hit", m.hit)
 	if m.degraded {
 		span.SetAttr("fallback", m.fallback)
@@ -695,10 +684,7 @@ func (p *Predictor) PredictUC2(ctx context.Context, src, dst, benchmarkID string
 		return nil, err
 	}
 	k := modelKey{data: datasetKey{useCase: 2, system: src, target: dst, uc2: cfg}, holdout: benchmarkID}
-	if err := p.checkUsable(ctx, k.data, benchmarkID); err != nil {
-		return nil, err
-	}
-	m, err := p.modelServe(ctx, k)
+	m, err := p.model(ctx, k, true, false)
 	if err != nil {
 		return nil, err
 	}
@@ -720,24 +706,11 @@ func (p *Predictor) checkBenchmark(system, benchmarkID string) error {
 	return nil
 }
 
-// checkUsable rejects requests for benchmarks that exist in the
-// database but were quarantined out of the assembled dataset.
-func (p *Predictor) checkUsable(ctx context.Context, dk datasetKey, benchmarkID string) error {
-	data, err := p.dataset(ctx, dk)
-	if err != nil {
-		return err
-	}
-	if data.unusable[benchmarkID] {
-		return fmt.Errorf("core: %w: %q has no usable validated data", ErrBenchmarkQuarantined, benchmarkID)
-	}
-	return nil
-}
-
 // decodeHoldout answers for the fitted model's held-out row. The first
 // request decodes the model's output with the same seed derivation as
 // the batch predictHoldout, so cached and uncached answers agree
 // bit-for-bit; later requests share that answer.
-func decodeHoldout(ctx context.Context, m *servedModel) *Prediction {
+func decodeHoldout(ctx context.Context, m servedModel) *Prediction {
 	_, span := obs.Start(ctx, "model.predict")
 	defer span.End()
 	predicted, sum := m.answer()
@@ -770,7 +743,7 @@ func (p *Predictor) PredictUC1Profile(ctx context.Context, system string, probe 
 		return nil, err
 	}
 	k := modelKey{data: datasetKey{useCase: 1, system: system, uc1: cfg}}
-	m, err := p.modelServe(ctx, k)
+	m, err := p.model(ctx, k, true, false)
 	if err != nil {
 		return nil, err
 	}
@@ -801,7 +774,7 @@ func (p *Predictor) PredictUC2Profile(ctx context.Context, src, dst string, prob
 		return nil, err
 	}
 	k := modelKey{data: datasetKey{useCase: 2, system: src, target: dst, uc2: cfg}}
-	m, err := p.modelServe(ctx, k)
+	m, err := p.model(ctx, k, true, false)
 	if err != nil {
 		return nil, err
 	}
@@ -817,16 +790,11 @@ func buildProfile(probe []perfsim.Run, metricNames []string, meanOnly bool) (*fe
 	return features.FromRuns(probe, metricNames)
 }
 
-func (p *Predictor) decodeProfile(ctx context.Context, m *servedModel, input []float64, n int, seed uint64) (*Prediction, error) {
+func (p *Predictor) decodeProfile(ctx context.Context, m servedModel, input []float64, n int, seed uint64) (*Prediction, error) {
 	if got, want := len(input), len(m.data.dataset.X[0]); got != want {
 		return nil, fmt.Errorf("core: profile has %d features, model expects %d", got, want)
 	}
-	if n <= 0 {
-		n = p.db.Load().RunsPerBenchmark
-	}
-	if n <= 0 {
-		n = 1000 // the paper's campaign size
-	}
+	n = p.sampleCount(n)
 	_, span := obs.Start(ctx, "model.predict")
 	defer span.End()
 	predVec := m.reg.Predict(input)
@@ -859,7 +827,7 @@ func (p *Predictor) PredictUC1ProfileBatch(ctx context.Context, system string, p
 		return nil, err
 	}
 	k := modelKey{data: datasetKey{useCase: 1, system: system, uc1: cfg}}
-	m, err := p.modelServe(ctx, k)
+	m, err := p.model(ctx, k, true, false)
 	if err != nil {
 		return nil, err
 	}
@@ -876,12 +844,7 @@ func (p *Predictor) PredictUC1ProfileBatch(ctx context.Context, system string, p
 		}
 		rows[i] = prof.Values
 	}
-	if n <= 0 {
-		n = p.db.Load().RunsPerBenchmark
-	}
-	if n <= 0 {
-		n = 1000 // the paper's campaign size
-	}
+	n = p.sampleCount(n)
 	// Models with the allocation-free batch kernel score into a pooled
 	// matrix that is recycled once every row is decoded; others fall
 	// back to PredictBatch's own allocation.
@@ -904,6 +867,19 @@ func (p *Predictor) PredictUC1ProfileBatch(ctx context.Context, system string, p
 		uc1BatchMatrices.Put(pooled)
 	}
 	return out, nil
+}
+
+// sampleCount is the number of samples a profile prediction decodes:
+// n when positive, else the database's runs per benchmark, else the
+// paper's campaign size of 1000.
+func (p *Predictor) sampleCount(n int) int {
+	if n <= 0 {
+		n = p.db.Load().RunsPerBenchmark
+	}
+	if n <= 0 {
+		n = 1000
+	}
+	return n
 }
 
 // uc1BatchMatrices recycles the batch-prediction output matrices of
@@ -947,7 +923,7 @@ func (p *Predictor) Warm(ctx context.Context, uc1 []UC1Config, uc2 []UC2Config) 
 	}
 	span.SetAttr("models", len(items))
 	return parallel.ForEach(ctx, len(items), 0, func(ctx context.Context, i int) error {
-		if _, _, err := p.modelStrict(ctx, items[i].key); err != nil {
+		if _, err := p.model(ctx, items[i].key, false, false); err != nil {
 			return fmt.Errorf("core: warm %s: %w", items[i].desc, err)
 		}
 		return nil

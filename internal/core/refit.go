@@ -67,31 +67,16 @@ func (p *Predictor) SetBenchmarkRuns(system, benchmark string, runs []perfsim.Ru
 	return nil
 }
 
-// refreshSystem drops every cached dataset, model, and kNN fallback
-// touching the named system (as UC1 system, UC2 source, or UC2
-// target), and the system's validated views, keeping each dropped
-// fitted model as a stale fallback so degraded serving works while the
-// refit is in flight or failing. Returns the dropped model keys in
-// deterministic order.
+// refreshSystem drops every cached dataset touching the named system
+// (as UC1 system, UC2 source, or UC2 target) and the system's validated
+// views, which makes every model fitted on them stale: it keeps serving
+// on the degraded path until its key is refitted. It returns, in
+// deterministic order, the keys whose slots hold a model, and drops the
+// slots' kNN fallbacks, which are stale too and would otherwise keep the
+// old dataset alive. The slots are read after the drop, each under its
+// mutex, so a model fitted on a dropped dataset is never missed.
 func (p *Predictor) refreshSystem(system string) []modelKey {
 	touches := func(dk datasetKey) bool { return dk.system == system || dk.target == system }
-	var dropped []modelKey
-	p.models.Range(func(key, value any) bool {
-		k := key.(modelKey)
-		if !touches(k.data) {
-			return true
-		}
-		c := value.(*modelCell)
-		c.mu.Lock()
-		fitted := c.fitted
-		c.mu.Unlock()
-		if fitted != nil {
-			p.stale.Store(key, fitted)
-		}
-		p.models.Delete(key)
-		dropped = append(dropped, k)
-		return true
-	})
 	p.datasets.Range(func(key, _ any) bool {
 		if touches(key.(datasetKey)) {
 			p.datasets.Delete(key)
@@ -104,79 +89,54 @@ func (p *Predictor) refreshSystem(system string) []modelKey {
 		}
 		return true
 	})
-	p.fallbacks.Range(func(key, _ any) bool {
-		if touches(key.(modelKey).data) {
-			p.fallbacks.Delete(key)
+	var resident []modelKey
+	p.slots.Range(func(key, value any) bool {
+		k := key.(modelKey)
+		if !touches(k.data) {
+			return true
+		}
+		s := value.(*modelSlot)
+		s.mu.Lock()
+		held := s.model != nil || s.fallback != nil
+		s.fallback = nil
+		s.mu.Unlock()
+		if held {
+			resident = append(resident, k)
 		}
 		return true
 	})
-	sort.Slice(dropped, func(i, j int) bool {
-		a, b := dropped[i], dropped[j]
+	sort.Slice(resident, func(i, j int) bool {
+		a, b := resident[i], resident[j]
 		if a.data.label() != b.data.label() {
 			return a.data.label() < b.data.label()
 		}
 		return a.holdout < b.holdout
 	})
-	return dropped
+	return resident
 }
 
 // RefitSystem re-validates and strictly refits every model that was
 // resident for the named system against the current database snapshot
 // — the drift refitter's entry point after SetBenchmarkRuns swaps the
 // merged data in. Refits run concurrently on the shared worker pool,
-// each under the dataset's circuit breaker: the first failure cancels
-// the remaining work and the error trips the breaker, leaving the
-// stale pre-refresh models serving (flagged degraded) exactly like
-// today's degraded path. Models nobody had requested yet are not
-// eagerly fitted; they resolve lazily on first request as usual.
+// each under the dataset's circuit breaker and bypassing the model
+// store's disk copy (registry Refresh: fit and persist): the first
+// failure cancels the remaining work and the error trips the breaker,
+// leaving the stale pre-refresh models serving (flagged degraded)
+// exactly like today's degraded path. A key a concurrent request has
+// already refitted is not fitted again. Models nobody had requested yet
+// are not eagerly fitted; they resolve lazily on first request as
+// usual.
 func (p *Predictor) RefitSystem(ctx context.Context, system string) error {
 	ctx, span := obs.Start(ctx, "predictor.refit")
 	defer span.End()
 	span.SetAttr("system", system)
-	dropped := p.refreshSystem(system)
-	span.SetAttr("models", len(dropped))
-	return parallel.ForEach(ctx, len(dropped), 0, func(ctx context.Context, i int) error {
-		if err := p.refitOne(ctx, dropped[i]); err != nil {
-			return fmt.Errorf("core: refit %s holdout=%q: %w", dropped[i].data.label(), dropped[i].holdout, err)
+	keys := p.refreshSystem(system)
+	span.SetAttr("models", len(keys))
+	return parallel.ForEach(ctx, len(keys), 0, func(ctx context.Context, i int) error {
+		if _, err := p.model(ctx, keys[i], false, true); err != nil {
+			return fmt.Errorf("core: refit %s holdout=%q: %w", keys[i].data.label(), keys[i].holdout, err)
 		}
 		return nil
 	})
-}
-
-// refitOne strictly refits one model key on the current snapshot,
-// bypassing the model store's disk copy (registry Refresh: fit and
-// persist). Shares the breaker and cache cells with the request path,
-// so a concurrent request that already refitted the key is simply
-// reused.
-func (p *Predictor) refitOne(ctx context.Context, k modelKey) error {
-	data, err := p.dataset(ctx, k.data)
-	if err != nil {
-		return err
-	}
-	v, _ := p.models.LoadOrStore(k, &modelCell{})
-	c := v.(*modelCell)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.fitted != nil {
-		return nil // a concurrent request beat us to the refit
-	}
-	test, train, err := resolveHoldout(data, k.holdout)
-	if err != nil {
-		return err
-	}
-	br := p.breaker(k.data)
-	if err := br.allow(p.now()); err != nil {
-		return err
-	}
-	fm, err := p.fitResolved(ctx, data, k, test, train, false, true)
-	if err != nil {
-		ferr := &fitError{err: err}
-		br.failure(p.now(), ferr)
-		return ferr
-	}
-	br.success()
-	c.fitted = fm
-	p.stale.Delete(k)
-	p.misses.Add(1)
-	return nil
 }

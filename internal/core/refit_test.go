@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/distrep"
@@ -215,12 +216,15 @@ func TestRefitSystemReleasesStaleModels(t *testing.T) {
 	}
 	// Every refit key now holds its fresh model once, not a stale copy
 	// beside it.
-	p.stale.Range(func(key, _ any) bool {
-		t.Errorf("stale model kept after a successful refit of %+v", key)
+	n := 0
+	p.slots.Range(func(key, value any) bool {
+		n++
+		k := key.(modelKey)
+		if m := residentModel(t, p, k); m.data != currentDataset(t, p, k) {
+			t.Errorf("stale model kept after a successful refit of %s holdout %q", k.data.label(), k.holdout)
+		}
 		return true
 	})
-	n := 0
-	p.models.Range(func(any, any) bool { n++; return true })
 	if n != 2 {
 		t.Errorf("%d resident models after the refit, want 2", n)
 	}
@@ -288,4 +292,123 @@ func TestValidateOncePerSnapshot(t *testing.T) {
 			t.Error("the refit kept the old snapshot's validated view")
 		}
 	}
+}
+
+// currentDataset returns the dataset the predictor holds for k now.
+func currentDataset(t *testing.T, p *Predictor, k modelKey) *uc1Data {
+	t.Helper()
+	data, err := p.dataset(context.Background(), k.data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestRefitWindowConcurrentRequests drifts and refits one system 300
+// times, each time while eight concurrent requests ask for a resident
+// key.
+// However a request's dataset read interleaves with the refit's drop,
+// once the refit and the requests are done the key's slot must hold a
+// model fitted on the dataset the predictor holds now.
+func TestRefitWindowConcurrentRequests(t *testing.T) {
+	db := robustCampaign(t)
+	p := NewPredictor(db)
+	sd := db.Systems[0]
+	c := uc1Case(sd.SystemName, sd.Benchmarks[0].Workload.ID(), robustConfig())
+	if _, err := c.predict(p); err != nil {
+		t.Fatal(err)
+	}
+	drifted := sd.Benchmarks[1]
+	runs := [][]perfsim.Run{widenRuns(drifted.Runs), drifted.Runs}
+	for i := 0; i < 300 && !t.Failed(); i++ {
+		if err := p.SetBenchmarkRuns(sd.SystemName, drifted.Workload.ID(), runs[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := c.predict(p); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		err := p.RefitSystem(context.Background(), sd.SystemName)
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if residentModel(t, p, c.key).data != currentDataset(t, p, c.key) {
+			t.Fatalf("refit %d left a model fitted on a dropped dataset resident", i)
+		}
+	}
+}
+
+// TestRefitWindowStaleModelNeverFresh puts a slot in the state the
+// refit window leaves: it holds a model fitted on a dataset that a
+// refit has dropped. A refit of the key and a request for it must both
+// fit anew on the current dataset; neither may take the old model for a
+// fresh one.
+func TestRefitWindowStaleModelNeverFresh(t *testing.T) {
+	db := robustCampaign(t)
+	sd := db.Systems[0]
+	c := uc1Case(sd.SystemName, sd.Benchmarks[0].Workload.ID(), robustConfig())
+	drifted := sd.Benchmarks[1]
+	// dropped returns a predictor whose slot for c.key holds the model
+	// fitted before a drift whose dataset has been dropped, and that
+	// model's prediction.
+	dropped := func(t *testing.T) (*Predictor, *Prediction) {
+		t.Helper()
+		p := NewPredictor(db)
+		before, err := c.predict(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SetBenchmarkRuns(sd.SystemName, drifted.Workload.ID(), widenRuns(drifted.Runs)); err != nil {
+			t.Fatal(err)
+		}
+		if keys := p.refreshSystem(sd.SystemName); !reflect.DeepEqual(keys, []modelKey{c.key}) {
+			t.Fatalf("refit lists %v, want the resident key only", keys)
+		}
+		return p, before
+	}
+	requireFresh := func(t *testing.T, p *Predictor, before *Prediction) {
+		t.Helper()
+		if residentModel(t, p, c.key).data != currentDataset(t, p, c.key) {
+			t.Fatal("the slot still holds the model fitted on the dropped dataset")
+		}
+		after, err := c.predict(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !after.CacheHit || after.Degraded || reflect.DeepEqual(after.Predicted, before.Predicted) {
+			t.Fatalf("after the refit: hit=%v degraded=%v, prediction changed=%v",
+				after.CacheHit, after.Degraded, !reflect.DeepEqual(after.Predicted, before.Predicted))
+		}
+	}
+
+	t.Run("refit", func(t *testing.T) {
+		p, before := dropped(t)
+		misses := p.CacheStats().Misses
+		if _, err := p.model(context.Background(), c.key, false, true); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.CacheStats().Misses - misses; got != 1 {
+			t.Fatalf("the refit fitted %d models, want 1", got)
+		}
+		requireFresh(t, p, before)
+	})
+
+	t.Run("request", func(t *testing.T) {
+		p, before := dropped(t)
+		got, err := c.predict(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.CacheHit || got.Degraded {
+			t.Fatalf("served the model fitted on the dropped dataset: hit=%v degraded=%v", got.CacheHit, got.Degraded)
+		}
+		requireFresh(t, p, before)
+	})
 }

@@ -12,24 +12,25 @@ import (
 
 // warmUC1RequestAllocBudget is one warm database-row UC1 request, kNN
 // with PearsonRnd, through Handler().ServeHTTP, at the measured count
-// (72.0 on Go 1.24; 82-83 before each model kept its answer). A
-// -memprofilerate 1 profile of the measured requests attributes 64:
-//   - 19 in the predictor, on the worker goroutine: 6 for the sync.Map
-//     dataset and model lookups (each boxes its key and offers a fresh
-//     cell), 9 for its spans and their attributes, 1 servedModel, 1
-//     Prediction and 2 more in PredictUC1;
+// (66.0 on Go 1.24; 72.0 before a hit read its dataset and model slot
+// without allocating, 82-83 before each model kept its answer). A
+// -memprofilerate 1 profile of the measured requests attributes 58:
+//   - 12 in the predictor, on the worker goroutine: 9 for its spans
+//     and their attributes, 1 Prediction and 2 more in PredictUC1; the
+//     sync.Map dataset and model-slot lookups allocate nothing on a hit;
 //   - 14 encoding the response, 12 of them reflect copies of the
 //     quantile map's keys and values;
 //   - 10 for the summaries: the response and its measured block 3,
 //     the quantile map 3, the histogram 4;
-//   - 13 in the rest of the handler: the body read and its
+//   - 14 in the rest of the handler: the body read and its
 //     MaxBytesReader, the decoded strings, the deadline context and
-//     its timer, and the worker goroutine's closure and channel;
+//     its timer, and onWorker's work closure, goroutine closure and
+//     channel;
 //   - 8 in the instrumenting middleware: the root span, its context
 //     and the request copy that carries it, and the route metrics.
 //
 // The other 8 do not appear in the profile.
-const warmUC1RequestAllocBudget = 72
+const warmUC1RequestAllocBudget = 66
 
 // discardWriter is a reusable http.ResponseWriter that keeps only the
 // status, so a measured request counts the handler's allocations and

@@ -76,7 +76,7 @@ const maxQueueWait = time.Second
 // otherwise queueing up to maxQueueWait (but never past the request
 // deadline). It writes the 503/504/499 response itself on failure and
 // reports whether the slot was acquired.
-func (s *Server) acquireWorker(ctx context.Context, w http.ResponseWriter, phase string) bool {
+func (s *Server) acquireWorker(ctx context.Context, w http.ResponseWriter) bool {
 	select {
 	case s.sem <- struct{}{}:
 		return true
@@ -89,12 +89,47 @@ func (s *Server) acquireWorker(ctx context.Context, w http.ResponseWriter, phase
 	case s.sem <- struct{}{}:
 		return true
 	case <-ctx.Done():
-		writeTimeout(ctx, w, phase)
+		writeTimeout(ctx, w, "waiting for a worker")
 		return false
 	case <-queue.C:
 		setRetryAfter(w, maxQueueWait)
 		writeError(w, http.StatusServiceUnavailable, "worker pool saturated; retry later")
 		return false
+	}
+}
+
+// onWorker runs fn on a worker slot under ctx and returns its result.
+// When it reports false it has already written the response:
+// acquireWorker's 503/504/499 when no slot frees up, 504/499 when ctx
+// ends before fn returns (fn then finishes in the background and frees
+// its slot), or fn's error through writePredictError. phase names the
+// work in a timeout's message.
+func onWorker[T any](ctx context.Context, s *Server, w http.ResponseWriter, phase string, fn func() (T, error)) (T, bool) {
+	var zero T
+	if !s.acquireWorker(ctx, w) {
+		return zero, false
+	}
+	type outcome struct {
+		v   T
+		err error
+	}
+	done := make(chan outcome, 1)
+	//lint:allow goroutinecheck request-scoped worker already holds a pool slot (s.sem); freeing it is this goroutine's job
+	go func() {
+		defer func() { <-s.sem }()
+		v, err := fn()
+		done <- outcome{v, err}
+	}()
+	select {
+	case <-ctx.Done():
+		writeTimeout(ctx, w, phase)
+		return zero, false
+	case out := <-done:
+		if out.err != nil {
+			writePredictError(w, out.err)
+			return zero, false
+		}
+		return out.v, true
 	}
 }
 
@@ -132,46 +167,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, useCase i
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
+	req.Seed = requestSeed(req.Seed)
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-
-	// Bounded worker pool: take a slot, queueing briefly under
-	// saturation and shedding with 503 + Retry-After past that.
-	if !s.acquireWorker(ctx, w, "waiting for a worker") {
+	pred, ok := onWorker(ctx, s, w, "prediction", func() (*core.Prediction, error) {
+		return s.predict(ctx, &req, useCase, model, rep)
+	})
+	if !ok {
 		return
 	}
-
-	type outcome struct {
-		pred *core.Prediction
-		err  error
-	}
-	done := make(chan outcome, 1)
-	//lint:allow goroutinecheck request-scoped worker already holds a pool slot (s.sem); freeing it is this goroutine's job
-	go func() {
-		defer func() { <-s.sem }()
-		p, err := s.predict(ctx, &req, useCase, model, rep)
-		done <- outcome{p, err}
-	}()
-
-	select {
-	case <-ctx.Done():
-		// The worker goroutine finishes in the background and frees its
-		// slot; we just stop waiting for it.
-		writeTimeout(ctx, w, "prediction")
-		return
-	case out := <-done:
-		if out.err != nil {
-			writePredictError(w, out.err)
-			return
-		}
-		resp := buildResponse(&req, useCase, out.pred)
-		resp.ElapsedMS = float64(clock.Since(start)) / float64(time.Millisecond)
-		writeJSON(w, http.StatusOK, resp)
-	}
+	resp := buildResponse(&req, useCase, pred)
+	resp.ElapsedMS = float64(clock.Since(start)) / float64(time.Millisecond)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleUC1Batch predicts many raw probe profiles in one request: all
@@ -215,13 +223,8 @@ func (s *Server) handleUC1Batch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
-	cfg := core.UC1Config{Rep: rep, Model: model, NumSamples: req.Samples, Bins: req.Bins, Seed: req.Seed}
-	if cfg.NumSamples <= 0 {
-		cfg.NumSamples = 10 // the paper's profile budget
-	}
+	req.Seed = requestSeed(req.Seed)
+	cfg := uc1Config(rep, model, req.Samples, req.Bins, req.Seed)
 	probes := make([][]perfsim.Run, len(req.Profiles))
 	for i, prs := range req.Profiles {
 		probes[i] = toRuns(prs)
@@ -229,50 +232,31 @@ func (s *Server) handleUC1Batch(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	if !s.acquireWorker(ctx, w, "waiting for a worker") {
+	preds, ok := onWorker(ctx, s, w, "batch prediction", func() ([]*core.Prediction, error) {
+		return s.pred.PredictUC1ProfileBatch(ctx, req.System, probes, req.N, cfg)
+	})
+	if !ok {
 		return
 	}
-
-	type outcome struct {
-		preds []*core.Prediction
-		err   error
+	resp := &BatchPredictResponse{
+		UseCase:        1,
+		System:         req.System,
+		Model:          model.String(),
+		Representation: rep.String(),
+		Seed:           req.Seed,
+		Count:          len(preds),
+		Cache:          "miss",
 	}
-	done := make(chan outcome, 1)
-	//lint:allow goroutinecheck request-scoped worker already holds a pool slot (s.sem); freeing it is this goroutine's job
-	go func() {
-		defer func() { <-s.sem }()
-		preds, err := s.pred.PredictUC1ProfileBatch(ctx, req.System, probes, req.N, cfg)
-		done <- outcome{preds, err}
-	}()
-
-	select {
-	case <-ctx.Done():
-		writeTimeout(ctx, w, "batch prediction")
-	case out := <-done:
-		if out.err != nil {
-			writePredictError(w, out.err)
-			return
-		}
-		resp := &BatchPredictResponse{
-			UseCase:        1,
-			System:         req.System,
-			Model:          model.String(),
-			Representation: rep.String(),
-			Seed:           req.Seed,
-			Count:          len(out.preds),
-			Cache:          "miss",
-		}
-		if out.preds[0].CacheHit {
-			resp.Cache = "hit"
-		}
-		resp.Degraded = out.preds[0].Degraded
-		resp.Fallback = out.preds[0].Fallback
-		for _, p := range out.preds {
-			resp.Results = append(resp.Results, summarize(p.Predicted, core.NewSampleSummary(p.Predicted), req.Bins))
-		}
-		resp.ElapsedMS = float64(clock.Since(start)) / float64(time.Millisecond)
-		writeJSON(w, http.StatusOK, resp)
+	if preds[0].CacheHit {
+		resp.Cache = "hit"
 	}
+	resp.Degraded = preds[0].Degraded
+	resp.Fallback = preds[0].Fallback
+	for _, p := range preds {
+		resp.Results = append(resp.Results, summarize(p.Predicted, core.NewSampleSummary(p.Predicted), req.Bins))
+	}
+	resp.ElapsedMS = float64(clock.Since(start)) / float64(time.Millisecond)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // predict dispatches to the cached predictor. ctx carries the request
@@ -281,10 +265,7 @@ func (s *Server) handleUC1Batch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) predict(ctx context.Context, req *PredictRequest, useCase int, model core.Model, rep distrep.Kind) (*core.Prediction, error) {
 	switch useCase {
 	case 1:
-		cfg := core.UC1Config{Rep: rep, Model: model, NumSamples: req.Samples, Bins: req.Bins, Seed: req.Seed}
-		if cfg.NumSamples <= 0 {
-			cfg.NumSamples = 10 // the paper's profile budget
-		}
+		cfg := uc1Config(rep, model, req.Samples, req.Bins, req.Seed)
 		if req.Benchmark != "" {
 			return s.pred.PredictUC1(ctx, req.System, req.Benchmark, cfg)
 		}
@@ -296,6 +277,25 @@ func (s *Server) predict(ctx context.Context, req *PredictRequest, useCase int, 
 		}
 		return s.pred.PredictUC2Profile(ctx, req.Source, req.Target, req.probeRuns(), req.SourceRelTimes, req.N, cfg)
 	}
+}
+
+// requestSeed is the seed a request asks for: 1 when it leaves the
+// seed zero.
+func requestSeed(seed uint64) uint64 {
+	if seed == 0 {
+		return 1
+	}
+	return seed
+}
+
+// uc1Config is the UC1 configuration a request asks for: a profile of
+// samples runs, the paper's budget of 10 when it leaves samples zero or
+// negative.
+func uc1Config(rep distrep.Kind, model core.Model, samples, bins int, seed uint64) core.UC1Config {
+	if samples <= 0 {
+		samples = 10
+	}
+	return core.UC1Config{Rep: rep, Model: model, NumSamples: samples, Bins: bins, Seed: seed}
 }
 
 // validateRequest enforces the per-use-case field contract.
