@@ -738,7 +738,7 @@ func (p *Predictor) PredictUC1Profile(ctx context.Context, system string, probe 
 	if err != nil {
 		return nil, err
 	}
-	prof, err := buildProfile(probe, sd.MetricNames, cfg.FeatureMeanOnly)
+	values, err := features.AppendValues(nil, probe, len(sd.MetricNames), cfg.FeatureMeanOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -748,7 +748,7 @@ func (p *Predictor) PredictUC1Profile(ctx context.Context, system string, probe 
 		return nil, err
 	}
 	annotateServed(span, m)
-	return p.decodeProfile(ctx, m, prof.Values, n, cfg.Seed)
+	return p.decodeProfile(ctx, m, values, n, cfg.Seed)
 }
 
 // PredictUC2Profile predicts a distribution on the target system from
@@ -769,7 +769,7 @@ func (p *Predictor) PredictUC2Profile(ctx context.Context, src, dst string, prob
 	if len(srcRelTimes) < 2 {
 		return nil, fmt.Errorf("core: UC2 profile needs >= 2 source relative times, got %d", len(srcRelTimes))
 	}
-	prof, err := buildProfile(probe, srcSys.MetricNames, false)
+	values, err := features.AppendValues(nil, probe, len(srcSys.MetricNames), false)
 	if err != nil {
 		return nil, err
 	}
@@ -779,15 +779,7 @@ func (p *Predictor) PredictUC2Profile(ctx context.Context, src, dst string, prob
 		return nil, err
 	}
 	annotateServed(span, m)
-	input := features.Concat(prof, features.Labeled("src-dist", m.data.rep.Encode(srcRelTimes)))
-	return p.decodeProfile(ctx, m, input.Values, n, cfg.Seed)
-}
-
-func buildProfile(probe []perfsim.Run, metricNames []string, meanOnly bool) (*features.Profile, error) {
-	if meanOnly {
-		return features.MeanOnly(probe, metricNames)
-	}
-	return features.FromRuns(probe, metricNames)
+	return p.decodeProfile(ctx, m, append(values, m.data.rep.Encode(srcRelTimes)...), n, cfg.Seed)
 }
 
 func (p *Predictor) decodeProfile(ctx context.Context, m servedModel, input []float64, n int, seed uint64) (*Prediction, error) {
@@ -835,14 +827,14 @@ func (p *Predictor) PredictUC1ProfileBatch(ctx context.Context, system string, p
 	want := len(m.data.dataset.X[0])
 	rows := make([][]float64, len(probes))
 	for i, probe := range probes {
-		prof, err := buildProfile(probe, sd.MetricNames, cfg.FeatureMeanOnly)
+		values, err := features.AppendValues(nil, probe, len(sd.MetricNames), cfg.FeatureMeanOnly)
 		if err != nil {
 			return nil, fmt.Errorf("core: profile %d: %w", i, err)
 		}
-		if len(prof.Values) != want {
-			return nil, fmt.Errorf("core: profile %d has %d features, model expects %d", i, len(prof.Values), want)
+		if len(values) != want {
+			return nil, fmt.Errorf("core: profile %d has %d features, model expects %d", i, len(values), want)
 		}
-		rows[i] = prof.Values
+		rows[i] = values
 	}
 	n = p.sampleCount(n)
 	// Models with the allocation-free batch kernel score into a pooled

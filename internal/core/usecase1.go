@@ -150,23 +150,17 @@ func buildUC1(sd *measure.SystemData, cfg UC1Config, validate validateFunc) (*uc
 			// profile from every surviving probe run rather than failing.
 			window = len(b.ProbeRuns)
 		}
-		probe := b.ProbeRuns[:window]
-		var prof *features.Profile
-		if cfg.FeatureMeanOnly {
-			prof, err = features.MeanOnly(probe, sd.MetricNames)
-		} else {
-			prof, err = features.FromRuns(probe, sd.MetricNames)
-		}
+		values, err := features.AppendValues(nil, b.ProbeRuns[:window], len(sd.MetricNames), cfg.FeatureMeanOnly)
 		if err != nil {
 			return nil, fmt.Errorf("core: profile of %s: %w", id, err)
 		}
 		rel := b.RelTimes()
-		d.dataset.X = append(d.dataset.X, prof.Values)
+		d.dataset.X = append(d.dataset.X, values)
 		d.dataset.Y = append(d.dataset.Y, rep.Encode(rel))
 		d.rel = append(d.rel, rel)
 		d.ids = append(d.ids, id)
 		if d.dataset.FeatureNames == nil {
-			d.dataset.FeatureNames = prof.Names
+			d.dataset.FeatureNames = features.Names(sd.MetricNames, cfg.FeatureMeanOnly)
 		}
 	}
 	if len(d.ids) < 2 {

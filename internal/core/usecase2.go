@@ -86,19 +86,20 @@ func buildUC2(src, dst *measure.SystemData, cfg UC2Config, validate validateFunc
 		if n > len(sb.Runs) {
 			n = len(sb.Runs)
 		}
-		prof, err := features.FromRuns(sb.Runs[:n], src.MetricNames)
+		values := make([]float64, 0, 4*len(src.MetricNames)+rep.Dim())
+		values, err := features.AppendValues(values, sb.Runs[:n], len(src.MetricNames), false)
 		if err != nil {
 			return nil, fmt.Errorf("core: source profile of %s: %w", id, err)
 		}
-		srcRel := sb.RelTimes()
-		input := features.Concat(prof, features.Labeled("src-dist", rep.Encode(srcRel)))
+		encoded := rep.Encode(sb.RelTimes())
+		input := append(values, encoded...)
 		dstRel := db.RelTimes()
-		d.dataset.X = append(d.dataset.X, input.Values)
+		d.dataset.X = append(d.dataset.X, input)
 		d.dataset.Y = append(d.dataset.Y, rep.Encode(dstRel))
 		d.rel = append(d.rel, dstRel)
 		d.ids = append(d.ids, id)
 		if d.dataset.FeatureNames == nil {
-			d.dataset.FeatureNames = input.Names
+			d.dataset.FeatureNames = append(features.Names(src.MetricNames, false), features.LabeledNames("src-dist", len(encoded))...)
 		}
 	}
 	if len(d.ids) < 2 {

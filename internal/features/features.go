@@ -7,6 +7,7 @@ package features
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/perfsim"
 	"repro/internal/stats"
@@ -27,78 +28,84 @@ type Profile struct {
 // run the std/skew/kurt moments are degenerate (0/0/3) but retained so
 // the feature layout is identical for every sample count.
 func FromRuns(runs []perfsim.Run, metricNames []string) (*Profile, error) {
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("features: no runs")
-	}
-	nm := len(metricNames)
-	for i, r := range runs {
-		if len(r.Metrics) != nm {
-			return nil, fmt.Errorf("features: run %d has %d metrics, schema has %d", i, len(r.Metrics), nm)
-		}
-		if r.Seconds <= 0 {
-			return nil, fmt.Errorf("features: run %d has non-positive duration %v", i, r.Seconds)
-		}
-	}
-	p := &Profile{
-		Values: make([]float64, 0, nm*4),
-		Names:  make([]string, 0, nm*4),
-	}
-	perSec := make([]float64, len(runs))
-	for m := 0; m < nm; m++ {
-		for ri, r := range runs {
-			perSec[ri] = r.Metrics[m] / r.Seconds
-		}
-		mom := stats.ComputeMoments4(perSec)
-		p.Values = append(p.Values, mom.Mean, mom.Std, mom.Skew, mom.Kurt)
-		p.Names = append(p.Names,
-			metricNames[m]+"/sec:mean",
-			metricNames[m]+"/sec:std",
-			metricNames[m]+"/sec:skew",
-			metricNames[m]+"/sec:kurt",
-		)
-	}
-	return p, nil
+	return profile(runs, metricNames, false)
 }
 
 // MeanOnly builds the reduced profile used by the feature-moments
 // ablation: just the mean per-second value of each metric.
 func MeanOnly(runs []perfsim.Run, metricNames []string) (*Profile, error) {
-	full, err := FromRuns(runs, metricNames)
+	return profile(runs, metricNames, true)
+}
+
+func profile(runs []perfsim.Run, metricNames []string, meanOnly bool) (*Profile, error) {
+	values, err := AppendValues(nil, runs, len(metricNames), meanOnly)
 	if err != nil {
 		return nil, err
 	}
-	nm := len(metricNames)
-	p := &Profile{
-		Values: make([]float64, nm),
-		Names:  make([]string, nm),
-	}
-	for m := 0; m < nm; m++ {
-		p.Values[m] = full.Values[m*4]
-		p.Names[m] = full.Names[m*4]
-	}
-	return p, nil
+	return &Profile{Values: values, Names: Names(metricNames, meanOnly)}, nil
 }
 
-// Concat joins profiles (used by use case 2 to append the source-system
-// distribution representation to the source-system profile).
-func Concat(profiles ...*Profile) *Profile {
-	out := &Profile{}
-	for _, p := range profiles {
-		out.Values = append(out.Values, p.Values...)
-		out.Names = append(out.Names, p.Names...)
+// AppendValues appends the profile of runs, over a schema of
+// numMetrics metrics, to dst and returns the extended slice: the four
+// moments of each metric per second (FromRuns' layout), or with
+// meanOnly the means alone (MeanOnly's). Names gives the matching
+// feature names, which depend on the schema alone.
+func AppendValues(dst []float64, runs []perfsim.Run, numMetrics int, meanOnly bool) ([]float64, error) {
+	if len(runs) == 0 {
+		return dst, fmt.Errorf("features: no runs")
 	}
-	return out
+	for i, r := range runs {
+		if len(r.Metrics) != numMetrics {
+			return dst, fmt.Errorf("features: run %d has %d metrics, schema has %d", i, len(r.Metrics), numMetrics)
+		}
+		if r.Seconds <= 0 {
+			return dst, fmt.Errorf("features: run %d has non-positive duration %v", i, r.Seconds)
+		}
+	}
+	width := 4
+	if meanOnly {
+		width = 1
+	}
+	dst = slices.Grow(dst, width*numMetrics)
+	perSec := make([]float64, len(runs))
+	for m := 0; m < numMetrics; m++ {
+		for ri, r := range runs {
+			perSec[ri] = r.Metrics[m] / r.Seconds
+		}
+		mom := stats.ComputeMoments4(perSec)
+		if meanOnly {
+			dst = append(dst, mom.Mean)
+		} else {
+			dst = append(dst, mom.Mean, mom.Std, mom.Skew, mom.Kurt)
+		}
+	}
+	return dst, nil
 }
 
-// Labeled wraps a raw vector as a profile with a name prefix, for
-// concatenating non-metric features (e.g. distribution representations).
-func Labeled(prefix string, values []float64) *Profile {
-	p := &Profile{
-		Values: append([]float64(nil), values...),
-		Names:  make([]string, len(values)),
+// Names returns the feature names of AppendValues' layout over the
+// schema metricNames.
+func Names(metricNames []string, meanOnly bool) []string {
+	if meanOnly {
+		names := make([]string, len(metricNames))
+		for m, name := range metricNames {
+			names[m] = name + "/sec:mean"
+		}
+		return names
 	}
-	for i := range values {
-		p.Names[i] = fmt.Sprintf("%s[%d]", prefix, i)
+	names := make([]string, 0, 4*len(metricNames))
+	for _, name := range metricNames {
+		names = append(names, name+"/sec:mean", name+"/sec:std", name+"/sec:skew", name+"/sec:kurt")
 	}
-	return p
+	return names
+}
+
+// LabeledNames names n non-metric features prefix[0] … prefix[n-1],
+// for vectors appended to a profile (use case 2 appends the source
+// system's distribution representation).
+func LabeledNames(prefix string, n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("%s[%d]", prefix, i)
+	}
+	return names
 }

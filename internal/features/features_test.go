@@ -104,22 +104,42 @@ func TestMeanOnly(t *testing.T) {
 	}
 }
 
-func TestConcatAndLabeled(t *testing.T) {
-	a := Labeled("rep", []float64{1, 2})
-	b := Labeled("extra", []float64{3})
-	c := Concat(a, b)
-	if len(c.Values) != 3 || c.Values[2] != 3 {
-		t.Errorf("Concat values = %v", c.Values)
+func TestLabeledNames(t *testing.T) {
+	got := LabeledNames("src-dist", 3)
+	if len(got) != 3 || got[0] != "src-dist[0]" || got[2] != "src-dist[2]" {
+		t.Errorf("LabeledNames = %v", got)
 	}
-	if c.Names[0] != "rep[0]" || c.Names[2] != "extra[0]" {
-		t.Errorf("Concat names = %v", c.Names)
+	if len(LabeledNames("x", 0)) != 0 {
+		t.Error("LabeledNames of no features is not empty")
 	}
-	// Labeled must copy, not alias.
-	src := []float64{9}
-	l := Labeled("x", src)
-	src[0] = 0
-	if l.Values[0] != 9 {
-		t.Error("Labeled aliased its input")
+}
+
+// TestAppendValuesMatchesProfile checks that the caller-owned values
+// buffer receives exactly the profile's values after what it already
+// holds, in both layouts, and that Names matches the profile's names.
+func TestAppendValuesMatchesProfile(t *testing.T) {
+	runs, names := sampleRuns(t, 10)
+	for _, meanOnly := range []bool{false, true} {
+		p, err := profile(runs, names, meanOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := []float64{7, 8}
+		got, err := AppendValues(head, runs, len(names), meanOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2+len(p.Values) || got[0] != 7 || got[1] != 8 {
+			t.Fatalf("meanOnly=%v: AppendValues kept %v of the buffer, %d values", meanOnly, got[:2], len(got)-2)
+		}
+		for i, v := range p.Values {
+			if math.Float64bits(got[2+i]) != math.Float64bits(v) {
+				t.Fatalf("meanOnly=%v: value %d = %v, profile %v", meanOnly, i, got[2+i], v)
+			}
+		}
+		if n := Names(names, meanOnly); len(n) != len(p.Values) || n[0] != names[0]+"/sec:mean" {
+			t.Fatalf("meanOnly=%v: %d names for %d values, first %q", meanOnly, len(n), len(p.Values), n[0])
+		}
 	}
 }
 

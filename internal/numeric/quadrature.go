@@ -3,6 +3,7 @@ package numeric
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // GaussLegendre returns the nodes and weights of the n-point
@@ -10,17 +11,50 @@ import (
 //
 // Nodes are computed by Newton iteration on the Legendre polynomial using
 // the Chebyshev-point initial guess; this is accurate to machine precision
-// for the rule sizes used in this repository (n ≤ a few hundred).
+// for the rule sizes used in this repository (n ≤ a few hundred). The
+// roots on [-1, 1] depend on n alone, so each n solves them once and
+// later calls only map them to [a, b].
 func GaussLegendre(n int, a, b float64) (nodes, weights []float64) {
 	if n < 1 {
 		panic(fmt.Sprintf("numeric: GaussLegendre needs n >= 1, got %d", n))
 	}
+	roots := legendreRootsFor(n)
 	nodes = make([]float64, n)
 	weights = make([]float64, n)
-	m := (n + 1) / 2
 	xm := 0.5 * (b + a)
 	xl := 0.5 * (b - a)
-	for i := 0; i < m; i++ {
+	for i, r := range roots {
+		z, pp := r.z, r.pp
+		nodes[i] = xm - xl*z
+		nodes[n-1-i] = xm + xl*z
+		w := 2 * xl / ((1 - z*z) * pp * pp)
+		weights[i] = w
+		weights[n-1-i] = w
+	}
+	return nodes, weights
+}
+
+// legendreRoot is one non-negative root z of the degree-n Legendre
+// polynomial P_n and P_n'(z).
+type legendreRoot struct{ z, pp float64 }
+
+var legendreRoots sync.Map // n → []legendreRoot
+
+// legendreRootsFor returns the (n+1)/2 non-negative roots of P_n in
+// decreasing order, solving them on first use.
+func legendreRootsFor(n int) []legendreRoot {
+	if r, ok := legendreRoots.Load(n); ok {
+		return r.([]legendreRoot)
+	}
+	r, _ := legendreRoots.LoadOrStore(n, solveLegendreRoots(n))
+	return r.([]legendreRoot)
+}
+
+// solveLegendreRoots finds the non-negative roots of P_n by Newton
+// iteration from the Chebyshev points.
+func solveLegendreRoots(n int) []legendreRoot {
+	roots := make([]legendreRoot, (n+1)/2)
+	for i := range roots {
 		// Initial guess: Chebyshev points.
 		z := math.Cos(math.Pi * (float64(i) + 0.75) / (float64(n) + 0.5))
 		var pp float64
@@ -38,13 +72,9 @@ func GaussLegendre(n int, a, b float64) (nodes, weights []float64) {
 				break
 			}
 		}
-		nodes[i] = xm - xl*z
-		nodes[n-1-i] = xm + xl*z
-		w := 2 * xl / ((1 - z*z) * pp * pp)
-		weights[i] = w
-		weights[n-1-i] = w
+		roots[i] = legendreRoot{z, pp}
 	}
-	return nodes, weights
+	return roots
 }
 
 // Simpson integrates f on [a, b] with n subintervals (n is rounded up to

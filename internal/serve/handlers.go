@@ -402,9 +402,9 @@ var quantileProbs = func() []float64 {
 }()
 
 // quantileMap renders the named quantiles of a sorted sample.
-func quantileMap(sorted []float64) map[string]float64 {
+func quantileMap(sorted []float64) Quantiles {
 	vals := stats.QuantilesSorted(sorted, quantileProbs)
-	out := make(map[string]float64, len(quantilePoints))
+	out := make(Quantiles, len(quantilePoints))
 	for i, p := range quantilePoints {
 		out[p.name] = vals[i]
 	}

@@ -24,7 +24,7 @@ var (
 
 // testCampaign collects a reduced campaign (16 benchmarks, 2 systems)
 // shared across the package's tests.
-func testCampaign(t *testing.T) *measure.Database {
+func testCampaign(t testing.TB) *measure.Database {
 	t.Helper()
 	testDBOnce.Do(func() {
 		db, err := measure.Collect(

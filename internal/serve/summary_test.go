@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/distrep"
@@ -159,5 +160,89 @@ func BenchmarkBuildResponse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = buildResponse(req, 1, p)
+	}
+}
+
+// TestQuantilesEncodingMatchesMap byte-compares Quantiles' encoding with
+// encoding/json's for the same map[string]float64, alone and inside a
+// response, over values of every magnitude json formats differently.
+func TestQuantilesEncodingMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	values := []float64{0, math.Copysign(0, -1), 1, -1, 1e-7, -1e-7, 1e-6, 9.999999e-7, 1e21, 1e20, -3e-300,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, 0.1, 1.0000000000000002, 123456789.125}
+	maps := []map[string]float64{nil, {}, {"p50": 1}}
+	for i := 0; i < 200; i++ {
+		m := make(map[string]float64, len(quantilePoints))
+		for _, p := range quantilePoints {
+			if i%2 == 0 {
+				m[p.name] = values[rng.IntN(len(values))]
+			} else {
+				m[p.name] = (rng.NormFloat64() + 1) * math.Pow(10, float64(rng.IntN(40)-20))
+			}
+		}
+		maps = append(maps, m)
+	}
+	maps = append(maps, map[string]float64{"a<b": 1, "é": 2, "p1": math.NaN()}, map[string]float64{"x\"y": 3})
+	for _, m := range maps {
+		want, wantErr := json.Marshal(m)
+		got, gotErr := json.Marshal(Quantiles(m))
+		if (wantErr != nil) != (gotErr != nil) || string(got) != string(want) {
+			t.Fatalf("map %v: Quantiles encodes %s (%v), encoding/json %s (%v)", m, got, gotErr, want, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		resp := PredictResponse{Model: "kNN", Histogram: &HistogramJSON{}}
+		empty, _ := json.Marshal(resp)
+		resp.Quantiles = m
+		got, _ = json.Marshal(resp)
+		if want := strings.Replace(string(empty), `"quantiles":null`, `"quantiles":`+string(want), 1); string(got) != want {
+			t.Fatalf("response: %s, with encoding/json's map %s", got, want)
+		}
+	}
+}
+
+// BenchmarkServeUC1ProfileWarm sends warm raw-profile UC1 requests
+// through the real handler, cycling over the nine model × decoder
+// cells, each decoding 1,000 samples as the paper-scale service does:
+// the whole request from the body read to the encoded response.
+func BenchmarkServeUC1ProfileWarm(b *testing.B) {
+	db := testCampaign(b)
+	s := New(db, Config{Workers: 2, RequestTimeout: time.Minute})
+	h := s.Handler()
+	sd := db.Systems[0]
+	type cell struct {
+		req  *http.Request
+		body *strings.Reader
+	}
+	var cells []cell
+	for _, model := range []string{"knn", "rf", "xgboost"} {
+		for _, rep := range []string{"pearsonrnd", "histogram", "pymaxent"} {
+			for i := range 4 {
+				probe := benchProbeRuns(db, sd.SystemName, sd.Benchmarks[i].Workload.ID(), 1)[:10]
+				body := strings.NewReader(string(mustMarshal(&PredictRequest{
+					System: sd.SystemName, ProbeRuns: probe, Model: model, Representation: rep, N: 1000,
+				})))
+				c := cell{req: httptest.NewRequest(http.MethodPost, "/v1/predict/uc1", body), body: body}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, c.req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("%s/%s: %d %s", model, rep, rec.Code, rec.Body.String())
+				}
+				cells = append(cells, c)
+			}
+		}
+	}
+	w := &discardWriter{header: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := cells[i%len(cells)]
+		c.body.Seek(0, 0)
+		w.code = 0
+		h.ServeHTTP(w, c.req)
+		if w.code != http.StatusOK {
+			b.Fatalf("request answered %d", w.code)
+		}
 	}
 }

@@ -1,6 +1,13 @@
 package serve
 
-import "repro/internal/perfsim"
+import (
+	"encoding/json"
+	"math"
+	"slices"
+	"strconv"
+
+	"repro/internal/perfsim"
+)
 
 // ProbeRun is one caller-supplied probe execution: wall time plus raw
 // perf-counter totals aligned with the system's metric schema (exactly
@@ -73,11 +80,11 @@ type BatchPredictRequest struct {
 
 // BatchResultJSON summarizes one profile's predicted distribution.
 type BatchResultJSON struct {
-	N         int                `json:"n"`
-	Quantiles map[string]float64 `json:"quantiles"`
-	Histogram *HistogramJSON     `json:"histogram"`
-	Moments   MomentsJSON        `json:"moments"`
-	Modes     int                `json:"modes"`
+	N         int            `json:"n"`
+	Quantiles Quantiles      `json:"quantiles"`
+	Histogram *HistogramJSON `json:"histogram"`
+	Moments   MomentsJSON    `json:"moments"`
+	Modes     int            `json:"modes"`
 }
 
 // BatchPredictResponse is the JSON body of a successful batch
@@ -97,6 +104,70 @@ type BatchPredictResponse struct {
 	// served by one model, so they apply to every result.
 	Degraded bool   `json:"degraded,omitempty"`
 	Fallback string `json:"fallback,omitempty"`
+}
+
+// Quantiles maps a quantile's name ("p1" … "p99") to its value. It
+// encodes to the bytes encoding/json writes for the same map (keys
+// sorted, floats in encoding/json's format) without the map encoder's
+// reflection, which costs a dozen allocations per response.
+type Quantiles map[string]float64
+
+// MarshalJSON implements json.Marshaler. Maps with more than 16 keys,
+// keys that need escaping, or non-finite values take encoding/json's
+// own path.
+func (q Quantiles) MarshalJSON() ([]byte, error) {
+	if q == nil {
+		return []byte("null"), nil
+	}
+	var arr [16]string
+	keys := arr[:0]
+	for k, v := range q {
+		if len(keys) == len(arr) || !plainKey(k) || math.IsNaN(v) || math.IsInf(v, 0) {
+			return json.Marshal(map[string]float64(q))
+		}
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b := make([]byte, 0, 2+32*len(keys))
+	b = append(b, '{')
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		b = append(b, k...)
+		b = append(b, '"', ':')
+		b = appendJSONFloat(b, q[k])
+	}
+	return append(b, '}'), nil
+}
+
+// plainKey reports whether k encodes as a JSON string without escapes.
+func plainKey(k string) bool {
+	for i := 0; i < len(k); i++ {
+		if c := k[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
+
+// appendJSONFloat appends a finite f as encoding/json formats a
+// float64: the shortest representation, in exponent form below 1e-6
+// or from 1e21 on, with a one-digit negative exponent unpadded.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // HistogramJSON is a fixed-support histogram of the predicted sample.
@@ -134,10 +205,10 @@ type PredictResponse struct {
 	Seed           uint64 `json:"seed"`
 	N              int    `json:"n"`
 
-	Quantiles map[string]float64 `json:"quantiles"`
-	Histogram *HistogramJSON     `json:"histogram"`
-	Moments   MomentsJSON        `json:"moments"`
-	Modes     int                `json:"modes"`
+	Quantiles Quantiles      `json:"quantiles"`
+	Histogram *HistogramJSON `json:"histogram"`
+	Moments   MomentsJSON    `json:"moments"`
+	Modes     int            `json:"modes"`
 
 	// KSVsMeasured and W1VsMeasured score the prediction against the
 	// measured ground truth; present only for Benchmark requests.

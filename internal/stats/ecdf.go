@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"sort"
+	"sync"
 )
 
 // ECDF is an empirical cumulative distribution function built from a
@@ -16,10 +17,90 @@ type ECDF struct {
 // that needs order statistics. A caller that needs several of them on
 // the same sample sorts once with SortedCopy and calls the *Sorted
 // cores.
+//
+// Samples of radixMin values or more are radix-sorted; the result's
+// bits equal sort.Float64s' on every input, because a sample holding a
+// NaN or a -0, the only values whose order among equals sort.Float64s
+// leaves to its algorithm, goes to sort.Float64s.
 func SortedCopy(xs []float64) []float64 {
 	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	if len(s) < radixMin || !radixSort(s) {
+		sort.Float64s(s)
+	}
 	return s
+}
+
+// radixMin is the sample size from which SortedCopy radix-sorts; below
+// it the counting passes cost more than a comparison sort.
+const radixMin = 64
+
+// radixScratch holds one radix sort's buffers, drawn from radixPool so
+// that a warm sort allocates nothing beyond its result.
+type radixScratch struct {
+	keys  []uint64
+	count [radixPasses][1 << radixBits]uint32
+}
+
+// The radix sort reads radixBits bits a pass, in radixPasses passes.
+const (
+	radixBits   = 11
+	radixPasses = 6
+)
+
+var radixPool = sync.Pool{New: func() any { return new(radixScratch) }}
+
+// radixSort sorts xs ascending by an LSD radix sort, radixBits a pass,
+// on keys that order like the floats: the sign bit flipped for
+// non-negative values, every bit flipped for negative ones. A digit
+// that is the same in every key costs no pass. It returns false,
+// with xs untouched, when xs holds a NaN or a -0.
+func radixSort(xs []float64) bool {
+	n := len(xs)
+	r := radixPool.Get().(*radixScratch)
+	defer radixPool.Put(r)
+	if cap(r.keys) < 2*n {
+		r.keys = make([]uint64, 2*n)
+	}
+	src, dst := r.keys[:n], r.keys[n:2*n]
+	count := &r.count
+	*count = [radixPasses][1 << radixBits]uint32{}
+	const mask = 1<<radixBits - 1
+	for i, x := range xs {
+		b := math.Float64bits(x)
+		if x != x || b == 1<<63 {
+			return false
+		}
+		k := b ^ (uint64(int64(b)>>63) | 1<<63)
+		src[i] = k
+		count[0][k&mask]++
+		count[1][k>>radixBits&mask]++
+		count[2][k>>(2*radixBits)&mask]++
+		count[3][k>>(3*radixBits)&mask]++
+		count[4][k>>(4*radixBits)&mask]++
+		count[5][k>>(5*radixBits)]++
+	}
+	for p := range count {
+		c := &count[p]
+		shift := uint(radixBits * p)
+		if int(c[src[0]>>shift&mask]) == n {
+			continue
+		}
+		var sum uint32
+		for v, m := range c {
+			c[v] = sum
+			sum += m
+		}
+		for _, k := range src {
+			v := k >> shift & mask
+			dst[c[v]] = k
+			c[v]++
+		}
+		src, dst = dst, src
+	}
+	for i, k := range src {
+		xs[i] = math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
+	}
+	return true
 }
 
 // NewECDF builds an empirical CDF from xs (copied and sorted).

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // KDE is a Gaussian kernel density estimate over a sample — the smooth
 // curve representation the paper uses to visualize every performance
@@ -109,7 +106,7 @@ func (k *KDE) Support() (lo, hi float64) {
 }
 
 // kdeCutoff is the half-width, in bandwidths, of the window over which
-// CountModes scatters each sample's kernel.
+// gridDensity scatters each sample's kernel.
 const kdeCutoff = 10
 
 // CountModes estimates the number of modes of the density by evaluating
@@ -118,31 +115,29 @@ const kdeCutoff = 10
 // and by the experiment reports to check that predicted distributions
 // recover multi-modality (one of the paper's qualitative claims).
 //
-// The grid is filled by scattering, not by calling At per point: each
-// sample adds its kernel only to the grid points within ±10 bandwidths
-// of it, so the cost is O(n·w) for a window of w points instead of
-// O(n·gridN). Dropping the tails beyond the cutoff lowers the density
-// at any grid point by at most exp(-50)·φ(0)/h. The grid's end points
-// lie 3 bandwidths outside the extreme samples, so its peak is at
-// least φ(3)/(n·h): the truncation error is at most n·exp(-45.5) ≈
-// n·1.7e-20 of the peak however coarse the grid. The kernel
-// recurrence adds rounding below 1e-13 of the peak. An 8-bandwidth
-// cutoff is not enough: when one far outlier makes the grid see only
-// kernel tails, its error reaches 3e-12 of the peak.
+// The count is defined by the scattered grid gridDensity fills, but
+// CountModes rarely fills it. A certified pass (kdemodes.go) bins the
+// sample onto the grid, convolves the bins with the kernel by FFT, and
+// bounds the estimate's error at every grid point; each comparison the
+// count needs (a point against its neighbours and against the
+// threshold) is decided wherever the intervals separate. The few
+// points left open are summed directly, and when two direct sums lie
+// within 3e-12 of the peak of each other, or the grid step exceeds
+// half a bandwidth, gridDensity fills the grid and decides. The count
+// therefore equals the scattered grid's on every input.
+//
+// The scatter itself adds each sample's kernel only to the grid points
+// within ±10 bandwidths of it, so its cost is O(n·w) for a window of w
+// points instead of O(n·gridN). Dropping the tails beyond the cutoff
+// lowers the density at any grid point by at most exp(-50)·φ(0)/h. The
+// grid's end points lie 3 bandwidths outside the extreme samples, so
+// its peak is at least φ(3)/(n·h): the truncation error is at most
+// n·exp(-45.5) ≈ n·1.7e-20 of the peak however coarse the grid. The
+// kernel recurrence adds rounding below 1e-13 of the peak. An
+// 8-bandwidth cutoff is not enough: when one far outlier makes the
+// grid see only kernel tails, its error reaches 3e-12 of the peak.
 func (k *KDE) CountModes(gridN int, relThreshold float64) int {
-	lo, hi := k.Support()
-	if gridN < 8 {
-		gridN = 8
-	}
-	step := (hi - lo) / float64(gridN-1)
-	ys := k.gridDensity(lo, step, gridN)
-	threshold := relThreshold * slices.Max(ys)
-	modes := 0
-	for i := 1; i < gridN-1; i++ {
-		if ys[i] > ys[i-1] && ys[i] >= ys[i+1] && ys[i] >= threshold {
-			modes++
-		}
-	}
+	modes, _ := k.countModes(gridN, relThreshold)
 	return modes
 }
 
