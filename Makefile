@@ -54,11 +54,12 @@ persistence:
 
 # drift mirrors the CI streaming-ingest shard: windowed drift
 # detection, breaker-guarded background refits, copy-on-write merges,
-# and the measurement ingest handlers, under the race detector and
-# bypassing the test cache.
+# the measurement ingest handlers and ext7's treatment-and-control
+# servers, under the race detector and bypassing the test cache.
 drift:
 	$(GO) test -race -count=1 ./internal/drift/
 	$(GO) test -race -count=1 -run 'Measurements|Drift|Refit|Ingest|BodyCap|Batch' ./internal/serve/ ./internal/core/
+	$(GO) test -race -count=1 -run Drift ./cmd/experiments/
 
 # cluster mirrors the CI sharded-serving shard: consistent-hash ring
 # property tests, router failover under concurrent probe churn with

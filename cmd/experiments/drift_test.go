@@ -10,21 +10,23 @@ import (
 )
 
 // TestDriftExperimentSmoke runs a miniature ext7 end to end through
-// both servers' handlers: every cell of the drifted system must trip
-// on the first evaluated batch (hysteresis 1), the treatment's refits
-// must pull the detector's residual KS below the no-refit control, and
-// the control must keep reading (near-)maximal drift against its stale
-// baseline.
+// both servers' handlers, at the full run's detector and batch shape
+// but with 4 drifted and 2 probe batches: every cell of the drifted
+// system must trip at batch 4, the treatment's refits must pull the
+// detector's residual KS below the no-refit control, and the control
+// must keep reading (near-)maximal drift against its stale baseline.
 func TestDriftExperimentSmoke(t *testing.T) {
+	const batches, probes = 4, 2
+	// One campaign run per streamed run, so the stream never repeats.
 	db, err := measure.Collect(
 		[]*perfsim.System{perfsim.NewIntelSystem(), perfsim.NewAMDSystem()},
 		perfsim.TableI()[:16],
-		measure.Config{Runs: 80, ProbeRuns: 12, Seed: 20250805},
+		measure.Config{Runs: (batches + probes) * driftBatchSize, ProbeRuns: 12, Seed: 20250805},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := driftExperiment(db, drift.Config{WindowSize: 32, MinWindow: 16, Hysteresis: 1, Seed: 7}, 2, 1)
+	res, err := driftExperiment(db, drift.Config{Seed: 7}, batches, probes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,10 +44,11 @@ func TestDriftExperimentSmoke(t *testing.T) {
 	var meanFinal, meanControl float64
 	for _, row := range res.Rows[1:] {
 		cell := row[0]
-		// Fill 16 = MinWindow on batch 1, disjoint support, hysteresis
-		// 1: the first evaluation must trip.
-		if row[1] != "1" {
-			t.Errorf("%s: tripped at batch %s, want 1", cell, row[1])
+		// The window fills to the detector's minimum of 32 at batch 2,
+		// and disjoint support breaches on every evaluation: the third,
+		// at batch 4, trips.
+		if row[1] != "4" {
+			t.Errorf("%s: tripped at batch %s, want 4", cell, row[1])
 		}
 		if num(row[3]) == 0 {
 			t.Errorf("%s: no successful refit recorded", cell)
@@ -65,7 +68,7 @@ func TestDriftExperimentSmoke(t *testing.T) {
 	if meanFinal > meanControl-0.1 {
 		t.Errorf("refits did not recover: residual KS %.3f vs control %.3f", meanFinal, meanControl)
 	}
-	if res.Headlines[0].Measured != 1 {
-		t.Errorf("mean batches to trip = %v, want 1", res.Headlines[0].Measured)
+	if res.Headlines[0].Measured != 4 {
+		t.Errorf("mean batches to trip = %v, want 4", res.Headlines[0].Measured)
 	}
 }

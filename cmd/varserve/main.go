@@ -12,7 +12,7 @@
 //
 // Endpoints: POST /v1/predict/uc1, POST /v1/predict/uc1/batch,
 // POST /v1/predict/uc2, POST /v1/measurements (streaming ingest with
-// drift-triggered background refits; tuned by the -drift* flags),
+// drift-triggered background refits),
 // GET /v1/systems, /v1/status (posture), /v1/metrics (the one metrics
 // endpoint: the obs registry), /v1/traces (recent request traces),
 // /healthz, /readyz, and — with -pprof — /debug/pprof/. See the
@@ -57,18 +57,8 @@ func main() {
 		timeout = flag.Duration("timeout", 30*time.Second, "per-request deadline")
 		warm    = flag.Bool("warm", false, "pre-train the default full models before serving")
 
-		driftWindow = flag.Int("driftwindow", 0, "streaming-ingest drift window size per (system, benchmark) cell (0 = default 256)")
-		driftMin    = flag.Int("driftmin", 0, "minimum window fill before drift evaluation (0 = default 32)")
-		driftKS     = flag.Float64("driftks", 0, "KS-statistic drift threshold (0 = default 0.25)")
-		driftAlpha  = flag.Float64("driftalpha", 0, "KS p-value significance gate for a breach (0 = default 0.01)")
-		driftHyst   = flag.Int("drifthyst", 0, "consecutive breaching evaluations before a cell trips (0 = default 3)")
-		driftRefits = flag.Int("driftrefits", 0, "max concurrent background refits (0 = default 2)")
-
 		modelDir = flag.String("modeldir", "", "persistent model store directory: fitted models are saved there and loaded on restart (empty = off)")
-
-		pprofOn = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes heap/stack contents; opt-in)")
-		slow    = flag.Duration("slowtrace", time.Second, "log requests slower than this as span trees (0 disables)")
-		traces  = flag.Int("tracebuf", 256, "completed request traces kept for GET /v1/traces")
+		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes heap/stack contents; opt-in)")
 	)
 	flag.Parse()
 	if *procs > 0 {
@@ -93,23 +83,13 @@ func main() {
 		log.Printf("model store %s: %d models on disk", store.Dir(), len(keys))
 	}
 	srv := serve.New(db, serve.Config{
-		Addr:               *addr,
-		ReplicaID:          *replica,
-		Workers:            *workers,
-		RequestTimeout:     *timeout,
-		EnablePprof:        *pprofOn,
-		SlowTraceThreshold: *slow,
-		TraceBufferSize:    *traces,
-		ModelRegistry:      registry,
-		Drift: drift.Config{
-			WindowSize:   *driftWindow,
-			MinWindow:    *driftMin,
-			KSThreshold:  *driftKS,
-			PValueAlpha:  *driftAlpha,
-			Hysteresis:   *driftHyst,
-			RefitWorkers: *driftRefits,
-			Seed:         *seed,
-		},
+		Addr:           *addr,
+		ReplicaID:      *replica,
+		Workers:        *workers,
+		RequestTimeout: *timeout,
+		EnablePprof:    *pprofOn,
+		ModelRegistry:  registry,
+		Drift:          drift.Config{Seed: *seed},
 	})
 	if *warm {
 		warmStart := randx.SystemClock()

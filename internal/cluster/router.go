@@ -16,12 +16,14 @@ import (
 // Router tuning. LoadFactor 1.25 is the classic bounded-load
 // constant; two retries give every request three candidate replicas,
 // enough to survive one dead and one degraded replica on the same
-// arc. DefaultMaxRetries is fixed; the others are Config defaults.
+// arc; two consecutive probe or transport failures mark a replica
+// Down. DefaultMaxRetries and probeFailures are fixed; the others are
+// Config defaults.
 const (
 	DefaultLoadFactor    = 1.25
 	DefaultMaxRetries    = 2
 	DefaultProbeInterval = 2 * time.Second
-	DefaultProbeFailures = 2
+	probeFailures        = 2
 )
 
 // Config parameterizes a Router. Backends and nothing else is
@@ -38,9 +40,6 @@ type Config struct {
 	LoadFactor float64
 	// ProbeInterval is Run's health-probe cadence (default 2s).
 	ProbeInterval time.Duration
-	// ProbeFailures is the consecutive probe/transport failures that
-	// mark a replica Down (default 2).
-	ProbeFailures int
 	// Clock is the router's time source (default randx.SystemClock;
 	// the sim installs its shared virtual clock).
 	Clock randx.Clock
@@ -60,9 +59,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = DefaultProbeInterval
-	}
-	if c.ProbeFailures <= 0 {
-		c.ProbeFailures = DefaultProbeFailures
 	}
 	if c.Clock == nil {
 		c.Clock = randx.SystemClock
@@ -337,7 +333,7 @@ func (r *Router) attempt(ctx context.Context, rep *replica, req Request) (Respon
 	if err != nil {
 		rep.failed.Add(1)
 		rep.failures.get().Inc()
-		if int(rep.probeFails.Add(1)) >= r.cfg.ProbeFailures {
+		if int(rep.probeFails.Add(1)) >= probeFailures {
 			r.setState(rep, Down)
 		}
 		return Response{}, fmt.Errorf("cluster: replica %s: %w", rep.id, err)
@@ -353,7 +349,7 @@ func (r *Router) probeOne(ctx context.Context, rep *replica) {
 	p, err := rep.backend.Probe(ctx)
 	if err != nil {
 		rep.probeFailures.get().Inc()
-		if int(rep.probeFails.Add(1)) >= r.cfg.ProbeFailures {
+		if int(rep.probeFails.Add(1)) >= probeFailures {
 			r.setState(rep, Down)
 		}
 		return

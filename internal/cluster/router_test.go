@@ -217,7 +217,7 @@ func TestPolicyByName(t *testing.T) {
 // succeeds, and the dead replica trips Down at the failure threshold
 // with its keys remapped.
 func TestRouterFailoverOnTransportError(t *testing.T) {
-	r, backs := testRouter(t, 3, func(cfg *Config) { cfg.ProbeFailures = 1 })
+	r, backs := testRouter(t, 3, nil)
 	ctx := context.Background()
 	keys := testKeys(60)
 	for _, key := range keys {
@@ -250,6 +250,11 @@ func TestRouterFailoverOnTransportError(t *testing.T) {
 	}
 	if got := r.replicas[victim.id].State(); got != Down {
 		t.Fatalf("victim state %v after transport failures, want Down", got)
+	}
+	// Down at the threshold: a Down replica is never a candidate, so no
+	// attempt fails past it.
+	if got := r.replicas[victim.id].failed.Load(); got != probeFailures {
+		t.Fatalf("victim failed %d attempts, want %d", got, probeFailures)
 	}
 	for key, id := range r.Owners() {
 		if id == victim.id {

@@ -6,32 +6,15 @@ import (
 	"time"
 )
 
-// BreakerConfig tunes the per-(system, config) circuit breakers that
-// guard model fitting. The zero value selects the defaults.
-type BreakerConfig struct {
-	// FailureThreshold is the number of consecutive fit failures that
-	// opens the breaker (default 1: model fitting is deterministic, so a
-	// failed fit will fail again until something changes).
-	FailureThreshold int
-	// BaseBackoff is the first open interval (default 1s). Each
-	// subsequent failure doubles it up to MaxBackoff.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential backoff (default 2m).
-	MaxBackoff time.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 1
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = time.Second
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Minute
-	}
-	return c
-}
+// The fit breakers run at fixed settings. One failure opens a
+// breaker: model fitting is deterministic, so a failed fit will fail
+// again until something changes. The first open interval is
+// breakerBaseBackoff, and each later failure doubles it up to
+// breakerMaxBackoff.
+const (
+	breakerBaseBackoff = time.Second
+	breakerMaxBackoff  = 2 * time.Minute
+)
 
 // BreakerOpenError reports that a model's breaker is open: the last fit
 // attempt failed recently enough that retrying now would only repeat
@@ -75,7 +58,6 @@ type BreakerState struct {
 // recovery is detected without a thundering herd of refits.
 type breaker struct {
 	mu       sync.Mutex
-	cfg      BreakerConfig
 	key      string
 	failures int
 	trips    int
@@ -84,10 +66,6 @@ type breaker struct {
 	until    time.Time
 	backoff  time.Duration
 	lastErr  error
-}
-
-func newBreaker(key string, cfg BreakerConfig) *breaker {
-	return &breaker{cfg: cfg.withDefaults(), key: key}
 }
 
 // allow decides whether a fit attempt may proceed at time now. It
@@ -122,24 +100,20 @@ func (b *breaker) success() {
 }
 
 // failure records a failed fit attempt at time now, opening the breaker
-// (with doubled backoff if it was already open) once the consecutive
-// failure count reaches the threshold.
+// (with doubled backoff if it was already open).
 func (b *breaker) failure(now time.Time, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.lastErr = err
 	b.halfOpen = false
 	b.failures++
-	if b.failures < b.cfg.FailureThreshold {
-		return
-	}
 	switch {
 	case b.backoff == 0:
-		b.backoff = b.cfg.BaseBackoff
+		b.backoff = breakerBaseBackoff
 	default:
 		b.backoff *= 2
-		if b.backoff > b.cfg.MaxBackoff {
-			b.backoff = b.cfg.MaxBackoff
+		if b.backoff > breakerMaxBackoff {
+			b.backoff = breakerMaxBackoff
 		}
 	}
 	if !b.open {

@@ -77,8 +77,7 @@ type Predictor struct {
 	slots       sync.Map // modelKey -> *modelSlot
 	breakers    sync.Map // datasetKey -> *breaker
 
-	breakerCfg BreakerConfig
-	now        func() time.Time
+	now func() time.Time
 
 	// registry, when set, persists fitted primary models and loads them
 	// back on later misses (and across process restarts). Nil = off.
@@ -101,10 +100,6 @@ func NewPredictor(db *measure.Database) *Predictor {
 // DB exposes the current database snapshot (read-only by convention;
 // the ingest path replaces the whole snapshot rather than mutating it).
 func (p *Predictor) DB() *measure.Database { return p.db.Load() }
-
-// SetBreakerConfig overrides the fit-breaker tuning. Call before
-// serving; breakers already created keep their old configuration.
-func (p *Predictor) SetBreakerConfig(cfg BreakerConfig) { p.breakerCfg = cfg }
 
 // SetClock overrides the breaker time source (tests only). Call before
 // serving.
@@ -470,7 +465,7 @@ func (p *Predictor) breaker(k datasetKey) *breaker {
 	if v, ok := p.breakers.Load(k); ok {
 		return v.(*breaker)
 	}
-	v, _ := p.breakers.LoadOrStore(k, newBreaker(k.label(), p.breakerCfg))
+	v, _ := p.breakers.LoadOrStore(k, &breaker{key: k.label()})
 	return v.(*breaker)
 }
 

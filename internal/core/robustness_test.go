@@ -251,7 +251,6 @@ func TestPredictorStaleFallback(t *testing.T) {
 func TestPredictorBreakerRecovery(t *testing.T) {
 	db := robustCampaign(t)
 	p := NewPredictor(db)
-	p.SetBreakerConfig(BreakerConfig{FailureThreshold: 1, BaseBackoff: time.Second, MaxBackoff: time.Minute})
 	now := time.Unix(1_700_000_000, 0)
 	p.SetClock(func() time.Time { return now })
 	// Kill every fit, fallback included: requests must error, typed.
@@ -290,6 +289,40 @@ func TestPredictorBreakerRecovery(t *testing.T) {
 		if st.Open {
 			t.Errorf("breaker %q still open after recovery", st.Key)
 		}
+	}
+}
+
+// TestBreakerBackoffDoublesToCap pins the fixed breaker schedule: the
+// first failure opens the breaker for breakerBaseBackoff, each later
+// one doubles the interval up to breakerMaxBackoff, and a success
+// closes it and resets the schedule.
+func TestBreakerBackoffDoublesToCap(t *testing.T) {
+	b := &breaker{key: "k"}
+	now := time.Unix(1_700_000_000, 0)
+	want := breakerBaseBackoff
+	for fails := 1; fails <= 10; fails++ {
+		b.failure(now, errors.New("fit failed"))
+		st := b.state(now)
+		if !st.Open || st.Failures != fails || st.Trips != 1 || st.RetryAfter != want {
+			t.Fatalf("failure %d: %+v, want open with retry in %v", fails, st, want)
+		}
+		if b.allow(now) == nil {
+			t.Fatalf("failure %d: open breaker admitted an attempt", fails)
+		}
+		// The half-open probe at the deadline fails again.
+		now = now.Add(want)
+		if err := b.allow(now); err != nil {
+			t.Fatalf("failure %d: no probe admitted at the deadline: %v", fails, err)
+		}
+		want = min(2*want, breakerMaxBackoff)
+	}
+	if want != breakerMaxBackoff {
+		t.Fatalf("ten failures reached %v, want the cap %v", want, breakerMaxBackoff)
+	}
+	b.success()
+	b.failure(now, errors.New("fit failed"))
+	if st := b.state(now); st.RetryAfter != breakerBaseBackoff || st.Trips != 2 {
+		t.Errorf("after a success the next failure must restart at %v: %+v", breakerBaseBackoff, st)
 	}
 }
 

@@ -21,18 +21,16 @@ type UC2Config struct {
 	Model Model
 	// Bins is the histogram bin count (0 = default).
 	Bins int
-	// ProfileRuns is the number of source-system runs the profile part
-	// of the input is built from (default 100; the source distribution
-	// itself is encoded from all measured runs).
-	ProfileRuns int
 	// Seed drives all stochastic components.
 	Seed uint64
-	// Repair enables winsorize-style counter repair during ingest
-	// validation (measure.ValidationPolicy.Repair).
-	Repair bool
 	// Models tunes model hyperparameters (ablations).
 	Models ModelOptions
 }
+
+// uc2ProfileRuns is the number of source-system runs the profile part
+// of a UC2 input is built from; the source distribution itself is
+// encoded from all measured runs.
+const uc2ProfileRuns = 100
 
 func (c UC2Config) String() string {
 	rep, _ := newRepresentation(c.Rep, c.Bins)
@@ -43,20 +41,16 @@ func (c UC2Config) String() string {
 // the source-system profile concatenated with the source-system
 // distribution encoding; targets are the target-system distribution
 // encoding. Both systems pass ingest validation first, through
-// validate; a benchmark must keep at least two valid measurement runs
-// on each side to stay in the dataset (probe runs are a UC1 concern
-// and do not gate UC2).
+// validate and without counter repair; a benchmark must keep at least
+// two valid measurement runs on each side to stay in the dataset
+// (probe runs are a UC1 concern and do not gate UC2).
 func buildUC2(src, dst *measure.SystemData, cfg UC2Config, validate validateFunc) (*uc1Data, error) {
 	rep, err := newRepresentation(cfg.Rep, cfg.Bins)
 	if err != nil {
 		return nil, err
 	}
-	profileRuns := cfg.ProfileRuns
-	if profileRuns <= 0 {
-		profileRuns = 100
-	}
-	cleanSrc, srcReports := validate(src, cfg.Repair)
-	cleanDst, dstReports := validate(dst, cfg.Repair)
+	cleanSrc, srcReports := validate(src, false)
+	cleanDst, dstReports := validate(dst, false)
 	d := &uc1Data{
 		rep:     rep,
 		dataset: &ml.Dataset{},
@@ -82,10 +76,7 @@ func buildUC2(src, dst *measure.SystemData, cfg UC2Config, validate validateFunc
 			d.unusable[id] = true
 			continue
 		}
-		n := profileRuns
-		if n > len(sb.Runs) {
-			n = len(sb.Runs)
-		}
+		n := min(uc2ProfileRuns, len(sb.Runs))
 		values := make([]float64, 0, 4*len(src.MetricNames)+rep.Dim())
 		values, err := features.AppendValues(values, sb.Runs[:n], len(src.MetricNames), false)
 		if err != nil {

@@ -26,78 +26,49 @@ type Key struct {
 // String renders the cell the way gauges and spans name it.
 func (k Key) String() string { return k.System + "/" + k.Benchmark }
 
-// Config tunes the detector and refit loop. The zero value selects
-// the defaults documented on each field.
+// The detector and the refit loop run at fixed settings.
+const (
+	// windowSize is the per-cell ring capacity. Once full, the oldest
+	// surviving run is evicted per append.
+	windowSize = 256
+	// minWindow is the fill below which the detector stays silent: tiny
+	// windows make the KS statistic meaningless.
+	minWindow = 32
+	// pValueAlpha is the KS significance gate: a breach requires
+	// KSPValue <= pValueAlpha as well as the distance, so sampling noise
+	// on small windows cannot breach on distance alone.
+	pValueAlpha = 0.01
+	// hysteresis is the number of consecutive breaching evaluations
+	// that trips a cell.
+	hysteresis = 3
+	// refitWorkers bounds concurrent background refits.
+	refitWorkers = 2
+	// refitQueue bounds cells waiting for a refit slot; past it new
+	// trips are shed (counted) and retried on a later ingest evaluation.
+	refitQueue = 16
+	// baseBackoff is the delay before retrying a failed refit, doubling
+	// per failure up to maxBackoff, always with deterministic
+	// seed-derived jitter.
+	baseBackoff = time.Second
+	maxBackoff  = 2 * time.Minute
+	// maxMerged caps the merged training set a refit hands to the refit
+	// hook (newest runs win).
+	maxMerged = 8192
+)
+
+// Config holds the detector's two caller-chosen settings. The zero
+// value selects the defaults documented on each field.
 type Config struct {
-	// WindowSize is the per-cell ring capacity (default 256). Once
-	// full, the oldest surviving run is evicted per append.
-	WindowSize int
-	// MinWindow is the fill below which the detector stays silent
-	// (default 32): tiny windows make the KS statistic meaningless.
-	MinWindow int
-	// KSThreshold is the KS distance that counts as a breach
-	// (default 0.25), gated by PValueAlpha so sampling noise on small
-	// windows cannot breach on distance alone.
+	// KSThreshold is the KS distance that counts as a breach (default
+	// 0.25), gated by pValueAlpha.
 	KSThreshold float64
-	// PValueAlpha is the KS significance gate (default 0.01): a
-	// breach requires KSPValue <= alpha as well as the distance.
-	PValueAlpha float64
-	// Hysteresis is the number of consecutive breaching evaluations
-	// required to trip a cell (default 3).
-	Hysteresis int
-	// RefitWorkers bounds concurrent background refits (default 2).
-	RefitWorkers int
-	// RefitQueue bounds cells waiting for a refit slot (default 16);
-	// past it new trips are shed (counted) and retried on a later
-	// ingest evaluation.
-	RefitQueue int
-	// BaseBackoff is the delay before retrying a failed refit
-	// (default 1s), doubling per failure up to MaxBackoff (default
-	// 2m), always with deterministic seed-derived jitter.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// MaxMerged caps the merged training set a refit hands to the
-	// refit hook (default 8192, newest runs win).
-	MaxMerged int
 	// Seed drives the per-cell backoff jitter (default 1).
 	Seed uint64
-	// Policy is the quarantine policy applied to ingested batches.
-	Policy measure.ValidationPolicy
 }
 
 func (c Config) withDefaults() Config {
-	if c.WindowSize <= 0 {
-		c.WindowSize = 256
-	}
-	if c.MinWindow <= 0 {
-		c.MinWindow = 32
-	}
-	if c.MinWindow > c.WindowSize {
-		c.MinWindow = c.WindowSize
-	}
 	if c.KSThreshold <= 0 {
 		c.KSThreshold = 0.25
-	}
-	if c.PValueAlpha <= 0 {
-		c.PValueAlpha = 0.01
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 3
-	}
-	if c.RefitWorkers <= 0 {
-		c.RefitWorkers = 2
-	}
-	if c.RefitQueue <= 0 {
-		c.RefitQueue = 16
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = time.Second
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Minute
-	}
-	if c.MaxMerged <= 0 {
-		c.MaxMerged = 8192
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -242,7 +213,7 @@ func (m *Manager) cell(key Key) (*cell, error) {
 		key:      key,
 		base:     base,
 		baseSecs: sortedSeconds(base),
-		ring:     make([]perfsim.Run, m.cfg.WindowSize),
+		ring:     make([]perfsim.Run, windowSize),
 		jrng:     randx.NewPair(m.cfg.Seed^h.Sum64(), m.cfg.Seed+0x9E3779B97F4A7C15*h.Sum64()),
 	}
 	m.cells[key] = c
@@ -256,7 +227,7 @@ type IngestResult struct {
 	Report measure.QuarantineReport
 	// WindowFill is the ring fill after the append.
 	WindowFill int
-	// Evaluated is true once the window is past MinWindow and the
+	// Evaluated is true once the window reaches minWindow and the
 	// detector ran; KS/W1/PValue/Breaches then carry its outcome.
 	Evaluated bool
 	KS        float64
@@ -280,7 +251,7 @@ func (m *Manager) Ingest(ctx context.Context, key Key, runs []perfsim.Run, nMetr
 		return nil, err
 	}
 	_, vspan := obs.Start(ctx, "ingest.validate")
-	kept, rep := measure.ValidateRuns(runs, nMetrics, 0, m.cfg.Policy)
+	kept, rep := measure.ValidateRuns(runs, nMetrics, 0, measure.ValidationPolicy{})
 	vspan.SetAttr("cell", key.String())
 	vspan.SetAttr("total", rep.Total)
 	vspan.SetAttr("quarantined", rep.Quarantined)
@@ -297,7 +268,7 @@ func (m *Manager) Ingest(ctx context.Context, key Key, runs []perfsim.Run, nMetr
 			c.push(kept[i].Clone())
 		}
 		res.WindowFill = c.fill
-		if c.fill >= m.cfg.MinWindow {
+		if c.fill >= minWindow {
 			_, espan := obs.Start(ctx, "drift.evaluate")
 			m.evaluateLocked(c, now)
 			espan.SetAttr("cell", key.String())
@@ -343,12 +314,12 @@ func (m *Manager) evaluateLocked(c *cell, now time.Time) {
 	c.evals++
 	c.lastEval = now
 	c.hasEval = true
-	if c.lastKS >= m.cfg.KSThreshold && c.lastP <= m.cfg.PValueAlpha {
+	if c.lastKS >= m.cfg.KSThreshold && c.lastP <= pValueAlpha {
 		c.breaches++
 	} else {
 		c.breaches = 0
 	}
-	if !c.tripped && c.breaches >= m.cfg.Hysteresis {
+	if !c.tripped && c.breaches >= hysteresis {
 		c.tripped = true
 		c.trips++
 	}
@@ -361,7 +332,7 @@ func (m *Manager) enqueue(c *cell) bool {
 	func() {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		if len(m.pending) >= m.cfg.RefitQueue {
+		if len(m.pending) >= refitQueue {
 			shed = true
 			return
 		}
@@ -407,7 +378,7 @@ func (m *Manager) dispatch() {
 		// Refit errors are absorbed into per-cell backoff state rather
 		// than aborting the drain, so the pool error is always nil.
 		//lint:allow ctxflow refit drain is detached background work owned by the manager, not by any ingest request
-		_ = parallel.ForEach(context.Background(), len(batch), m.cfg.RefitWorkers, func(ctx context.Context, i int) error {
+		_ = parallel.ForEach(context.Background(), len(batch), refitWorkers, func(ctx context.Context, i int) error {
 			m.runRefit(ctx, batch[i])
 			return nil
 		})
@@ -431,12 +402,12 @@ func (m *Manager) runRefit(ctx context.Context, c *cell) {
 	}
 	defer span.End()
 	span.SetAttr("cell", c.key.String())
-	merged := c.merged(m.cfg.MaxMerged)
+	merged := c.merged()
 	span.SetAttr("runs", len(merged))
 	err := m.hooks.Refit(ctx, c.key, merged)
 	now := m.hooks.Clock()
 	if err != nil {
-		delay := c.noteRefitFailure(now, m.cfg.BaseBackoff, m.cfg.MaxBackoff)
+		delay := c.noteRefitFailure(now)
 		span.SetAttr("error", err.Error())
 		span.SetAttr("retry_after", delay.String())
 		return
@@ -446,8 +417,8 @@ func (m *Manager) runRefit(ctx context.Context, c *cell) {
 }
 
 // merged snapshots baseline+window as one training set, newest last,
-// capped to limit (newest win).
-func (c *cell) merged(limit int) []perfsim.Run {
+// capped to maxMerged (newest win).
+func (c *cell) merged() []perfsim.Run {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]perfsim.Run, 0, len(c.base)+c.fill)
@@ -455,8 +426,8 @@ func (c *cell) merged(limit int) []perfsim.Run {
 	for i := 0; i < c.fill; i++ {
 		out = append(out, c.ring[(c.head+i)%len(c.ring)].Clone())
 	}
-	if len(out) > limit {
-		out = out[len(out)-limit:]
+	if len(out) > maxMerged {
+		out = out[len(out)-maxMerged:]
 	}
 	return out
 }
@@ -464,17 +435,17 @@ func (c *cell) merged(limit int) []perfsim.Run {
 // noteRefitFailure books a failed refit: double the backoff (capped),
 // add deterministic jitter (up to +50%), and block retries until the
 // deadline. Returns the chosen delay.
-func (c *cell) noteRefitFailure(now time.Time, base, ceil time.Duration) time.Duration {
+func (c *cell) noteRefitFailure(now time.Time) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.refitting = false
 	c.refitFail++
 	if c.backoff <= 0 {
-		c.backoff = base
+		c.backoff = baseBackoff
 	} else {
 		c.backoff *= 2
-		if c.backoff > ceil {
-			c.backoff = ceil
+		if c.backoff > maxBackoff {
+			c.backoff = maxBackoff
 		}
 	}
 	delay := c.backoff + time.Duration(c.jrng.Float64()*0.5*float64(c.backoff))

@@ -3,6 +3,7 @@ package drift
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -73,8 +74,9 @@ var testKey = Key{System: "intel", Benchmark: "npb/bt"}
 func TestCleanStreamNeverTrips(t *testing.T) {
 	for seed := uint64(2); seed < 8; seed++ {
 		rec := &refitRecorder{}
-		m := newTestManager(Config{WindowSize: 64, MinWindow: 32}, randx.FixedClock(time.Unix(0, 0)), rec)
+		m := newTestManager(Config{}, randx.FixedClock(time.Unix(0, 0)), rec)
 		rng := randx.New(seed)
+		// 20 batches of 16 overrun the 256-run ring, so eviction runs too.
 		for batch := 0; batch < 20; batch++ {
 			res, err := m.Ingest(context.Background(), testKey, sample(rng, 16, 1.0), nMetrics)
 			if err != nil {
@@ -100,12 +102,11 @@ func TestCleanStreamNeverTrips(t *testing.T) {
 
 // TestMeanShiftTripsWithinHysteresisBound is the second property: a
 // mean shift with disjoint support trips the detector on exactly the
-// Hysteresis-th evaluation — no earlier (no flapping past the gate) and
+// hysteresis-th evaluation — no earlier (no flapping past the gate) and
 // no later (no missed detections).
 func TestMeanShiftTripsWithinHysteresisBound(t *testing.T) {
-	const hyst = 3
 	rec := &refitRecorder{}
-	m := newTestManager(Config{WindowSize: 64, MinWindow: 32, Hysteresis: hyst}, randx.FixedClock(time.Unix(0, 0)), rec)
+	m := newTestManager(Config{}, randx.FixedClock(time.Unix(0, 0)), rec)
 	rng := randx.New(11)
 	evals := 0
 	for batch := 0; batch < 8; batch++ {
@@ -115,7 +116,7 @@ func TestMeanShiftTripsWithinHysteresisBound(t *testing.T) {
 		}
 		if !res.Evaluated {
 			if res.Tripped {
-				t.Fatalf("batch %d: tripped before the window reached MinWindow", batch)
+				t.Fatalf("batch %d: tripped before the window reached minWindow", batch)
 			}
 			continue
 		}
@@ -123,17 +124,17 @@ func TestMeanShiftTripsWithinHysteresisBound(t *testing.T) {
 		if res.KS < 0.99 {
 			t.Fatalf("disjoint supports must give KS ~ 1, got %.3f", res.KS)
 		}
-		if evals < hyst && res.Tripped {
-			t.Fatalf("eval %d: tripped before %d consecutive breaches", evals, hyst)
+		if evals < hysteresis && res.Tripped {
+			t.Fatalf("eval %d: tripped before %d consecutive breaches", evals, hysteresis)
 		}
-		if evals == hyst {
+		if evals == hysteresis {
 			if !res.Tripped || !res.RefitScheduled {
 				t.Fatalf("eval %d: want trip + refit schedule, got %+v", evals, res)
 			}
 			break
 		}
 	}
-	if evals != hyst {
+	if evals != hysteresis {
 		t.Fatalf("stream ended after %d evaluations without tripping", evals)
 	}
 	m.Wait()
@@ -161,7 +162,7 @@ func TestMeanShiftTripsWithinHysteresisBound(t *testing.T) {
 // valid runs, bit-identical and in order — and the input batch is
 // never mutated.
 func TestQuarantinedRunsNeverEnterWindow(t *testing.T) {
-	m := newTestManager(Config{WindowSize: 64, MinWindow: 32}, randx.FixedClock(time.Unix(0, 0)), nil)
+	m := newTestManager(Config{}, randx.FixedClock(time.Unix(0, 0)), nil)
 	valid := sample(randx.New(3), 4, 1.0)
 	batch := []perfsim.Run{
 		valid[0],
@@ -199,64 +200,108 @@ func TestQuarantinedRunsNeverEnterWindow(t *testing.T) {
 	}
 }
 
+// tripCell drives key's cell to a trip at the fixed detector settings:
+// a first batch of minWindow drifted runs is the first evaluation, and
+// each later batch of 16 is one more, up to hysteresis breaches. It
+// returns the tripping ingest's result.
+func tripCell(t *testing.T, m *Manager, key Key, rng *randx.RNG) *IngestResult {
+	t.Helper()
+	var res *IngestResult
+	for eval := 1; eval <= hysteresis; eval++ {
+		n := 16
+		if eval == 1 {
+			n = minWindow
+		}
+		var err error
+		if res, err = m.Ingest(context.Background(), key, sample(rng, n, 2.0), nMetrics); err != nil {
+			t.Fatal(err)
+		}
+		if res.Tripped != (eval == hysteresis) {
+			t.Fatalf("%s: evaluation %d tripped=%v", key, eval, res.Tripped)
+		}
+	}
+	return res
+}
+
+// lastClock is a step clock that remembers its last reading: after
+// Wait, that is the time the last refit failure was booked at.
+type lastClock struct {
+	mu   sync.Mutex
+	step randx.Clock
+	last time.Time
+}
+
+func (c *lastClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.last = c.step()
+	return c.last
+}
+
+func (c *lastClock) read() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.last
+}
+
 // TestRefitFailureBackoffThenRecovery drives the breaker-guarded
 // retry loop on a step clock: a failing refit books backoff and keeps
-// the cell tripped, a later ingest past the deadline retries, and a
-// succeeding retry finally absorbs the window.
+// the cell tripped, each later ingest past the deadline retries with
+// the backoff doubled up to maxBackoff, and a succeeding retry finally
+// absorbs the window.
 func TestRefitFailureBackoffThenRecovery(t *testing.T) {
 	rec := &refitRecorder{err: errors.New("drill: refit outage")}
-	// 4s steps: even the doubled-and-jittered backoff (<= 3s) is always
-	// expired by the time the next ingest reads the clock.
-	clock := randx.StepClock(time.Unix(1000, 0), 4*time.Second)
-	m := newTestManager(Config{
-		WindowSize: 64, MinWindow: 32, Hysteresis: 1,
-		BaseBackoff: time.Second, MaxBackoff: 4 * time.Second,
-	}, clock, rec)
+	// 3-minute steps: even the capped, jittered backoff (< 1.5 x
+	// maxBackoff) has expired by the time the next ingest reads the
+	// clock.
+	clock := &lastClock{step: randx.StepClock(time.Unix(1000, 0), 3*time.Minute)}
+	m := newTestManager(Config{}, clock.now, rec)
 	rng := randx.New(17)
-	res, err := m.Ingest(context.Background(), testKey, sample(rng, 32, 2.0), nMetrics)
-	if err != nil {
-		t.Fatal(err)
+	if res := tripCell(t, m, testKey, rng); !res.RefitScheduled {
+		t.Fatalf("trip must schedule a refit, got %+v", res)
 	}
-	if !res.Tripped || !res.RefitScheduled {
-		t.Fatalf("want immediate trip with hysteresis 1, got %+v", res)
-	}
-	m.Wait()
-	st := m.Snapshot()[0]
-	if st.RefitFail != 1 || st.RefitOK != 0 || !st.Tripped || st.Refitting {
-		t.Fatalf("after failed refit: %+v", st)
-	}
-	if st.RetryAt.IsZero() {
-		t.Fatal("failed refit must book a retry deadline")
-	}
-	if st.State() != "drifted" {
-		t.Errorf("state = %q, want drifted while in backoff", st.State())
-	}
-	// The window survives a failed refit: the retry re-merges it.
-	if st.WindowFill != 32 {
-		t.Errorf("window fill = %d after failure, want 32", st.WindowFill)
-	}
-	// Next ingest lands past the deadline (4s steps vs <= 1.5s delay)
-	// and retries; still failing, the backoff doubles.
-	res, err = m.Ingest(context.Background(), testKey, sample(rng, 16, 2.0), nMetrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.RefitScheduled {
-		t.Fatalf("post-backoff ingest must reschedule the refit: %+v", res)
-	}
-	m.Wait()
-	if st = m.Snapshot()[0]; st.RefitFail != 2 {
-		t.Fatalf("refit failures = %d, want 2", st.RefitFail)
+	fill := minWindow + (hysteresis-1)*16
+	backoff := baseBackoff
+	for fails := 1; ; fails++ {
+		m.Wait()
+		st := m.Snapshot()[0]
+		if st.RefitFail != fails || st.RefitOK != 0 || !st.Tripped || st.Refitting {
+			t.Fatalf("after failed refit %d: %+v", fails, st)
+		}
+		if st.State() != "drifted" {
+			t.Errorf("state = %q, want drifted while in backoff", st.State())
+		}
+		// The window survives a failed refit: the retry re-merges it.
+		if st.WindowFill != fill {
+			t.Errorf("window fill = %d after failure %d, want %d", st.WindowFill, fails, fill)
+		}
+		// The booked delay is the backoff plus up to 50 % jitter.
+		if delay := st.RetryAt.Sub(clock.read()); delay < backoff || delay >= backoff*3/2 {
+			t.Fatalf("failure %d: retry in %v, want [%v, %v)", fails, delay, backoff, backoff*3/2)
+		}
+		if backoff == maxBackoff {
+			break
+		}
+		backoff = min(2*backoff, maxBackoff)
+		// The next ingest lands past the deadline and retries.
+		res, err := m.Ingest(context.Background(), testKey, sample(rng, 16, 2.0), nMetrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.RefitScheduled {
+			t.Fatalf("post-backoff ingest must reschedule the refit: %+v", res)
+		}
+		fill += 16
 	}
 	// Outage over: the next retry succeeds and resets the cell.
 	rec.mu.Lock()
 	rec.err = nil
 	rec.mu.Unlock()
-	if _, err = m.Ingest(context.Background(), testKey, sample(rng, 16, 2.0), nMetrics); err != nil {
+	if _, err := m.Ingest(context.Background(), testKey, sample(rng, 16, 2.0), nMetrics); err != nil {
 		t.Fatal(err)
 	}
 	m.Wait()
-	st = m.Snapshot()[0]
+	st := m.Snapshot()[0]
 	if st.RefitOK != 1 || st.Tripped || st.WindowFill != 0 || !st.RetryAt.IsZero() {
 		t.Fatalf("after recovery: %+v", st)
 	}
@@ -265,18 +310,18 @@ func TestRefitFailureBackoffThenRecovery(t *testing.T) {
 	}
 }
 
-// TestRefitQueueShed fills the refit queue with a blocked worker and
-// verifies the overflow trip is shed (counted, un-claimed) rather than
-// queued unboundedly, and that a shed cell can reschedule later.
+// TestRefitQueueShed occupies a refit worker, fills the refit queue
+// behind it and verifies the overflow trip is shed (counted,
+// un-claimed) rather than queued unboundedly, and that a shed cell can
+// reschedule later.
 func TestRefitQueueShed(t *testing.T) {
 	gate := make(chan struct{})
-	started := make(chan Key, 8)
+	// One send per refit: the first trip's, refitQueue queued ones and
+	// the shed cell's later retry.
+	started := make(chan Key, refitQueue+2)
 	var rec refitRecorder
 	base := sample(randx.New(1), 80, 1.0)
-	m := NewManager(Config{
-		WindowSize: 64, MinWindow: 32, Hysteresis: 1,
-		RefitWorkers: 1, RefitQueue: 1,
-	}, Hooks{
+	m := NewManager(Config{}, Hooks{
 		Clock:    randx.FixedClock(time.Unix(0, 0)),
 		Baseline: func(Key) ([]perfsim.Run, error) { return base, nil },
 		Refit: func(ctx context.Context, k Key, merged []perfsim.Run) error {
@@ -286,47 +331,45 @@ func TestRefitQueueShed(t *testing.T) {
 		},
 	})
 	rng := randx.New(23)
-	keys := []Key{
-		{System: "intel", Benchmark: "npb/a"},
-		{System: "intel", Benchmark: "npb/b"},
-		{System: "intel", Benchmark: "npb/c"},
+	keys := make([]Key, refitQueue+2)
+	for i := range keys {
+		keys[i] = Key{System: "intel", Benchmark: fmt.Sprintf("npb/%02d", i)}
 	}
-	// First trip occupies the single worker (blocked on the gate).
-	res, err := m.Ingest(context.Background(), keys[0], sample(rng, 32, 2.0), nMetrics)
-	if err != nil || !res.RefitScheduled {
-		t.Fatalf("first trip: %+v, %v", res, err)
+	// The first trip's refit occupies a worker (blocked on the gate),
+	// and the dispatcher has taken it off the queue.
+	if res := tripCell(t, m, keys[0], rng); !res.RefitScheduled {
+		t.Fatalf("first trip: %+v", res)
 	}
-	<-started // the worker is now inside the refit hook
-	// Second trip queues; third finds the queue full and is shed.
-	if res, err = m.Ingest(context.Background(), keys[1], sample(rng, 32, 2.0), nMetrics); err != nil || !res.RefitScheduled {
-		t.Fatalf("second trip: %+v, %v", res, err)
+	<-started
+	// The next refitQueue trips queue; the last finds the queue full
+	// and is shed.
+	shed := keys[len(keys)-1]
+	for _, k := range keys[1 : len(keys)-1] {
+		if res := tripCell(t, m, k, rng); !res.RefitScheduled {
+			t.Fatalf("%s: queued trip not scheduled: %+v", k, res)
+		}
 	}
-	res, err = m.Ingest(context.Background(), keys[2], sample(rng, 32, 2.0), nMetrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RefitScheduled {
-		t.Fatal("third trip must be shed, not scheduled")
+	if res := tripCell(t, m, shed, rng); res.RefitScheduled {
+		t.Fatal("trip past a full queue must be shed, not scheduled")
 	}
 	close(gate)
 	m.Wait()
-	byCell := map[string]CellStatus{}
 	for _, st := range m.Snapshot() {
-		byCell[st.Cell] = st
-	}
-	if st := byCell[keys[2].String()]; st.RefitShed != 1 || st.RefitOK != 0 {
-		t.Fatalf("shed cell: %+v", st)
-	}
-	if byCell[keys[0].String()].RefitOK != 1 || byCell[keys[1].String()].RefitOK != 1 {
-		t.Fatalf("queued cells must refit once the worker frees: %+v", byCell)
+		want := CellStatus{RefitOK: 1}
+		if st.Cell == shed.String() {
+			want = CellStatus{RefitShed: 1}
+		}
+		if st.RefitOK != want.RefitOK || st.RefitShed != want.RefitShed {
+			t.Fatalf("%s: refit ok %d shed %d, want %d and %d", st.Cell, st.RefitOK, st.RefitShed, want.RefitOK, want.RefitShed)
+		}
 	}
 	// The shed cell is un-claimed: its next ingest reschedules.
-	res, err = m.Ingest(context.Background(), keys[2], sample(rng, 16, 2.0), nMetrics)
+	res, err := m.Ingest(context.Background(), shed, sample(rng, 16, 2.0), nMetrics)
 	if err != nil || !res.RefitScheduled {
 		t.Fatalf("shed cell must reschedule: %+v, %v", res, err)
 	}
 	m.Wait()
-	if st := m.Window(keys[2]); len(st) != 0 {
+	if st := m.Window(shed); len(st) != 0 {
 		t.Errorf("shed cell window not absorbed after its refit: %d runs", len(st))
 	}
 }

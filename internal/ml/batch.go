@@ -8,13 +8,6 @@ import (
 	"repro/internal/parallel"
 )
 
-// BatchPredictor is an optional Regressor extension for models that can
-// predict many rows more efficiently than a row-at-a-time loop.
-type BatchPredictor interface {
-	// PredictBatch returns one prediction row per input row.
-	PredictBatch(X [][]float64) [][]float64
-}
-
 // BatchIntoPredictor is the allocation-free batch extension: models
 // that own a flattened inference kernel implement it to fill a
 // caller-provided output matrix without allocating per call. The tree
@@ -102,11 +95,10 @@ func (p *MatrixPool) Put(m [][]float64) {
 
 // PredictBatch predicts every row of X with r. Models that implement
 // BatchIntoPredictor run their flattened kernel into a freshly shaped
-// output matrix (two allocations, independent of batch size); legacy
-// BatchPredictor implementations are used directly; for everything else
-// the row-level Predict fans out across the shared worker pool (bounded
-// by GOMAXPROCS), which is safe because fitted Regressors are immutable
-// and Predict is read-only.
+// output matrix (two allocations, independent of batch size); for
+// everything else the row-level Predict fans out across the shared
+// worker pool (bounded by GOMAXPROCS), which is safe because fitted
+// Regressors are immutable and Predict is read-only.
 //
 // An empty X short-circuits to a non-nil empty slice — no span, no pool
 // dispatch — so callers marshaling the result never emit null rows.
@@ -139,9 +131,6 @@ func PredictBatchInto(ctx context.Context, r Regressor, X, out [][]float64) [][]
 		}
 		bi.PredictBatchInto(ctx, X, out)
 		return out
-	}
-	if bp, ok := r.(BatchPredictor); ok {
-		return bp.PredictBatch(X)
 	}
 	if len(X) == 1 {
 		return [][]float64{r.Predict(X[0])}

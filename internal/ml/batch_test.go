@@ -16,18 +16,6 @@ func (affine) Predict(x []float64) []float64 {
 	return []float64{2*x[0] + 1, math.Sin(x[0])}
 }
 
-// batchMarker implements BatchPredictor; PredictBatch must dispatch to
-// it instead of the row-level fan-out.
-type batchMarker struct{ affine }
-
-func (batchMarker) PredictBatch(X [][]float64) [][]float64 {
-	out := make([][]float64, len(X))
-	for i := range out {
-		out[i] = []float64{-1} // recognizable marker
-	}
-	return out
-}
-
 func TestPredictBatchMatchesSequentialLoop(t *testing.T) {
 	X := make([][]float64, 237) // deliberately not a multiple of the pool size
 	for i := range X {
@@ -63,12 +51,5 @@ func TestPredictBatchSingleRowAndEmpty(t *testing.T) {
 		if len(got) != 0 {
 			t.Fatalf("empty batch returned %d rows", len(got))
 		}
-	}
-}
-
-func TestPredictBatchPrefersBatchPredictor(t *testing.T) {
-	got := PredictBatch(context.Background(), batchMarker{}, [][]float64{{1}, {2}})
-	if len(got) != 2 || got[0][0] != -1 || got[1][0] != -1 {
-		t.Fatalf("BatchPredictor not used: %v", got)
 	}
 }

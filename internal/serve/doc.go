@@ -25,11 +25,17 @@
 // assembly and model fitting; every identical request after it is a
 // cache hit that only runs the O(predict) path. Requests are bounded by
 // a worker semaphore and a per-request timeout, and the server drains
-// gracefully on context cancellation (SIGTERM in cmd/varserve).
+// gracefully, for up to 10s, on context cancellation (SIGTERM in
+// cmd/varserve). The trace ring keeps the last 256 request traces, and
+// requests of 1s or more are logged as span trees; like the drain
+// budget, these are constants, not Config fields.
 //
 // Request bodies are capped at wire.MaxBodyBytes (413 past it) and
 // decoded in one pass by internal/wire, which declines anything but the
 // common shape to json.Unmarshal; decode.go holds the read functions.
+// A prediction's "n" (at most 100,000 decoded samples) and "bins" (at
+// most 1,000) are capped before they size any allocation (400 past
+// either).
 //
 // The package only serves. Load generation lives in perfbench, which
 // bit-checks every answer, and the streaming-drift experiment is ext7

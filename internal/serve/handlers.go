@@ -24,6 +24,19 @@ import (
 // monopolize the worker pool with an arbitrarily large fan-out.
 const maxBatchProfiles = 256
 
+// maxSamples bounds a request's "n", the samples decoded per profile.
+// Each decode allocates n float64s, so an unbounded n lets one request
+// ask a worker for gigabytes (n = 4e9 is 32 GB, times 256 profiles in
+// a batch). 100,000 is 100x the paper's 1,000-run campaign: 800 KB per
+// profile, 205 MB for a full batch.
+const maxSamples = 100_000
+
+// maxBins bounds a request's "bins", which sizes the Histogram target
+// (one model output per bin, in every training row and prediction) and
+// the response's density slice. 1,000 is 20x the default 50, already
+// finer than a maxSamples decode fills (100 samples per bin).
+const maxBins = 1_000
+
 // statusClientClosedRequest is nginx's convention for "the client went
 // away before we could answer".
 const statusClientClosedRequest = 499
@@ -213,6 +226,10 @@ func (s *Server) handleUC1Batch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d profiles exceeds the limit of %d", len(req.Profiles), maxBatchProfiles))
 		return
 	}
+	if err := checkSizes(req.N, req.Bins); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	model, err := core.ParseModel(req.Model)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -298,8 +315,22 @@ func uc1Config(rep distrep.Kind, model core.Model, samples, bins int, seed uint6
 	return core.UC1Config{Rep: rep, Model: model, NumSamples: samples, Bins: bins, Seed: seed}
 }
 
+// checkSizes enforces the maxSamples and maxBins caps.
+func checkSizes(n, bins int) error {
+	if n > maxSamples {
+		return fmt.Errorf(`"n" = %d exceeds the limit of %d samples`, n, maxSamples)
+	}
+	if bins > maxBins {
+		return fmt.Errorf(`"bins" = %d exceeds the limit of %d`, bins, maxBins)
+	}
+	return nil
+}
+
 // validateRequest enforces the per-use-case field contract.
 func validateRequest(req *PredictRequest, useCase int) error {
+	if err := checkSizes(req.N, req.Bins); err != nil {
+		return err
+	}
 	hasBench := req.Benchmark != ""
 	hasProbe := len(req.ProbeRuns) > 0
 	if hasBench == hasProbe {

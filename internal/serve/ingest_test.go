@@ -108,7 +108,7 @@ func TestMeasurementsHappyPathAndQuarantine(t *testing.T) {
 		t.Errorf("status cell: %v", cell)
 	}
 	if cell["state"] != "filling" {
-		t.Errorf("cell state = %v, want filling below MinWindow", cell["state"])
+		t.Errorf("cell state = %v, want filling below the detector's minimum window", cell["state"])
 	}
 }
 
@@ -134,23 +134,40 @@ func TestBodyCap413(t *testing.T) {
 	}
 }
 
-// driftTestServer builds a server whose detector trips after a single
-// 16-run batch per cell (MinWindow 16, hysteresis 1) on a stepped
-// clock, so the whole ingest→detect→refit loop is deterministic.
+// driftTestServer builds a server with the fixed detector on a
+// stepped clock, so the whole ingest→detect→refit loop is
+// deterministic.
 func driftTestServer(t *testing.T) *Server {
 	t.Helper()
-	SetClock(randx.StepClock(time.Unix(1_700_000_000, 0), time.Second))
+	SetClock(randx.StepClock(time.Unix(1_700_000_000, 0), time.Millisecond))
 	t.Cleanup(func() { SetClock(randx.SystemClock) })
 	return New(testCampaign(t), Config{
 		Workers:        4,
 		RequestTimeout: time.Minute,
-		Drift: drift.Config{
-			WindowSize: 32,
-			MinWindow:  16,
-			Hysteresis: 1,
-			Seed:       7,
-		},
+		Drift:          drift.Config{Seed: 7},
 	})
+}
+
+// tripCell streams the cell's 2x-slower runs into s until the
+// detector trips: 32 runs fill the window to its first evaluation, and
+// two batches of 16 add the second and third breaching evaluations
+// that trip it. Only the third batch's response reports the trip and
+// the scheduled refit; it is returned.
+func tripCell(t *testing.T, s *Server, cell string) map[string]any {
+	t.Helper()
+	runs := benchProbeRuns(testDB, "intel", cell, 2)
+	var d map[string]any
+	for i, batch := range [][]ProbeRun{runs[:32], runs[32:48], runs[48:64]} {
+		rec, resp := post(t, s, "/v1/measurements", measurementsBody(t, "intel", cell, batch))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("ingest %s batch %d: %d %v", cell, i+1, rec.Code, resp)
+		}
+		d, _ = resp["drift"].(map[string]any)
+		if last := i == 2; (d["tripped"] == true) != last || (d["refit_scheduled"] == true) != last {
+			t.Fatalf("cell %s: batch %d drift block %v, want tripped and refit scheduled only on batch 3", cell, i+1, d)
+		}
+	}
+	return d
 }
 
 // TestDriftRefitEndToEnd is the acceptance scenario: a drifted
@@ -167,23 +184,11 @@ func TestDriftRefitEndToEnd(t *testing.T) {
 	}
 
 	// Stream a 2x-slower distribution into every training cell of the
-	// predicted benchmark. One 16-run batch per cell is enough to
-	// evaluate and trip: its response must report both the trip and
-	// the scheduled refit.
+	// predicted benchmark until each one trips.
 	intel, _ := testDB.System("intel")
 	for i := range intel.Benchmarks {
-		cell := intel.Benchmarks[i].Workload.ID()
-		if cell == target {
-			continue
-		}
-		rec, resp := post(t, s, "/v1/measurements",
-			measurementsBody(t, "intel", cell, benchProbeRuns(testDB, "intel", cell, 2)[:16]))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("ingest %s: %d %v", cell, rec.Code, resp)
-		}
-		d, _ := resp["drift"].(map[string]any)
-		if d["tripped"] != true || d["refit_scheduled"] != true {
-			t.Fatalf("cell %s: batch 1 drift block %v, want tripped and refit scheduled", cell, d)
+		if cell := intel.Benchmarks[i].Workload.ID(); cell != target {
+			tripCell(t, s, cell)
 		}
 	}
 	s.Drift().Wait()
@@ -265,11 +270,7 @@ func TestDriftRefitLeavesEarlierSnapshotIntact(t *testing.T) {
 		t.Fatalf("predict: %d %v", rec.Code, resp)
 	}
 
-	rec, resp := post(t, s, "/v1/measurements",
-		measurementsBody(t, "intel", bench, benchProbeRuns(testDB, "intel", bench, 2)[:16]))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("ingest: %d %v", rec.Code, resp)
-	}
+	tripCell(t, s, bench)
 	s.Drift().Wait()
 	_, status := get(t, s, "/v1/status")
 	cell := status["drift"].(map[string]any)["cells"].([]any)[0].(map[string]any)
@@ -341,11 +342,7 @@ func TestFailingRefitDegradesNever500s(t *testing.T) {
 	})
 	intel, _ := testDB.System("intel")
 	cell := intel.Benchmarks[1].Workload.ID()
-	rec, resp := post(t, s, "/v1/measurements",
-		measurementsBody(t, "intel", cell, benchProbeRuns(testDB, "intel", cell, 2)[:16]))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("drifted batch: %d %v", rec.Code, resp)
-	}
+	tripCell(t, s, cell)
 	s.Drift().Wait()
 
 	_, status := get(t, s, "/v1/status")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -186,11 +187,14 @@ func TestObsMetricsEndpoint(t *testing.T) {
 }
 
 func TestTracesEndpoint(t *testing.T) {
-	s := New(testCampaign(t), Config{Workers: 2, RequestTimeout: time.Minute, TraceBufferSize: 2})
+	s := New(testCampaign(t), Config{Workers: 2, RequestTimeout: time.Minute})
 	body := fmt.Sprintf(`{"system":"intel","benchmark":%q,"seed":9}`, firstBench(testDB))
-	for i := 0; i < 3; i++ {
-		post(t, s, "/v1/predict/uc1", body)
+	post(t, s, "/v1/predict/uc1", body)
+	// One request past the ring's capacity evicts the oldest trace.
+	for i := 0; i < traceBufferSize; i++ {
+		getRec(t, s, "/v1/systems")
 	}
+	const completed = traceBufferSize + 1
 	rec := getRec(t, s, "/v1/traces")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
@@ -199,33 +203,34 @@ func TestTracesEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Completed != 3 {
-		t.Errorf("completed = %d, want 3", resp.Completed)
+	if resp.Completed != completed {
+		t.Errorf("completed = %d, want %d", resp.Completed, completed)
 	}
-	if len(resp.Traces) != 2 {
-		t.Fatalf("buffer of 2 should keep 2 traces, got %d", len(resp.Traces))
+	if len(resp.Traces) != traceBufferSize {
+		t.Fatalf("buffer of %d should keep %d traces, got %d", traceBufferSize, traceBufferSize, len(resp.Traces))
 	}
 	for i, tr := range resp.Traces {
 		if len(tr) == 0 {
 			t.Errorf("trace %d rendered empty", i)
 		}
+		if strings.Contains(tr, "/v1/predict/uc1") {
+			t.Errorf("trace %d is the evicted UC1 request", i)
+		}
 	}
 	// /v1/traces itself is deliberately not instrumented: reading the
 	// buffer must not grow it.
 	getRec(t, s, "/v1/traces")
-	if total, _ := s.Tracer().Completed(); total != 3 {
+	if total, _ := s.Tracer().Completed(); total != completed {
 		t.Errorf("GET /v1/traces grew the trace count to %d", total)
 	}
 }
 
 func TestSlowTraceLogged(t *testing.T) {
-	SetClock(randx.StepClock(time.Unix(1700000000, 0), 25*time.Millisecond))
+	// Each clock reading is one threshold later, so every request
+	// spans at least the threshold.
+	SetClock(randx.StepClock(time.Unix(1700000000, 0), slowTraceThreshold))
 	defer SetClock(randx.SystemClock)
-	s := New(testCampaign(t), Config{
-		Workers:            2,
-		RequestTimeout:     time.Minute,
-		SlowTraceThreshold: time.Millisecond, // every stepped request is "slow"
-	})
+	s := New(testCampaign(t), Config{Workers: 2, RequestTimeout: time.Minute})
 	rec := getRec(t, s, "/v1/systems")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)

@@ -454,3 +454,64 @@ func TestBatchPredictValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestSizeCaps pins the caps on "n" and "bins": a raw-profile
+// request at both caps is served with n samples and bins densities, on
+// the single and the batch endpoint, and one past either cap is a 400
+// on every prediction endpoint before any decode is sized by it.
+func TestRequestSizeCaps(t *testing.T) {
+	s := newTestServer(t)
+	b := &testDB.Systems[0].Benchmarks[0]
+	profile := make([]ProbeRun, 10)
+	for i, r := range b.ProbeRuns[:10] {
+		profile[i] = ProbeRun{Seconds: r.Seconds, Metrics: r.Metrics}
+	}
+	single := func(n, bins int) string {
+		body, _ := json.Marshal(PredictRequest{System: "intel", ProbeRuns: profile, N: n, Bins: bins})
+		return string(body)
+	}
+	batch := func(n, bins int) string {
+		body, _ := json.Marshal(BatchPredictRequest{System: "intel", Profiles: [][]ProbeRun{profile}, N: n, Bins: bins})
+		return string(body)
+	}
+	uc2 := func(n, bins int) string {
+		body, _ := json.Marshal(PredictRequest{Source: "amd", Target: "intel", ProbeRuns: profile,
+			SourceRelTimes: []float64{0.9, 1, 1.1}, N: n, Bins: bins})
+		return string(body)
+	}
+
+	rec, resp := post(t, s, "/v1/predict/uc1", single(maxSamples, maxBins))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("uc1 at the caps: %d %v", rec.Code, resp)
+	}
+	if resp["n"].(float64) != maxSamples || len(resp["histogram"].(map[string]any)["density"].([]any)) != maxBins {
+		t.Errorf("uc1 at the caps: n = %v, %d densities", resp["n"], len(resp["histogram"].(map[string]any)["density"].([]any)))
+	}
+	rec, resp = post(t, s, "/v1/predict/uc1/batch", batch(maxSamples, maxBins))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch at the caps: %d %v", rec.Code, resp)
+	}
+	res := resp["results"].([]any)[0].(map[string]any)
+	if res["n"].(float64) != maxSamples || len(res["histogram"].(map[string]any)["density"].([]any)) != maxBins {
+		t.Errorf("batch at the caps: n = %v, %d densities", res["n"], len(res["histogram"].(map[string]any)["density"].([]any)))
+	}
+
+	for _, tc := range []struct {
+		path string
+		body func(n, bins int) string
+	}{{"/v1/predict/uc1", single}, {"/v1/predict/uc1/batch", batch}, {"/v1/predict/uc2", uc2}} {
+		for _, over := range []struct {
+			field   string
+			n, bins int
+		}{{`"n"`, maxSamples + 1, maxBins}, {`"bins"`, maxSamples, maxBins + 1}} {
+			rec, resp := post(t, s, tc.path, tc.body(over.n, over.bins))
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s with %s past its cap: status %d, want 400", tc.path, over.field, rec.Code)
+				continue
+			}
+			if msg, _ := resp["error"].(string); !strings.Contains(msg, over.field) {
+				t.Errorf("%s with %s past its cap: error %q does not name the field", tc.path, over.field, msg)
+			}
+		}
+	}
+}

@@ -34,15 +34,6 @@ type Config struct {
 	// RequestTimeout bounds each prediction (default 30s). A request
 	// whose prediction outlives it gets 504.
 	RequestTimeout time.Duration
-	// DrainTimeout bounds graceful shutdown (default 10s).
-	DrainTimeout time.Duration
-	// TraceBufferSize bounds the in-memory ring of completed request
-	// traces served by GET /v1/traces (default 256).
-	TraceBufferSize int
-	// SlowTraceThreshold enables the slow-trace log: requests at or
-	// above it are rendered to the process log as span trees. Zero
-	// disables the log.
-	SlowTraceThreshold time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (varserve's
 	// -pprof flag). Off by default: profiling endpoints expose heap and
 	// stack contents and belong behind an explicit opt-in.
@@ -57,6 +48,17 @@ type Config struct {
 	Drift drift.Config
 }
 
+const (
+	// drainTimeout bounds graceful shutdown.
+	drainTimeout = 10 * time.Second
+	// traceBufferSize bounds the in-memory ring of completed request
+	// traces served by GET /v1/traces.
+	traceBufferSize = 256
+	// slowTraceThreshold is the slow-trace log's bar: requests at or
+	// above it are rendered to the process log as span trees.
+	slowTraceThreshold = time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = ":8080"
@@ -66,9 +68,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -113,8 +112,8 @@ func New(db *measure.Database, cfg Config) *Server {
 		// Route through the package clock variable (not its current
 		// value) so SetClock keeps traces deterministic in tests.
 		Clock:         func() time.Time { return clock() },
-		BufferSize:    s.cfg.TraceBufferSize,
-		SlowThreshold: s.cfg.SlowTraceThreshold,
+		BufferSize:    traceBufferSize,
+		SlowThreshold: slowTraceThreshold,
 	})
 	s.drift = drift.NewManager(s.cfg.Drift, drift.Hooks{
 		// Route through the package clock variable like the tracer.
@@ -181,7 +180,7 @@ func (s *Server) Addr() string {
 
 // Serve runs the HTTP server until ctx is canceled, then drains
 // gracefully: readiness flips to 503 (so load balancers stop routing)
-// and in-flight requests get DrainTimeout to finish.
+// and in-flight requests get drainTimeout to finish.
 func (s *Server) Serve(ctx context.Context) error {
 	if s.ln == nil {
 		if err := s.Listen(); err != nil {
@@ -199,7 +198,7 @@ func (s *Server) Serve(ctx context.Context) error {
 	}
 	s.ready.Store(false)
 	//lint:allow ctxflow drain deadline must outlive the already-canceled run ctx; Background is the correct root for shutdown
-	drainCtx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(drainCtx); err != nil {
 		return fmt.Errorf("serve: shutdown: %w", err)

@@ -90,11 +90,7 @@ func TestMeasuredSummaryMatchesActual(t *testing.T) {
 	predictMeasured(t, s, 1, uc1)
 
 	snap := s.pred.DB()
-	rec, resp := post(t, s, "/v1/measurements",
-		measurementsBody(t, "intel", bench, benchProbeRuns(testDB, "intel", bench, 2)[:16]))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("ingest: %d %v", rec.Code, resp)
-	}
+	tripCell(t, s, bench)
 	s.Drift().Wait()
 	if s.pred.DB() == snap {
 		t.Fatal("refit did not swap in a new snapshot")

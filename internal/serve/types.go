@@ -43,12 +43,13 @@ type PredictRequest struct {
 	Representation string `json:"representation,omitempty"`
 	// Samples is the UC1 profile size (default 10, the paper's setting).
 	Samples int `json:"samples,omitempty"`
-	// Bins is the histogram representation's bin count (0 = default 50).
+	// Bins is the histogram representation's bin count (0 = default 50,
+	// at most maxBins).
 	Bins int `json:"bins,omitempty"`
 	// Seed drives decoding and model stochasticity (default 1).
 	Seed uint64 `json:"seed,omitempty"`
 	// N is the number of samples to decode for raw-profile requests
-	// (default: the database's runs-per-benchmark).
+	// (default: the database's runs-per-benchmark; at most maxSamples).
 	N int `json:"n,omitempty"`
 }
 
@@ -69,12 +70,13 @@ type BatchPredictRequest struct {
 	Representation string `json:"representation,omitempty"`
 	// Samples is the UC1 profile size (default 10, the paper's setting).
 	Samples int `json:"samples,omitempty"`
-	// Bins is the histogram representation's bin count (0 = default 50).
+	// Bins is the histogram representation's bin count (0 = default 50,
+	// at most maxBins).
 	Bins int `json:"bins,omitempty"`
 	// Seed drives decoding and model stochasticity (default 1).
 	Seed uint64 `json:"seed,omitempty"`
 	// N is the number of samples to decode per profile (default: the
-	// database's runs-per-benchmark).
+	// database's runs-per-benchmark; at most maxSamples).
 	N int `json:"n,omitempty"`
 }
 
